@@ -1,7 +1,8 @@
 // Component micro-benchmarks on google-benchmark: the cost of the core
 // mechanisms — buffer-pool fixes per replacement policy, page splitting at
-// several graph sizes, the event kernel, candidate scoring, and the
-// workload RNG. These are engineering baselines, not paper figures.
+// several graph sizes, the event kernel, candidate scoring, the placement
+// audit, and the workload RNG. These are engineering baselines, not paper
+// figures.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,8 @@
 #include "cluster/affinity.h"
 #include "cluster/cluster_manager.h"
 #include "cluster/page_splitter.h"
+#include "obs/placement_auditor.h"
+#include "ocb/ocb_builder.h"
 #include "sim/process.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
@@ -195,6 +198,54 @@ void BM_ScoreCandidates(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScoreCandidates);
+
+// ------------------------------------------------------- placement audit
+
+// One full PlacementAuditor::Sample over a built database. Arg 0 is an
+// OCT database (acyclic configurations, a few objects per root); args 1
+// and 2 are 6000-instance OCB graphs whose random references form one
+// giant configuration cycle — under zipf locality every root's closure
+// stays under the walk cap, under uniform locality every root hits it.
+void BM_PlacementAuditorSample(benchmark::State& state) {
+  obj::TypeLattice lattice;
+  ocb::OcbConfig ocb;
+  ocb.enabled = state.range(0) != 0;
+  ocb.instances = 6000;
+  ocb.classes = 16;
+  ocb.locality = state.range(0) == 1 ? ocb::RefLocality::kZipf
+                                      : ocb::RefLocality::kUniform;
+  ocb::OcbSchema schema;
+  workload::CadTypes types{};
+  if (ocb.enabled) {
+    schema = ocb::RegisterOcbClasses(lattice, ocb, 41);
+  } else {
+    types = workload::RegisterCadTypes(lattice);
+  }
+  obj::ObjectGraph graph(&lattice);
+  store::StorageManager storage(4096);
+  cluster::AffinityModel affinity(&lattice);
+  cluster::ClusterManager mgr(&graph, &storage, &affinity, nullptr, {});
+  if (ocb.enabled) {
+    ocb::OcbBuilder(&graph, &mgr, nullptr, ocb).Build(schema, 43);
+  } else {
+    workload::DatabaseSpec spec;
+    spec.target_bytes = 2 << 20;
+    workload::DbBuilder(&graph, &mgr, nullptr, spec).Build(types);
+  }
+
+  const obs::PlacementAuditor auditor(&graph, &storage);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(auditor.Sample());
+  }
+  state.SetLabel(state.range(0) == 0   ? "oct"
+                 : state.range(0) == 1 ? "ocb_zipf"
+                                       : "ocb_uniform");
+}
+BENCHMARK(BM_PlacementAuditorSample)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------------ rng
 

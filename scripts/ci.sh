@@ -124,8 +124,8 @@ fi
   > "${BUILD}/span_trace_summary.out"
 
 # OCB workload gate: the generic-benchmark scenario (src/ocb/) must be
-# bit-identical across job counts (exact diff) and stay within the same
-# 20% envelope against its committed baseline. This exercises the whole
+# bit-identical across job counts (exact diff) and regenerate its committed
+# baseline exactly (rtol 0), like fig5.1. This exercises the whole
 # second workload path — generator, OCB transaction set, scenario axis —
 # none of which the fig5.1 gates touch.
 OCB_SCENARIO="${ROOT}/bench/scenarios/ocb_small.scenario.json"
@@ -140,7 +140,7 @@ if ! diff "${BUILD}/ocb_jobs1.out" "${BUILD}/ocb_jobs4.out"; then
   exit 1
 fi
 "${BUILD}/tools/bench_diff" "${O1}" "${O4}"
-"${BUILD}/tools/bench_diff" --baseline "${OCB_BASELINE}" --rtol 0.2 "${O1}"
+"${BUILD}/tools/bench_diff" --baseline "${OCB_BASELINE}" --rtol 0 "${O1}"
 
 # Policy-surface smoke: the dynamic re-clustering axis must be
 # registered and discoverable (canonical names and aliases).
@@ -155,8 +155,8 @@ done
 # Structural-churn gate (src/dyn/): the churn scenario sweeps the frozen
 # static placement against DSTC and OPCF. Exact determinism across job
 # counts (reorganisation happens on the virtual clock, so thread count
-# must not leak into any sample), plus a 20% envelope against the
-# committed baseline.
+# must not leak into any sample), plus an exact (rtol 0) match against
+# the committed baseline.
 CHURN_SCENARIO="${ROOT}/bench/scenarios/ocb_churn.scenario.json"
 CHURN_BASELINE="${ROOT}/BENCH_ocb_churn.jsonl"
 C1="${BUILD}/churn_jobs1.json"
@@ -171,11 +171,11 @@ if ! diff "${BUILD}/churn_jobs1.out" "${BUILD}/churn_jobs4.out"; then
   exit 1
 fi
 "${BUILD}/tools/bench_diff" "${C1}" "${C4}"
-"${BUILD}/tools/bench_diff" --baseline "${CHURN_BASELINE}" --rtol 0.2 "${C1}"
+"${BUILD}/tools/bench_diff" --baseline "${CHURN_BASELINE}" --rtol 0 "${C1}"
 
 # Shard-grid gate (core/sharding.*, DESIGN.md §15): the N-shard scenario
-# must be bit-identical across job counts, stay within the 20% envelope
-# against its committed baseline, and keep the tentpole claim true on the
+# must be bit-identical across job counts, match its committed baseline
+# exactly (rtol 0), and keep the tentpole claim true on the
 # fresh run: Structure_Shard beats Hash_Shard on BOTH the cross-shard
 # reference fraction and the mean response time at every swept N.
 SHARD_SCENARIO="${ROOT}/bench/scenarios/ocb_shard.scenario.json"
@@ -192,7 +192,7 @@ if ! diff "${BUILD}/shard_jobs1.out" "${BUILD}/shard_jobs4.out"; then
   exit 1
 fi
 "${BUILD}/tools/bench_diff" "${SH1}" "${SH4}"
-"${BUILD}/tools/bench_diff" --baseline "${SHARD_BASELINE}" --rtol 0.2 "${SH1}"
+"${BUILD}/tools/bench_diff" --baseline "${SHARD_BASELINE}" --rtol 0 "${SH1}"
 python3 - "${SH1}" <<'PY'
 import json, sys
 rows = {}
@@ -218,6 +218,7 @@ PY
 # OCT dynamic gate: the same static-vs-DSTC-vs-OPCF sweep the churn gate
 # runs on the generic OCB graph, but across the engineering workload's
 # density x R/W grid — the other half of the dynamic-axis transfer table.
+# Exact across job counts and against the committed baseline (rtol 0).
 OCT_DYN_SCENARIO="${ROOT}/bench/scenarios/oct_dyn.scenario.json"
 OCT_DYN_BASELINE="${ROOT}/BENCH_oct_dyn.jsonl"
 D1="${BUILD}/oct_dyn_jobs1.json"
@@ -232,13 +233,13 @@ if ! diff "${BUILD}/oct_dyn_jobs1.out" "${BUILD}/oct_dyn_jobs4.out"; then
   exit 1
 fi
 "${BUILD}/tools/bench_diff" "${D1}" "${D4}"
-"${BUILD}/tools/bench_diff" --baseline "${OCT_DYN_BASELINE}" --rtol 0.2 "${D1}"
+"${BUILD}/tools/bench_diff" --baseline "${OCT_DYN_BASELINE}" --rtol 0 "${D1}"
 
 # Contention gate (src/cc/, DESIGN.md §16): the thousand-user strict-2PL
 # sweep must be bit-identical across job counts (lock waits, aborts, and
 # backoff all run on the virtual clock), reproduce the hand-written
-# bench_oct_contention byte-for-byte, and stay within the 20% envelope
-# against its committed baseline. The fig5.1 gates above double as the
+# bench_oct_contention byte-for-byte, and match its committed baseline
+# exactly (rtol 0). The fig5.1 gates above double as the
 # cc-off neutrality proof: their baseline predates src/cc/ and is still
 # matched at rtol 0 with the lock manager compiled in but disabled.
 CC_SCENARIO="${ROOT}/bench/scenarios/oct_contention.scenario.json"
@@ -257,7 +258,7 @@ if ! diff "${BUILD}/cc_jobs1.out" "${BUILD}/cc_jobs4.out"; then
   exit 1
 fi
 "${BUILD}/tools/bench_diff" "${CC1}" "${CC4}"
-"${BUILD}/tools/bench_diff" --baseline "${CC_BASELINE}" --rtol 0.2 "${CC1}"
+"${BUILD}/tools/bench_diff" --baseline "${CC_BASELINE}" --rtol 0 "${CC1}"
 SEMCLUST_BENCH_FAST=1 SEMCLUST_BENCH_JOBS=4 SEMCLUST_BENCH_JSON="${CCB}" \
   "${CC_BENCH}" > "${BUILD}/cc_bench.out"
 if ! diff <(strip_wall "${CCB}") <(strip_wall "${CC1}"); then
@@ -343,4 +344,4 @@ cmake -S "${ROOT}" -B "${RELBUILD}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${RELBUILD}" -j "$(nproc)"
 ctest --test-dir "${RELBUILD}" --output-on-failure -j "$(nproc)"
 
-echo "ci: ok (tests passed, jobs=1 == jobs=4, scenario == bench, OCT/OCB/churn/shard/dyn/contention baselines within tolerance, structure sharding beats hash, cc engages under load, Release build clean)"
+echo "ci: ok (tests passed, jobs=1 == jobs=4, scenario == bench, OCT/OCB/churn/shard/dyn/contention baselines exact, structure sharding beats hash, cc engages under load, Release build clean)"

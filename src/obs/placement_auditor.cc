@@ -1,6 +1,9 @@
 #include "obs/placement_auditor.h"
 
 #include <algorithm>
+#include <limits>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "util/json_writer.h"
@@ -9,9 +12,214 @@ namespace oodb::obs {
 
 namespace {
 
-/// Cycle/size guard for the configuration walk (attachments are
-/// unvalidated, as in OCT, so the configuration graph may contain cycles).
+/// Size cap of one configuration walk: a walk stops popping once this many
+/// objects have been pushed (attachments are unvalidated, as in OCT, so the
+/// configuration graph may contain cycles and giant closures).
 constexpr size_t kMaxConfigurationWalk = 4096;
+
+/// Live `kConfiguration`/`kDown` children of every live object, in edge
+/// order, as a CSR (offsets + targets), plus each live object's page.
+/// Dead objects have empty rows.
+struct ConfigurationGraph {
+  std::vector<uint32_t> offsets;  ///< row o is [offsets[o], offsets[o + 1])
+  std::vector<obj::ObjectId> targets;
+  std::vector<store::PageId> page_of;
+
+  std::span<const obj::ObjectId> children(obj::ObjectId o) const {
+    return {targets.data() + offsets[o], targets.data() + offsets[o + 1]};
+  }
+};
+
+/// Counts the distinct pages spanned by each configuration root's capped
+/// closure (DESIGN.md §9).
+///
+/// ExactWalk is the reference: a stamped DFS that pops objects until
+/// kMaxConfigurationWalk have been pushed. When the root reaches fewer
+/// objects than that, the DFS pops every one of them, so the count is a
+/// property of the reachable set alone. CondensedWalk exploits this: over
+/// the strongly connected components found by Condense it adds a whole
+/// component (size and deduplicated pages) in one step, and gives up once
+/// the reached size hits the cap, where only the DFS order decides which
+/// objects are popped.
+class ConfigurationWalker {
+ public:
+  ConfigurationWalker(const ConfigurationGraph& graph, size_t page_count)
+      : graph_(graph),
+        object_mark_(graph.page_of.size(), 0),
+        page_mark_(page_count, 0) {}
+
+  bool condensed() const { return condensed_; }
+
+  /// Distinct pages of the objects the capped DFS from `root` pops. Adds
+  /// the number of objects pushed to `*pushed`.
+  size_t ExactWalk(obj::ObjectId root, size_t* pushed) {
+    ++walk_;
+    object_mark_[root] = walk_;
+    size_t visited = 1;
+    size_t distinct_pages = 0;
+    stack_.assign(1, root);
+    while (!stack_.empty() && visited < kMaxConfigurationWalk) {
+      const obj::ObjectId o = stack_.back();
+      stack_.pop_back();
+      distinct_pages += MarkPage(graph_.page_of[o]);
+      for (const obj::ObjectId c : graph_.children(o)) {
+        if (object_mark_[c] != walk_) {
+          object_mark_[c] = walk_;
+          ++visited;
+          stack_.push_back(c);
+        }
+      }
+    }
+    *pushed += visited;
+    return distinct_pages;
+  }
+
+  /// Finds the non-trivial strongly connected components reachable from
+  /// `roots` (iterative Tarjan) and records each one's size, pages and
+  /// external children.
+  void Condense(std::span<const obj::ObjectId> roots) {
+    const size_t n = graph_.page_of.size();
+    component_of_.assign(n, kTrivial);
+    // index 0 = unvisited; low kDone = assigned to a finished component.
+    constexpr uint32_t kDone = std::numeric_limits<uint32_t>::max();
+    std::vector<uint32_t> index(n, 0);
+    std::vector<uint32_t> low(n, 0);
+    std::vector<obj::ObjectId> open;  // Tarjan's stack
+    struct Frame {
+      obj::ObjectId node;
+      uint32_t next_edge;
+    };
+    std::vector<Frame> frames;
+    uint32_t counter = 0;
+    const auto discover = [&](obj::ObjectId v) {
+      index[v] = low[v] = ++counter;
+      open.push_back(v);
+      frames.push_back({v, graph_.offsets[v]});
+    };
+    for (const obj::ObjectId root : roots) {
+      if (index[root] != 0) continue;
+      discover(root);
+      while (!frames.empty()) {
+        Frame& f = frames.back();
+        if (f.next_edge < graph_.offsets[f.node + 1]) {
+          const obj::ObjectId w = graph_.targets[f.next_edge++];
+          if (index[w] == 0) {
+            discover(w);
+          } else if (low[w] != kDone) {
+            low[f.node] = std::min(low[f.node], index[w]);
+          }
+          continue;
+        }
+        const obj::ObjectId v = f.node;
+        frames.pop_back();
+        if (low[v] == index[v]) {
+          const auto first =
+              std::find(open.rbegin(), open.rend(), v).base() - 1;
+          const std::span<const obj::ObjectId> members(first, open.end());
+          if (members.size() > 1) AddComponent(members);
+          for (const obj::ObjectId m : members) low[m] = kDone;
+          open.erase(first, open.end());
+        }
+        if (!frames.empty()) {
+          uint32_t& parent_low = low[frames.back().node];
+          parent_low = std::min(parent_low, low[v]);
+        }
+      }
+    }
+    component_mark_.assign(components_.size(), 0);
+    condensed_ = true;
+  }
+
+  /// Distinct pages of everything `root` reaches, or nullopt when that is
+  /// kMaxConfigurationWalk objects or more. Requires Condense().
+  std::optional<size_t> CondensedWalk(obj::ObjectId root) {
+    ++walk_;
+    size_t reached = 0;
+    size_t distinct_pages = 0;
+    stack_.clear();
+    // A member of a non-trivial component stands for the whole component.
+    const auto reach = [&](obj::ObjectId o) {
+      const uint32_t c = component_of_[o];
+      if (c == kTrivial) {
+        if (object_mark_[o] == walk_) return;
+        object_mark_[o] = walk_;
+        ++reached;
+      } else {
+        if (component_mark_[c] == walk_) return;
+        component_mark_[c] = walk_;
+        reached += components_[c].size;
+      }
+      stack_.push_back(o);
+    };
+    reach(root);
+    while (!stack_.empty() && reached < kMaxConfigurationWalk) {
+      const obj::ObjectId o = stack_.back();
+      stack_.pop_back();
+      const uint32_t c = component_of_[o];
+      if (c == kTrivial) {
+        distinct_pages += MarkPage(graph_.page_of[o]);
+        for (const obj::ObjectId child : graph_.children(o)) reach(child);
+      } else {
+        for (const store::PageId p : components_[c].pages) {
+          distinct_pages += MarkPage(p);
+        }
+        for (const obj::ObjectId child : components_[c].children) {
+          reach(child);
+        }
+      }
+    }
+    if (reached >= kMaxConfigurationWalk) return std::nullopt;
+    return distinct_pages;
+  }
+
+ private:
+  static constexpr uint32_t kTrivial = std::numeric_limits<uint32_t>::max();
+
+  struct Component {
+    size_t size = 0;
+    std::vector<store::PageId> pages;     ///< sorted, distinct, placed
+    std::vector<obj::ObjectId> children;  ///< sorted, distinct, external
+  };
+
+  /// 1 if `p` is a page not yet counted by the current walk, else 0.
+  size_t MarkPage(store::PageId p) {
+    if (p == store::kInvalidPage || page_mark_[p] == walk_) return 0;
+    page_mark_[p] = walk_;
+    return 1;
+  }
+
+  void AddComponent(std::span<const obj::ObjectId> members) {
+    const auto id = static_cast<uint32_t>(components_.size());
+    Component& comp = components_.emplace_back();
+    comp.size = members.size();
+    for (const obj::ObjectId m : members) component_of_[m] = id;
+    for (const obj::ObjectId m : members) {
+      const store::PageId p = graph_.page_of[m];
+      if (p != store::kInvalidPage) comp.pages.push_back(p);
+      for (const obj::ObjectId c : graph_.children(m)) {
+        if (component_of_[c] != id) comp.children.push_back(c);
+      }
+    }
+    const auto sort_unique = [](auto& list) {
+      std::sort(list.begin(), list.end());
+      list.erase(std::unique(list.begin(), list.end()), list.end());
+    };
+    sort_unique(comp.pages);
+    sort_unique(comp.children);
+  }
+
+  const ConfigurationGraph& graph_;
+  std::vector<obj::ObjectId> stack_;
+  // Stamped membership: a mark equal to walk_ means "seen by the current
+  // walk", so nothing is cleared between roots.
+  std::vector<uint32_t> object_mark_;
+  std::vector<uint32_t> page_mark_;
+  std::vector<uint32_t> component_mark_;
+  uint32_t walk_ = 0;
+  bool condensed_ = false;
+  std::vector<uint32_t> component_of_;  ///< kTrivial or a components_ index
+  std::vector<Component> components_;
+};
 
 }  // namespace
 
@@ -94,13 +302,18 @@ PlacementSample PlacementAuditor::Sample() const {
   std::vector<uint64_t> type_pages(type_count, 0);
   std::vector<uint8_t> type_page_seen(type_count * page_count, 0);
   std::vector<obj::ObjectId> config_roots;
+  ConfigurationGraph config;
+  config.offsets.reserve(graph.size() + 1);
+  config.page_of.assign(graph.size(), store::kInvalidPage);
 
   const auto num_objects = static_cast<obj::ObjectId>(graph.size());
   for (obj::ObjectId id = 0; id < num_objects; ++id) {
+    config.offsets.push_back(static_cast<uint32_t>(config.targets.size()));
     if (!graph.IsLive(id)) continue;
     ++s.live_objects;
     const obj::DesignObject& o = graph.object(id);
     const store::PageId my_page = storage.PageOf(id);
+    config.page_of[id] = my_page;
     if (my_page != store::kInvalidPage) {
       ++s.placed_objects;
       type_bytes[o.type] += storage.SizeOf(id);
@@ -118,8 +331,11 @@ PlacementSample PlacementAuditor::Sample() const {
             true;
       }
       // Count each edge once, from its kDown side.
-      if (e.dir != obj::Direction::kDown) continue;
-      if (my_page == store::kInvalidPage || !graph.IsLive(e.target)) continue;
+      if (e.dir != obj::Direction::kDown || !graph.IsLive(e.target)) continue;
+      if (e.kind == obj::RelKind::kConfiguration) {
+        config.targets.push_back(e.target);
+      }
+      if (my_page == store::kInvalidPage) continue;
       const store::PageId target_page = storage.PageOf(e.target);
       if (target_page == store::kInvalidPage) continue;
       EdgeLocality& kind = s.by_kind[static_cast<size_t>(e.kind)];
@@ -132,6 +348,7 @@ PlacementSample PlacementAuditor::Sample() const {
     }
     if (has_down_config && !has_up_config) config_roots.push_back(id);
   }
+  config.offsets.push_back(static_cast<uint32_t>(config.targets.size()));
 
   // ---- page occupancy ----
   s.pages = storage.page_count();
@@ -176,39 +393,23 @@ PlacementSample PlacementAuditor::Sample() const {
   }
 
   // ---- pages per configuration ----
-  // Stamped membership arrays replace per-root hash sets: a mark equal to
-  // the current walk number means "seen by this root's walk", so there is
-  // nothing to clear between roots. Traversal order and counts match the
-  // hash-set implementation exactly.
+  // The condensation costs about one pass over the configuration graph, so
+  // it is built only once the exact walks have pushed that many objects:
+  // short acyclic walks (OCT) never pay for it, while walks that keep
+  // re-entering a giant cycle (OCB) switch to it after a few roots.
+  ConfigurationWalker walker(config, page_count);
+  const size_t condense_after = s.live_objects + config.targets.size();
+  size_t pushed = 0;
   double config_pages_sum = 0;
-  std::vector<obj::ObjectId> stack;
-  std::vector<uint32_t> object_mark(graph.size(), 0);
-  std::vector<uint32_t> page_mark(page_count, 0);
-  uint32_t walk = 0;
-  for (const obj::ObjectId root : config_roots) {
-    ++walk;
-    object_mark[root] = walk;
-    size_t visited = 1;
-    size_t distinct_pages = 0;
-    stack.assign(1, root);
-    while (!stack.empty() && visited < kMaxConfigurationWalk) {
-      const obj::ObjectId o = stack.back();
-      stack.pop_back();
-      const store::PageId p = storage.PageOf(o);
-      if (p != store::kInvalidPage && page_mark[p] != walk) {
-        page_mark[p] = walk;
-        ++distinct_pages;
-      }
-      graph.ForEachNeighbor(o, obj::RelKind::kConfiguration,
-                            obj::Direction::kDown, [&](obj::ObjectId c) {
-                              if (graph.IsLive(c) && object_mark[c] != walk) {
-                                object_mark[c] = walk;
-                                ++visited;
-                                stack.push_back(c);
-                              }
-                            });
+  for (size_t i = 0; i < config_roots.size(); ++i) {
+    const obj::ObjectId root = config_roots[i];
+    if (!walker.condensed() && pushed >= condense_after) {
+      walker.Condense(std::span(config_roots).subspan(i));
     }
-    config_pages_sum += static_cast<double>(distinct_pages);
+    std::optional<size_t> distinct_pages;
+    if (walker.condensed()) distinct_pages = walker.CondensedWalk(root);
+    if (!distinct_pages) distinct_pages = walker.ExactWalk(root, &pushed);
+    config_pages_sum += static_cast<double>(*distinct_pages);
     ++s.configurations;
   }
   if (s.configurations > 0) {

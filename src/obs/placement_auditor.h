@@ -74,8 +74,10 @@ struct PlacementSample {
   double mean_type_fragmentation = 0;
   uint64_t types_audited = 0;
 
-  /// Mean number of distinct pages spanned by one configuration (a
-  /// composite root plus its transitively reachable components).
+  /// Mean number of distinct pages spanned by one configuration: the pages
+  /// of the objects a stamped DFS from a composite root pops before 4096
+  /// objects have been pushed (DESIGN.md §9). Below that cap this is
+  /// exactly the root's transitive `kConfiguration` closure.
   double mean_pages_per_configuration = 0;
   uint64_t configurations = 0;
 
@@ -95,8 +97,9 @@ struct PlacementSample {
 };
 
 /// Computes PlacementSamples from a live graph + storage pair. Holds no
-/// state beyond the two pointers; every Sample() is a fresh full scan
-/// (linear in objects + edges + pages).
+/// state beyond the two pointers; every Sample() is a fresh full scan,
+/// linear in objects + edges + pages apart from configuration walks that
+/// hit the cap (at most 4096 objects per root).
 class PlacementAuditor {
  public:
   PlacementAuditor(const obj::ObjectGraph* graph,

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -18,6 +19,7 @@
 #include "objmodel/object_graph.h"
 #include "objmodel/type_system.h"
 #include "storage/storage_manager.h"
+#include "util/random.h"
 
 namespace oodb {
 namespace {
@@ -328,6 +330,365 @@ TEST(PlacementSampleTest, MergeReweightsMeansByPopulation) {
   EXPECT_EQ(x.nonempty_pages, 4u);
   EXPECT_DOUBLE_EQ(x.mean_occupancy, (0.5 * 1 + 0.9 * 3) / 4);
   EXPECT_DOUBLE_EQ(*x.ColocatedFraction(), 0.5);
+}
+
+// ------------------------------------------- placement auditor vs oracle
+
+// PlacementAuditor::Sample as it was before configuration walks moved to a
+// CSR and a strongly-connected-component condensation: one stamped DFS per
+// root over graph.edges(), capped at 4096 pushed objects. The optimised
+// auditor must reproduce every field of it bit for bit.
+obs::PlacementSample ReferenceSample(const obj::ObjectGraph& graph,
+                                     const store::StorageManager& storage) {
+  constexpr size_t kMaxConfigurationWalk = 4096;
+  obs::PlacementSample s;
+  const size_t type_count = graph.lattice().size();
+  const size_t page_count = storage.page_count();
+  std::vector<uint64_t> type_bytes(type_count, 0);
+  std::vector<uint64_t> type_pages(type_count, 0);
+  std::vector<uint8_t> type_page_seen(type_count * page_count, 0);
+  std::vector<obj::ObjectId> config_roots;
+
+  const auto num_objects = static_cast<obj::ObjectId>(graph.size());
+  for (obj::ObjectId id = 0; id < num_objects; ++id) {
+    if (!graph.IsLive(id)) continue;
+    ++s.live_objects;
+    const obj::DesignObject& o = graph.object(id);
+    const store::PageId my_page = storage.PageOf(id);
+    if (my_page != store::kInvalidPage) {
+      ++s.placed_objects;
+      type_bytes[o.type] += storage.SizeOf(id);
+      uint8_t& seen = type_page_seen[o.type * page_count + my_page];
+      if (seen == 0) {
+        seen = 1;
+        ++type_pages[o.type];
+      }
+    }
+    bool has_down_config = false;
+    bool has_up_config = false;
+    for (const obj::Edge e : graph.edges(id)) {
+      if (e.kind == obj::RelKind::kConfiguration) {
+        (e.dir == obj::Direction::kDown ? has_down_config : has_up_config) =
+            true;
+      }
+      if (e.dir != obj::Direction::kDown) continue;
+      if (my_page == store::kInvalidPage || !graph.IsLive(e.target)) continue;
+      const store::PageId target_page = storage.PageOf(e.target);
+      if (target_page == store::kInvalidPage) continue;
+      obs::EdgeLocality& kind = s.by_kind[static_cast<size_t>(e.kind)];
+      ++kind.edges;
+      ++s.edges;
+      if (target_page == my_page) {
+        ++kind.colocated;
+        ++s.colocated;
+      }
+    }
+    if (has_down_config && !has_up_config) config_roots.push_back(id);
+  }
+
+  s.pages = storage.page_count();
+  double fill_sum = 0;
+  for (store::PageId p = 0; p < storage.page_count(); ++p) {
+    const store::Page& page = storage.page(p);
+    if (page.object_count() == 0) {
+      ++s.empty_pages;
+      continue;
+    }
+    ++s.nonempty_pages;
+    const double fill = static_cast<double>(page.used_bytes()) /
+                        static_cast<double>(page.capacity_bytes());
+    fill_sum += fill;
+    size_t bucket = static_cast<size_t>(fill * obs::kOccupancyBuckets);
+    if (bucket >= obs::kOccupancyBuckets) bucket = obs::kOccupancyBuckets - 1;
+    ++s.occupancy_histogram[bucket];
+  }
+  if (s.nonempty_pages > 0) {
+    s.mean_occupancy = fill_sum / static_cast<double>(s.nonempty_pages);
+  }
+
+  const uint64_t capacity = storage.page_size_bytes();
+  double frag_sum = 0;
+  for (size_t type = 0; type < type_count; ++type) {
+    if (type_bytes[type] == 0) continue;
+    const uint64_t min_pages =
+        std::max<uint64_t>(1, (type_bytes[type] + capacity - 1) / capacity);
+    frag_sum += static_cast<double>(type_pages[type]) /
+                static_cast<double>(min_pages);
+    ++s.types_audited;
+  }
+  if (s.types_audited > 0) {
+    s.mean_type_fragmentation =
+        frag_sum / static_cast<double>(s.types_audited);
+  }
+
+  double config_pages_sum = 0;
+  std::vector<obj::ObjectId> stack;
+  std::vector<uint32_t> object_mark(graph.size(), 0);
+  std::vector<uint32_t> page_mark(page_count, 0);
+  uint32_t walk = 0;
+  for (const obj::ObjectId root : config_roots) {
+    ++walk;
+    object_mark[root] = walk;
+    size_t visited = 1;
+    size_t distinct_pages = 0;
+    stack.assign(1, root);
+    while (!stack.empty() && visited < kMaxConfigurationWalk) {
+      const obj::ObjectId o = stack.back();
+      stack.pop_back();
+      const store::PageId p = storage.PageOf(o);
+      if (p != store::kInvalidPage && page_mark[p] != walk) {
+        page_mark[p] = walk;
+        ++distinct_pages;
+      }
+      graph.ForEachNeighbor(o, obj::RelKind::kConfiguration,
+                            obj::Direction::kDown, [&](obj::ObjectId c) {
+                              if (graph.IsLive(c) && object_mark[c] != walk) {
+                                object_mark[c] = walk;
+                                ++visited;
+                                stack.push_back(c);
+                              }
+                            });
+    }
+    config_pages_sum += static_cast<double>(distinct_pages);
+    ++s.configurations;
+  }
+  if (s.configurations > 0) {
+    s.mean_pages_per_configuration =
+        config_pages_sum / static_cast<double>(s.configurations);
+  }
+  return s;
+}
+
+/// A seeded random database: objects of four types, 40-80 bytes each, on
+/// 400-byte pages.
+class AuditWorld {
+ public:
+  explicit AuditWorld(uint64_t seed)
+      : graph_(&lattice_), store_(400), rng_(seed) {
+    for (const char* name : {"t0", "t1", "t2", "t3"}) {
+      types_.push_back(lattice_.DefineType(name, obj::kInvalidType, 0, {}));
+    }
+    fam_ = graph_.NewFamily("f");
+  }
+
+  std::vector<obj::ObjectId> Create(size_t n) {
+    std::vector<obj::ObjectId> ids;
+    for (size_t i = 0; i < n; ++i) {
+      ids.push_back(graph_.Create(
+          fam_, static_cast<uint16_t>(graph_.size() % 60000),
+          types_[rng_.NextBelow(types_.size())],
+          40 + static_cast<uint32_t>(rng_.NextBelow(41))));
+    }
+    return ids;
+  }
+
+  void Configure(obj::ObjectId parent, obj::ObjectId child) {
+    graph_.Relate(parent, child, obj::RelKind::kConfiguration);
+  }
+
+  /// Places `ids` in shuffled order, `per_page` to a fresh page, leaving
+  /// each one unplaced with probability `unplaced`.
+  void Place(std::vector<obj::ObjectId> ids, size_t per_page,
+             double unplaced) {
+    for (size_t i = ids.size(); i > 1; --i) {
+      std::swap(ids[i - 1], ids[rng_.NextBelow(i)]);
+    }
+    store::PageId page = store::kInvalidPage;
+    size_t on_page = per_page;
+    for (const obj::ObjectId id : ids) {
+      if (rng_.Bernoulli(unplaced)) continue;
+      if (on_page == per_page) {
+        page = store_.AllocatePage();
+        on_page = 0;
+      }
+      ASSERT_TRUE(store_.Place(id, graph_.object(id).size_bytes, page).ok());
+      ++on_page;
+    }
+  }
+
+  /// Deletes each of `ids` with probability `p`, as churn does.
+  void Delete(const std::vector<obj::ObjectId>& ids, double p) {
+    for (const obj::ObjectId id : ids) {
+      if (!graph_.IsLive(id) || !rng_.Bernoulli(p)) continue;
+      graph_.Remove(id);
+      if (store_.IsPlaced(id)) {
+        ASSERT_TRUE(store_.Erase(id).ok());
+      }
+    }
+  }
+
+  /// The auditor's sample, after checking it against the oracle.
+  obs::PlacementSample SampleMatchingOracle() const {
+    const obs::PlacementSample fast =
+        obs::PlacementAuditor(&graph_, &store_).Sample();
+    EXPECT_EQ(fast.ToJson(), ReferenceSample(graph_, store_).ToJson());
+    return fast;
+  }
+
+  obj::ObjectGraph& graph() { return graph_; }
+  Rng& rng() { return rng_; }
+
+ private:
+  obj::TypeLattice lattice_;
+  obj::ObjectGraph graph_;
+  store::StorageManager store_;
+  Rng rng_;
+  std::vector<obj::TypeId> types_;
+  obj::FamilyId fam_ = obj::kInvalidFamily;
+};
+
+/// Gives each of `ids` three configuration children (and one other edge),
+/// as OCB's reference generator does: uniformly over `ids`, or within a
+/// window of +-`window` positions. Then adds `extra_roots` fresh composite
+/// roots over the graph. Returns every object.
+std::vector<obj::ObjectId> BuildOcbLike(AuditWorld& w, size_t n,
+                                        size_t window, size_t extra_roots) {
+  std::vector<obj::ObjectId> ids = w.Create(n);
+  const auto pick = [&](size_t i) {
+    if (window == 0) return ids[w.rng().NextBelow(n)];
+    const size_t offset = w.rng().NextBelow(2 * window + 1);
+    return ids[(i + n + offset - window) % n];
+  };
+  for (size_t i = 0; i < n; ++i) {
+    for (int k = 0; k < 3; ++k) {
+      const obj::ObjectId child = pick(i);
+      if (child != ids[i]) w.Configure(ids[i], child);
+    }
+    const obj::ObjectId other = pick(i);
+    if (other != ids[i]) {
+      w.graph().Relate(ids[i], other,
+                       w.rng().Bernoulli(0.5) ? obj::RelKind::kVersionHistory
+                                              : obj::RelKind::kCorrespondence);
+    }
+  }
+  for (const obj::ObjectId root : w.Create(extra_roots)) {
+    for (int k = 0; k < 3; ++k) w.Configure(root, ids[w.rng().NextBelow(n)]);
+    ids.push_back(root);
+  }
+  return ids;
+}
+
+TEST(PlacementAuditorOracleTest, OcbLikeCyclicGraphs) {
+  struct Case {
+    size_t n;
+    size_t window;  // 0 = uniform references
+  };
+  // Closures well under the cap, a giant component over it, and a
+  // windowed graph whose closures straddle it.
+  for (const Case c : {Case{300, 0}, Case{2500, 0}, Case{6000, 0},
+                       Case{6000, 40}, Case{6000, 3}}) {
+    for (const uint64_t seed : {1u, 7u}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << c.n << " window="
+                                        << c.window << " seed=" << seed);
+      AuditWorld w(seed);
+      const std::vector<obj::ObjectId> ids =
+          BuildOcbLike(w, c.n, c.window, /*extra_roots=*/60);
+      w.Place(ids, /*per_page=*/4, /*unplaced=*/0.05);
+      EXPECT_GE(w.SampleMatchingOracle().configurations, 60u);
+    }
+  }
+}
+
+TEST(PlacementAuditorOracleTest, AcyclicTreesAndSharedDags) {
+  for (const uint64_t seed : {2u, 3u}) {
+    AuditWorld w(seed);
+    const std::vector<obj::ObjectId> ids = w.Create(5000);
+    // A forest: each object hangs under a recent one...
+    for (size_t i = 1; i < ids.size(); ++i) {
+      if (w.rng().Bernoulli(0.8)) {
+        const size_t lo = i > 50 ? i - 50 : 0;
+        w.Configure(ids[lo + w.rng().NextBelow(i - lo)], ids[i]);
+      }
+    }
+    w.Place(ids, /*per_page=*/5, /*unplaced=*/0.0);
+    w.SampleMatchingOracle();
+    // ... then many roots share one large acyclic component, so the walks
+    // push far more objects than the graph holds.
+    for (const obj::ObjectId root : w.Create(400)) {
+      w.Configure(root, ids[0]);
+      w.Configure(root, ids[1 + w.rng().NextBelow(ids.size() - 1)]);
+    }
+    w.SampleMatchingOracle();
+  }
+}
+
+TEST(PlacementAuditorOracleTest, ReachAtTheWalkCap) {
+  // Every root reaches exactly `reach` objects: itself plus a cycle of
+  // reach-1 objects with chords, one object per page. At 4095 the walk
+  // pops everything; from 4096 on it stops with objects still pushed.
+  for (const size_t reach : {4095u, 4096u, 4097u}) {
+    SCOPED_TRACE(::testing::Message() << "reach=" << reach);
+    AuditWorld w(reach);
+    const std::vector<obj::ObjectId> cycle = w.Create(reach - 1);
+    for (size_t i = 0; i < cycle.size(); ++i) {
+      w.Configure(cycle[i], cycle[(i + 1) % cycle.size()]);
+      const obj::ObjectId chord = cycle[w.rng().NextBelow(cycle.size())];
+      if (chord != cycle[i]) w.Configure(cycle[i], chord);
+    }
+    std::vector<obj::ObjectId> all = cycle;
+    for (const obj::ObjectId root : w.Create(12)) {
+      w.Configure(root, cycle[w.rng().NextBelow(cycle.size())]);
+      w.Configure(root, cycle[w.rng().NextBelow(cycle.size())]);
+      all.push_back(root);
+    }
+    w.Place(all, /*per_page=*/1, /*unplaced=*/0.0);
+    const obs::PlacementSample s = w.SampleMatchingOracle();
+    EXPECT_EQ(s.configurations, 12u);
+    if (reach < 4096) {
+      EXPECT_DOUBLE_EQ(s.mean_pages_per_configuration,
+                       static_cast<double>(reach));
+    } else {
+      EXPECT_LT(s.mean_pages_per_configuration, 4096.0);
+    }
+  }
+}
+
+TEST(PlacementAuditorOracleTest, DeletedAndUnplacedObjects) {
+  for (const uint64_t seed : {4u, 5u}) {
+    AuditWorld w(seed);
+    const std::vector<obj::ObjectId> ids =
+        BuildOcbLike(w, 3000, /*window=*/0, /*extra_roots=*/80);
+    w.Place(ids, /*per_page=*/3, /*unplaced=*/0.25);
+    w.Delete(ids, 0.1);
+    w.SampleMatchingOracle();
+    // Churn inserts fresh composites over the survivors, then deletes more.
+    const std::vector<obj::ObjectId> fresh = w.Create(200);
+    for (const obj::ObjectId f : fresh) {
+      obj::ObjectId child;
+      do {
+        child = ids[w.rng().NextBelow(ids.size())];
+      } while (!w.graph().IsLive(child));
+      w.Configure(f, child);
+    }
+    w.Place(fresh, /*per_page=*/2, /*unplaced=*/0.3);
+    w.Delete(ids, 0.1);
+    w.SampleMatchingOracle();
+  }
+}
+
+TEST(PlacementAuditorOracleTest, ComponentMembersSharePages) {
+  AuditWorld w(6);
+  // Two cycles, the first feeding the second; each is laid out five
+  // members to a page, so a component's pages repeat across members.
+  const std::vector<obj::ObjectId> first = w.Create(200);
+  const std::vector<obj::ObjectId> second = w.Create(50);
+  for (const auto* cycle : {&first, &second}) {
+    for (size_t i = 0; i < cycle->size(); ++i) {
+      w.Configure((*cycle)[i], (*cycle)[(i + 1) % cycle->size()]);
+    }
+  }
+  w.Configure(first[17], second[3]);
+  std::vector<obj::ObjectId> roots = w.Create(40);
+  for (const obj::ObjectId root : roots) {
+    w.Configure(root, w.rng().Bernoulli(0.5) ? first[w.rng().NextBelow(200)]
+                                              : second[w.rng().NextBelow(50)]);
+  }
+  std::vector<obj::ObjectId> all = first;
+  all.insert(all.end(), second.begin(), second.end());
+  w.Place(all, /*per_page=*/5, /*unplaced=*/0.0);
+  w.Place(roots, /*per_page=*/1, /*unplaced=*/0.5);
+  const obs::PlacementSample s = w.SampleMatchingOracle();
+  EXPECT_EQ(s.configurations, 40u);
 }
 
 // ------------------------------------------------- model-level sampling
