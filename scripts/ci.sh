@@ -92,6 +92,41 @@ rm -f "${S1}" "${S4}"
 "${BUILD}/tools/bench_diff" "${J1}" "${S1}"
 "${BUILD}/tools/bench_diff" --baseline "${BASELINE}" --rtol 0 "${S1}"
 
+# Scenario input boundary: every committed scenario loads, and each malformed
+# probe is rejected with exit code 2 and an error naming the field -- never a
+# crash, never a silently truncated value that dry-runs clean.
+PROBES="${BUILD}/scenario_probes"
+rm -rf "${PROBES}"
+mkdir -p "${PROBES}"
+printf '%s\n' '{"name": "p", "config": {"measured_transactions": 2.9}}' \
+  > "${PROBES}/fraction.json"
+printf '%s\n' '{"name": "p", "config": {"buffer_pages": -1}}' \
+  > "${PROBES}/negative_unsigned.json"
+printf '%s\n' '{"name": "p", "config": {"num_users": 99999999999}}' \
+  > "${PROBES}/int_overflow.json"
+printf '%s\n' '{"name": "p", "config": {"page_size_bytes": 4294971392}}' \
+  > "${PROBES}/uint32_overflow.json"
+printf '%s\n' '{"name": "p", "config": {"workload":
+  {"kind": "ocb", "base_object_bytes": 4294967456}}}' \
+  > "${PROBES}/ocb_uint32_overflow.json"
+printf '%s\n' '{"name": "p", "config": {"seed": 1e400}}' \
+  > "${PROBES}/exponent.json"
+printf '%s\n' '{"name": "p", "sweep": {"shards": [2.5]}}' \
+  > "${PROBES}/sweep_fraction.json"
+printf '%s\n' '{"name": "p", "config": {"workload":
+  {"kind": "oct", "instances": 500}}}' > "${PROBES}/ocb_gate.json"
+python3 -c 'print("[" * 200000)' > "${PROBES}/deep_nesting.json"
+for f in "${ROOT}"/bench/scenarios/*.json \
+    "${ROOT}"/perfbench/scenarios/*.json "${PROBES}"/*.json; do
+  case "${f}" in "${PROBES}"/*) want=2 ;; *) want=0 ;; esac
+  rc=0
+  "${RUN}" --dry-run "${f}" > /dev/null 2>&1 || rc=$?
+  if [ "${rc}" -ne "${want}" ]; then
+    echo "FAIL: semclust_run --dry-run ${f} exited ${rc}, want ${want}" >&2
+    exit 1
+  fi
+done
+
 # Span-profiler gates (DESIGN.md §14). With profiling on, the same
 # scenario must (a) stay byte-identical across job counts (only
 # elapsed_wall_s, host wall-clock, is stripped), (b) pass the

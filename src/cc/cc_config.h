@@ -45,6 +45,8 @@ struct CcConfig {
   /// most one fix and never across a lock wait, so they cannot deadlock.
   bool page_latches = true;
 
+  friend bool operator==(const CcConfig&, const CcConfig&) = default;
+
   Status Validate() const {
     if (!enabled) return Status::Ok();
     if (!(lock_timeout_s > 0.0))

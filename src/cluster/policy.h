@@ -83,6 +83,8 @@ struct ClusterConfig {
   /// labels its x-axes, plus a "+DSTC" / "+OPCF" suffix when a dynamic
   /// re-clustering policy is layered on.
   std::string Label() const;
+
+  friend bool operator==(const ClusterConfig&, const ClusterConfig&) = default;
 };
 
 }  // namespace oodb::cluster

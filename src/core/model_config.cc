@@ -85,8 +85,8 @@ Status ModelConfig::Validate() const {
   }
   if (shards < 1 || shards > 64) {
     return Invalid("shards is " + std::to_string(shards) +
-                   "; the model supports 1 (single server, the exact "
-                   "pre-sharding behaviour) up to 64 shards");
+                   "; the model supports 1 to 64 shards (1 is the single "
+                   "server, the exact pre-sharding behaviour)");
   }
   if (!(shard_hop_latency_s >= 0)) {
     return Invalid("shard_hop_latency_s is " +

@@ -205,6 +205,8 @@ struct ModelConfig {
   /// Label of the configured workload cell: the engineering workload's
   /// density/ratio label, or the OCB label when `ocb.enabled`.
   std::string WorkloadLabel() const;
+
+  friend bool operator==(const ModelConfig&, const ModelConfig&) = default;
 };
 
 /// The paper's full-scale configuration (500 MB database, 1000 buffers).

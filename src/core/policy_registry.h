@@ -99,11 +99,13 @@ class PolicyRegistry {
   /// aliases. Re-registering an existing name is an error (OODB_CHECK).
   void Register(PolicyAxis axis, std::string_view name, int value);
 
+  /// Untyped lookup on any axis: the enum value `name` resolves to, as an
+  /// int (the typed lookups above cast it back).
+  std::optional<int> Find(PolicyAxis axis, std::string_view name) const;
+
   PolicyRegistry();
 
  private:
-  std::optional<int> Find(PolicyAxis axis, std::string_view name) const;
-
   struct AxisTable {
     std::map<std::string, int> by_name;  // normalized name -> value
     std::vector<std::string> canonical;  // first-registered names, in order

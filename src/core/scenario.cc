@@ -1,7 +1,12 @@
 #include "core/scenario.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "core/experiment.h"
@@ -13,915 +18,495 @@ namespace oodb::core {
 
 namespace {
 
+using S = ScenarioSpec;
+using M = ModelConfig;
+using Cc = cc::CcConfig;
+using Clu = cluster::ClusterConfig;
+using Dyn = dyn::DynConfig;
+using W = WorkloadEntry;
+using Ocb = ocb::OcbConfig;
+using Oct = workload::WorkloadConfig;
+
 const PolicyRegistry& Reg() { return PolicyRegistry::Global(); }
 
 Status Err(std::string what) {
   return Status::InvalidArgument("scenario: " + std::move(what));
 }
 
-Status TypeErr(const std::string& key, const char* want) {
+Status TypeErr(const std::string& key, const std::string& want) {
   return Err("\"" + key + "\" must be " + want);
 }
 
-StatusOr<double> AsNumber(const JsonValue& v, const std::string& key) {
-  if (!v.is_number()) return TypeErr(key, "a number");
-  return v.number_value();
+Status Unknown(const std::string& key, const std::string& what,
+               const std::string& name, const std::string& known) {
+  return Err("\"" + key + "\": unknown " + what + " \"" + name +
+             "\"; known: " + known);
 }
 
-StatusOr<int> AsInt(const JsonValue& v, const std::string& key) {
-  if (!v.is_number()) return TypeErr(key, "an integer");
-  return static_cast<int>(v.int_value());
+std::string Indexed(const std::string& ctx, size_t i) {
+  return ctx + "[" + std::to_string(i) + "]";
 }
 
-StatusOr<uint64_t> AsUint(const JsonValue& v, const std::string& key) {
-  if (!v.is_number()) return TypeErr(key, "a non-negative integer");
-  return v.uint_value();
+// The hand-written keys: an alias of buffer_pages, and the workload family.
+constexpr char kBufferLevel[] = "buffer_level";
+constexpr char kKind[] = "kind";
+
+// The policy-registry axis of each enum member type.
+using A = PolicyAxis;
+constexpr A AxisOf(buffer::ReplacementPolicy) { return A::kReplacement; }
+constexpr A AxisOf(buffer::PrefetchPolicy) { return A::kPrefetch; }
+constexpr A AxisOf(cluster::CandidatePool) { return A::kCandidatePool; }
+constexpr A AxisOf(cluster::SplitPolicy) { return A::kSplit; }
+constexpr A AxisOf(workload::StructureDensity) { return A::kDensity; }
+constexpr A AxisOf(obj::RelKind) { return A::kRelKind; }
+constexpr A AxisOf(ocb::RefLocality) { return A::kOcbLocality; }
+constexpr A AxisOf(dyn::PolicyKind) { return A::kDynamic; }
+constexpr A AxisOf(ShardPlacement) { return A::kShardPlacement; }
+constexpr A AxisOf(ArrivalProcess) { return A::kArrival; }
+
+template <class E>
+const std::string& CanonicalName(E e) {
+  return Reg().CanonicalNames(AxisOf(e)).at(static_cast<size_t>(e));
 }
 
-StatusOr<bool> AsBool(const JsonValue& v, const std::string& key) {
-  if (!v.is_bool()) return TypeErr(key, "a boolean (true/false)");
-  return v.bool_value();
-}
+/// A gate group: one predicate on the parsed block. A gated key fails the
+/// parse while it is false, and is written only while it is true.
+template <class B>
+struct Gate {
+  bool (*open)(const B&);
+  const char* what;  ///< "a sharding knob"
+  const char* how;   ///< completes `add "<opener>"`
+  const char* opener = nullptr;  ///< a hand-written opening key
+  const Gate* outer = nullptr;   ///< churn sits inside OCB
+};
 
-StatusOr<std::string> AsString(const JsonValue& v, const std::string& key) {
-  if (!v.is_string()) return TypeErr(key, "a string");
-  return v.string_value();
-}
+/// One row, in ToJson key order: the key, its gate group, the group it
+/// opens (exempt from that group's check), and its member's read and write.
+template <class B>
+struct Knob {
+  const char* key;
+  const Gate<B>* gate;
+  const Gate<B>* opens;
+  Status (*read)(const JsonValue&, const std::string&, B&);
+  std::string (*json)(const B&);
+  // Sweep rows only (see Axis): nesting, label, level count, level applied.
+  int nest = 0;
+  const char* label = nullptr;
+  size_t (*size)(const B&) = nullptr;
+  std::string (*apply)(const B&, size_t, M&) = nullptr;
+};
 
-Status UnknownName(const std::string& key, PolicyAxis axis,
-                   const std::string& got) {
-  return Err("\"" + key + "\": unknown " + std::string(PolicyAxisName(axis)) +
-             " policy \"" + got + "\"; known: " + Reg().KnownNames(axis));
-}
+template <class B>
+using Table = std::vector<Knob<B>>;
 
-StatusOr<buffer::ReplacementPolicy> ResolveReplacement(
-    const JsonValue& v, const std::string& key) {
-  auto name = AsString(v, key);
-  if (!name.ok()) return name.status();
-  const auto p = Reg().Replacement(*name);
-  if (!p) return UnknownName(key, PolicyAxis::kReplacement, *name);
-  return *p;
-}
-
-StatusOr<buffer::PrefetchPolicy> ResolvePrefetch(const JsonValue& v,
-                                                 const std::string& key) {
-  auto name = AsString(v, key);
-  if (!name.ok()) return name.status();
-  const auto p = Reg().Prefetch(*name);
-  if (!p) return UnknownName(key, PolicyAxis::kPrefetch, *name);
-  return *p;
-}
-
-StatusOr<cluster::CandidatePool> ResolvePool(const JsonValue& v,
-                                             const std::string& key) {
-  auto name = AsString(v, key);
-  if (!name.ok()) return name.status();
-  const auto p = Reg().CandidatePool(*name);
-  if (!p) return UnknownName(key, PolicyAxis::kCandidatePool, *name);
-  return *p;
-}
-
-StatusOr<cluster::SplitPolicy> ResolveSplit(const JsonValue& v,
-                                            const std::string& key) {
-  auto name = AsString(v, key);
-  if (!name.ok()) return name.status();
-  const auto p = Reg().Split(*name);
-  if (!p) return UnknownName(key, PolicyAxis::kSplit, *name);
-  return *p;
-}
-
-StatusOr<workload::StructureDensity> ResolveDensity(const JsonValue& v,
-                                                    const std::string& key) {
-  auto name = AsString(v, key);
-  if (!name.ok()) return name.status();
-  const auto p = Reg().Density(*name);
-  if (!p) return UnknownName(key, PolicyAxis::kDensity, *name);
-  return *p;
-}
-
-StatusOr<obj::RelKind> ResolveRelKind(const JsonValue& v,
-                                      const std::string& key) {
-  auto name = AsString(v, key);
-  if (!name.ok()) return name.status();
-  const auto p = Reg().Relationship(*name);
-  if (!p) return UnknownName(key, PolicyAxis::kRelKind, *name);
-  return *p;
-}
-
-StatusOr<ocb::RefLocality> ResolveOcbLocality(const JsonValue& v,
-                                              const std::string& key) {
-  auto name = AsString(v, key);
-  if (!name.ok()) return name.status();
-  const auto p = Reg().OcbLocality(*name);
-  if (!p) return UnknownName(key, PolicyAxis::kOcbLocality, *name);
-  return *p;
-}
-
-StatusOr<dyn::PolicyKind> ResolveDynamic(const JsonValue& v,
-                                         const std::string& key) {
-  auto name = AsString(v, key);
-  if (!name.ok()) return name.status();
-  const auto p = Reg().Dynamic(*name);
-  if (!p) return UnknownName(key, PolicyAxis::kDynamic, *name);
-  return *p;
-}
-
-StatusOr<ShardPlacement> ResolveShardPlacement(const JsonValue& v,
-                                               const std::string& key) {
-  auto name = AsString(v, key);
-  if (!name.ok()) return name.status();
-  const auto p = Reg().ShardPlacementOf(*name);
-  if (!p) return UnknownName(key, PolicyAxis::kShardPlacement, *name);
-  return *p;
-}
-
-StatusOr<ArrivalProcess> ResolveArrival(const JsonValue& v,
-                                        const std::string& key) {
-  auto name = AsString(v, key);
-  if (!name.ok()) return name.status();
-  const auto p = Reg().Arrival(*name);
-  if (!p) return UnknownName(key, PolicyAxis::kArrival, *name);
-  return *p;
-}
-
-/// The "concurrency" config section (DESIGN.md §16). The cc_* knobs are
-/// only legal alongside "enabled": true — the same inert-knob guard as
-/// OCB keys without "kind" and dyn keys without "dynamic" — so a typo
-/// can't silently leave the cell without the lock manager.
-Status ParseConcurrencySection(const JsonValue& obj, cc::CcConfig& cc) {
-  if (!obj.is_object()) return TypeErr("config.concurrency", "an object");
-  std::string first_cc_key;
-  for (const auto& [key, v] : obj.members()) {
-    const std::string ctx = "config.concurrency." + key;
-    if (key == "enabled") {
-      const auto b = AsBool(v, ctx);
-      OODB_RETURN_IF_ERROR(b.status());
-      cc.enabled = *b;
-    } else if (key == "cc_lock_timeout_s") {
-      const auto n = AsNumber(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cc.lock_timeout_s = *n;
-      if (first_cc_key.empty()) first_cc_key = key;
-    } else if (key == "cc_max_retries") {
-      const auto n = AsInt(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cc.max_retries = *n;
-      if (first_cc_key.empty()) first_cc_key = key;
-    } else if (key == "cc_backoff_base_s") {
-      const auto n = AsNumber(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cc.backoff_base_s = *n;
-      if (first_cc_key.empty()) first_cc_key = key;
-    } else if (key == "cc_backoff_cap_s") {
-      const auto n = AsNumber(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cc.backoff_cap_s = *n;
-      if (first_cc_key.empty()) first_cc_key = key;
-    } else if (key == "cc_page_latches") {
-      const auto b = AsBool(v, ctx);
-      OODB_RETURN_IF_ERROR(b.status());
-      cc.page_latches = *b;
-      if (first_cc_key.empty()) first_cc_key = key;
-    } else {
-      return Err("config.concurrency: unknown key \"" + key +
-                 "\" (known: enabled, cc_lock_timeout_s, cc_max_retries, "
-                 "cc_backoff_base_s, cc_backoff_cap_s, cc_page_latches)");
+template <class B>
+Status CheckGates(const JsonValue& obj, const std::string& ctx,
+                  const Table<B>& rows, const B& b) {
+  for (const Knob<B>& row : rows) {
+    if (row.gate == nullptr || obj.Find(row.key) == nullptr) continue;
+    for (const Gate<B>* g : {row.gate->outer, row.gate}) {
+      if (g == nullptr || row.opens == g || g->open(b)) continue;
+      const auto it = std::find_if(rows.begin(), rows.end(),
+                                   [g](const auto& r) { return r.opens == g; });
+      const char* opener = it == rows.end() ? g->opener : it->key;
+      return Err(ctx + ": \"" + row.key + "\" is " + g->what + "; add \"" +
+                 opener + "\"" + g->how);
     }
-  }
-  if (!first_cc_key.empty() && !cc.enabled) {
-    return Err("config.concurrency: \"" + first_cc_key +
-               "\" is a concurrency-control knob; add \"enabled\": true "
-               "to switch the lock manager on");
   }
   return Status::Ok();
 }
 
-/// A clustering entry: a bare pool name, or an object overriding fields of
-/// `from` (so a split policy set in "config" carries into sweep levels).
-StatusOr<cluster::ClusterConfig> ParseClusterEntry(
-    const JsonValue& v, cluster::ClusterConfig from, const std::string& ctx) {
-  if (v.is_string()) {
-    const auto pool = ResolvePool(v, ctx);
-    if (!pool.ok()) return pool.status();
-    from.pool = *pool;
-    return from;
-  }
-  if (!v.is_object()) return TypeErr(ctx, "a pool name or an object");
-  // Dynamic re-clustering knobs only make sense under a DSTC/OPCF policy;
-  // setting one without "dynamic" is an error (same guard as OCB knobs
-  // without "kind": "ocb"), so a typo can't silently leave the cell static.
-  std::string first_dyn_key;
-  for (const auto& [key, value] : v.members()) {
-    const std::string sub = ctx + "." + key;
-    if (key == "pool") {
-      const auto pool = ResolvePool(value, sub);
-      if (!pool.ok()) return pool.status();
-      from.pool = *pool;
-    } else if (key == "io_limit") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.io_limit = *n;
-    } else if (key == "split") {
-      const auto split = ResolveSplit(value, sub);
-      if (!split.ok()) return split.status();
-      from.split = *split;
-    } else if (key == "use_hints") {
-      const auto b = AsBool(value, sub);
-      if (!b.ok()) return b.status();
-      from.use_hints = *b;
-    } else if (key == "hint_kind") {
-      const auto kind = ResolveRelKind(value, sub);
-      if (!kind.ok()) return kind.status();
-      from.hint_kind = *kind;
-    } else if (key == "hint_boost") {
-      const auto boost = AsNumber(value, sub);
-      if (!boost.ok()) return boost.status();
-      from.hint_boost = *boost;
-    } else if (key == "dynamic") {
-      const auto p = ResolveDynamic(value, sub);
-      if (!p.ok()) return p.status();
-      from.dynamic.policy = *p;
-    } else if (key == "dyn_observation_period") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.dynamic.observation_period = *n;
-      if (first_dyn_key.empty()) first_dyn_key = key;
-    } else if (key == "dyn_heat_decay") {
-      const auto r = AsNumber(value, sub);
-      if (!r.ok()) return r.status();
-      from.dynamic.heat_decay = *r;
-      if (first_dyn_key.empty()) first_dyn_key = key;
-    } else if (key == "dyn_max_tracked_objects") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.dynamic.max_tracked_objects = *n;
-      if (first_dyn_key.empty()) first_dyn_key = key;
-    } else if (key == "dyn_max_tracked_links") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.dynamic.max_tracked_links = *n;
-      if (first_dyn_key.empty()) first_dyn_key = key;
-    } else if (key == "dyn_trigger_threshold") {
-      const auto r = AsNumber(value, sub);
-      if (!r.ok()) return r.status();
-      from.dynamic.trigger_threshold = *r;
-      if (first_dyn_key.empty()) first_dyn_key = key;
-    } else if (key == "dyn_unit_size") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.dynamic.max_unit_size = *n;
-      if (first_dyn_key.empty()) first_dyn_key = key;
-    } else if (key == "dyn_max_moves") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.dynamic.max_moves_per_txn = *n;
-      if (first_dyn_key.empty()) first_dyn_key = key;
-    } else if (key == "opcf_watermark") {
-      const auto r = AsNumber(value, sub);
-      if (!r.ok()) return r.status();
-      from.dynamic.opcf_queue_watermark = *r;
-      if (first_dyn_key.empty()) first_dyn_key = key;
-    } else if (key == "opcf_batch") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.dynamic.opcf_batch = *n;
-      if (first_dyn_key.empty()) first_dyn_key = key;
-    } else {
-      return Err(ctx + ": unknown key \"" + key +
-                 "\" (known: pool, io_limit, split, use_hints, hint_kind, "
-                 "hint_boost, dynamic, dyn_observation_period, "
-                 "dyn_heat_decay, dyn_max_tracked_objects, "
-                 "dyn_max_tracked_links, dyn_trigger_threshold, "
-                 "dyn_unit_size, dyn_max_moves, opcf_watermark, opcf_batch)");
+/// Reads every member of `obj` through its row, then checks the gates, so
+/// key order never matters. The caller reads `own`, a hand-written key.
+template <class B>
+Status ReadBlock(const JsonValue& obj, const std::string& ctx,
+                 const Table<B>& rows, B& b, std::string_view own = {},
+                 bool gates = true) {
+  if (!obj.is_object()) return TypeErr(ctx, "an object");
+  for (const auto& [key, v] : obj.members()) {
+    if (!own.empty() && key == own) continue;
+    const auto row = std::find_if(rows.begin(), rows.end(),
+                                  [&](const auto& r) { return key == r.key; });
+    if (row == rows.end()) {
+      std::string known(own);
+      for (const Knob<B>& r : rows) {
+        known += known.empty() ? "" : ", ";
+        known += r.key;
+      }
+      return Err(ctx + ": unknown key \"" + key + "\" (known: " + known +
+                 ")");
     }
+    OODB_RETURN_IF_ERROR(row->read(v, ctx + "." + key, b));
   }
-  if (!first_dyn_key.empty() && !from.dynamic.enabled()) {
-    return Err(ctx + ": \"" + first_dyn_key +
-               "\" is a dynamic re-clustering knob; add \"dynamic\": "
-               "\"DSTC\" or \"OPCF\" to enable the policy");
-  }
-  return from;
+  return gates ? CheckGates(obj, ctx, rows, b) : Status::Ok();
 }
 
-/// A workload entry: an object overriding density / rw_ratio of `from`,
-/// plus the OCB section — `"kind": "ocb"` selects the generic benchmark
-/// and unlocks its knobs (setting an OCB knob without the kind is an
-/// error, so a typo can't silently leave the cell on the engineering
-/// workload).
-StatusOr<WorkloadEntry> ParseWorkloadEntry(const JsonValue& v,
-                                           WorkloadEntry from,
-                                           const std::string& ctx) {
-  if (!v.is_object()) return TypeErr(ctx, "an object");
-  std::string kind;
-  std::string first_ocb_key;
-  for (const auto& [key, value] : v.members()) {
-    const std::string sub = ctx + "." + key;
-    if (key == "kind") {
-      const auto s = AsString(value, sub);
-      if (!s.ok()) return s.status();
-      if (*s != "oct" && *s != "ocb") {
-        return Err("\"" + sub + "\": unknown workload kind \"" + *s +
-                   "\"; known: oct, ocb");
-      }
-      kind = *s;
-    } else if (key == "density") {
-      const auto d = ResolveDensity(value, sub);
-      if (!d.ok()) return d.status();
-      from.oct.density = *d;
-    } else if (key == "rw_ratio") {
-      const auto r = AsNumber(value, sub);
-      if (!r.ok()) return r.status();
-      from.oct.read_write_ratio = *r;
-    } else if (key == "classes") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.ocb.classes = *n;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "hierarchy_depth") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.ocb.hierarchy_depth = *n;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "instances") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.ocb.instances = *n;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "refs_per_object") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.ocb.refs_per_object = *n;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "locality") {
-      const auto l = ResolveOcbLocality(value, sub);
-      if (!l.ok()) return l.status();
-      from.ocb.locality = *l;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "zipf_theta") {
-      const auto r = AsNumber(value, sub);
-      if (!r.ok()) return r.status();
-      from.ocb.zipf_theta = *r;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "gaussian_window") {
-      const auto r = AsNumber(value, sub);
-      if (!r.ok()) return r.status();
-      from.ocb.gaussian_window = *r;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "base_object_bytes") {
-      const auto n = AsUint(value, sub);
-      if (!n.ok()) return n.status();
-      from.ocb.base_object_bytes = static_cast<uint32_t>(*n);
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "inheritance_fraction") {
-      const auto r = AsNumber(value, sub);
-      if (!r.ok()) return r.status();
-      from.ocb.inheritance_fraction = *r;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "interleaved_read_probability") {
-      const auto r = AsNumber(value, sub);
-      if (!r.ok()) return r.status();
-      from.ocb.interleaved_read_probability = *r;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "partitions") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.ocb.partitions = *n;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "set_lookup_size") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.ocb.set_lookup_size = *n;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "traversal_depth") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.ocb.traversal_depth = *n;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "read_mix") {
-      if (!value.is_array() || value.items().size() != from.ocb.read_mix.size()) {
-        return TypeErr(sub, "an array of 4 numbers (set lookup, simple, "
-                            "hierarchy, stochastic)");
-      }
-      for (size_t i = 0; i < from.ocb.read_mix.size(); ++i) {
-        const auto r =
-            AsNumber(value.items()[i], sub + "[" + std::to_string(i) + "]");
-        if (!r.ok()) return r.status();
-        from.ocb.read_mix[i] = *r;
-      }
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "churn_probability") {
-      const auto r = AsNumber(value, sub);
-      if (!r.ok()) return r.status();
-      from.ocb.churn_probability = *r;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "churn_burst_length") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.ocb.churn_burst_length = *n;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "churn_cross_partition") {
-      const auto r = AsNumber(value, sub);
-      if (!r.ok()) return r.status();
-      from.ocb.churn_cross_partition = *r;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else {
-      return Err(ctx + ": unknown key \"" + key +
-                 "\" (known: kind, density, rw_ratio, classes, "
-                 "hierarchy_depth, instances, refs_per_object, locality, "
-                 "zipf_theta, gaussian_window, base_object_bytes, "
-                 "inheritance_fraction, interleaved_read_probability, "
-                 "partitions, set_lookup_size, traversal_depth, read_mix, "
-                 "churn_probability, churn_burst_length, "
-                 "churn_cross_partition)");
-    }
+/// The open rows in order; an empty value, array or object is left out.
+template <class B>
+std::string WriteBlock(const Table<B>& rows, const B& b) {
+  JsonObjectWriter out;
+  for (const Knob<B>& row : rows) {
+    if (row.gate != nullptr && !row.gate->open(b)) continue;
+    const std::string value = row.json(b);
+    if (value.empty() || value == "[]" || value == "{}") continue;
+    out.AddRaw(row.key, value);
   }
-  if (kind == "ocb") {
-    from.ocb.enabled = true;
-  } else if (kind == "oct") {
-    from.ocb.enabled = false;
-  } else if (!first_ocb_key.empty() && !from.ocb.enabled) {
-    return Err(ctx + ": \"" + first_ocb_key +
-               "\" is an OCB knob; add \"kind\": \"ocb\" to select the OCB "
-               "workload");
-  }
-  return from;
+  return out.str();
 }
 
-StatusOr<size_t> ResolveBufferLevel(const ModelConfig& cfg,
-                                    const std::string& level,
-                                    const std::string& ctx) {
+const Table<Cc>& RowsOf(const Cc&);
+const Table<Clu>& RowsOf(const Clu&);
+const Table<W>& RowsOf(const W&);
+
+/// The checked read (and below, the write) of each member type. Integers
+/// parse from the source text: a fraction, an exponent, a sign on an
+/// unsigned field or a value out of range is an error, never truncated.
+template <class T>
+Status Read(const JsonValue& v, const std::string& key, T& out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (!v.is_bool()) return TypeErr(key, "a boolean (true/false)");
+    out = v.bool_value();
+  } else if constexpr (std::is_floating_point_v<T>) {
+    if (!v.is_number() || !std::isfinite(v.number_value())) {
+      return TypeErr(key, "a finite number");
+    }
+    out = v.number_value();
+  } else if constexpr (std::is_integral_v<T>) {
+    const std::string text = v.is_number() ? v.number_text() : "";
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, out);
+    if (text.empty() || ec != std::errc() || stop != end) {
+      using L = std::numeric_limits<T>;
+      return TypeErr(key, "an integer in [" + std::to_string(L::min()) +
+                              ", " + std::to_string(L::max()) + "]" +
+                              (text.empty() ? "" : ", not " + text));
+    }
+  } else if constexpr (std::is_enum_v<T>) {
+    const A axis = AxisOf(out);
+    if (!v.is_string()) return TypeErr(key, "a string");
+    const auto value = Reg().Find(axis, v.string_value());
+    if (!value) {
+      return Unknown(key, std::string(PolicyAxisName(axis)) + " policy",
+                     v.string_value(), Reg().KnownNames(axis));
+    }
+    out = static_cast<T>(*value);
+  } else if constexpr (requires(const T& t) { RowsOf(t); }) {
+    // A clustering entry may also be a bare pool name.
+    if constexpr (std::is_same_v<T, Clu>) {
+      if (v.is_string()) return Read(v, key, out.pool);
+    }
+    return ReadBlock(v, key, RowsOf(out), out);
+  } else {  // a std::vector of any length, or a std::array of its size
+    constexpr bool kFixed = !requires(T seq) { seq.resize(0); };
+    if (!v.is_array() || (kFixed && v.items().size() != out.size())) {
+      return TypeErr(key, kFixed ? "an array of " + std::to_string(out.size()) +
+                                       " numbers"
+                                 : "an array");
+    }
+    if constexpr (!kFixed) out.resize(v.items().size());
+    for (size_t i = 0; i < out.size(); ++i) {
+      OODB_RETURN_IF_ERROR(Read(v.items()[i], Indexed(key, i), out[i]));
+    }
+  }
+  return Status::Ok();
+}
+
+template <class T>
+std::string Json(const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return value ? "true" : "false";
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return JsonNumber(value);
+  } else if constexpr (std::is_integral_v<T>) {
+    return std::to_string(value);
+  } else if constexpr (std::is_enum_v<T>) {
+    return '"' + JsonEscape(CanonicalName(value)) + '"';
+  } else if constexpr (requires(const T& t) { RowsOf(t); }) {
+    return WriteBlock(RowsOf(value), value);
+  } else {
+    JsonArrayWriter out;
+    for (const auto& item : value) out.AddRaw(Json(item));
+    return out.str();
+  }
+}
+
+/// The row of the member at `b.*Path...`, a path of member pointers.
+template <class B, auto... Path>
+Knob<B> Row(const char* key, const Gate<B>* gate = nullptr,
+            const Gate<B>* opens = nullptr) {
+  return {key, gate, opens,
+          [](const JsonValue& v, const std::string& ctx, B& b) {
+            return Read(v, ctx, (b .* ... .* Path));
+          },
+          [](const B& b) { return Json((b .* ... .* Path)); }};
+}
+
+// A base value: one ModelConfig member, or (nullptr) the workload.
+template <class T>
+T BaseLevel(const M& m, T M::*member) {
+  return m.*member;
+}
+W BaseLevel(const M& m, std::nullptr_t) { return {m.workload, m.ocb}; }
+template <class T>
+void SetLevel(M& m, T M::*member, const T& level) {
+  m.*member = level;
+}
+void SetLevel(M& m, std::nullptr_t, const W& w) {
+  m = WithWorkload(m, w.oct);
+  m.ocb = w.ocb;
+}
+
+const Gate<S> kSpans{[](const S& s) { return s.base.profile_spans; },
+                     "a span-profiler knob", ": true to enable the profiler"};
+// A "shards" sweep axis opens it too: its knobs apply to the swept cells.
+const Gate<S> kShard{
+    [](const S& s) { return s.base.shards != 1 || !s.shards.empty(); },
+    "a sharding knob", ": <N> in config or sweep to enable the N-shard core"};
+const Gate<S> kArrival{
+    [](const S& s) { return s.base.arrival != ArrivalProcess::kClosed; },
+    "an open-arrival knob", ": \"Open\" to enable Poisson arrivals"};
+const Gate<Cc> kCc{[](const Cc& c) { return c.enabled; },
+                   "a concurrency-control knob", ": true to enable locking"};
+const Gate<Clu> kDyn{[](const Clu& c) { return c.dynamic.enabled(); },
+                     "a dynamic re-clustering knob", ": \"DSTC\" or \"OPCF\""};
+const Gate<W> kOcb{[](const W& w) { return w.ocb.enabled; }, "an OCB knob",
+                   ": \"ocb\" to select the OCB workload", kKind};
+const Gate<W> kOct{[](const W& w) { return !w.ocb.enabled; },
+                   "an OCT workload knob", ": \"oct\"", kKind};
+const Gate<W> kChurn{[](const W& w) { return w.ocb.churn_enabled(); },
+                     "a churn knob", " > 0 to enable churn", nullptr, &kOcb};
+
+constexpr auto kBase = &S::base;
+const Table<S> kConfigRows = {
+    Row<S, kBase, &M::database_bytes>("database_bytes"),
+    Row<S, kBase, &M::page_size_bytes>("page_size_bytes"),
+    Row<S, kBase, &M::append_fill_fraction>("append_fill_fraction"),
+    Row<S, kBase, &M::num_users>("num_users"),
+    Row<S, kBase, &M::num_disks>("num_disks"),
+    Row<S, kBase, &M::think_time_s>("think_time_s"),
+    Row<S, kBase, &M::buffer_pages>("buffer_pages"),
+    Row<S, kBase, &M::replacement>("replacement"),
+    Row<S, kBase, &M::prefetch>("prefetch"),
+    Row<S, kBase, &M::warmup_transactions>("warmup_transactions"),
+    Row<S, kBase, &M::measured_transactions>("measured_transactions"),
+    Row<S, kBase, &M::measurement_epochs>("measurement_epochs"),
+    Row<S, kBase, &M::telemetry_interval_s>("telemetry_interval_s"),
+    Row<S, kBase, &M::telemetry_audit_placement>("telemetry_audit_placement"),
+    Row<S, kBase, &M::rw_ratio_schedule>("rw_ratio_schedule"),
+    Row<S, kBase, &M::static_reorganize_after_build>(
+        "static_reorganize_after_build"),
+    Row<S, kBase, &M::profile_spans>("profile_spans", nullptr, &kSpans),
+    Row<S, kBase, &M::span_exemplars>("span_exemplars", &kSpans),
+    Row<S, kBase, &M::shards>("shards", &kShard, &kShard),
+    Row<S, kBase, &M::shard_placement>("shard_placement", &kShard),
+    Row<S, kBase, &M::shard_hop_latency_s>("shard_hop_latency_s", &kShard),
+    Row<S, kBase, &M::shard_group_cap>("shard_group_cap", &kShard),
+    Row<S, kBase, &M::cc>("concurrency"),
+    Row<S, kBase, &M::arrival>("arrival", &kArrival, &kArrival),
+    Row<S, kBase, &M::arrival_rate_tps>("arrival_rate_tps", &kArrival),
+    Row<S, kBase, &M::seed>("seed"),
+    {"workload", nullptr, nullptr,
+     [](const JsonValue& v, const std::string& ctx, S& s) {
+       W w = BaseLevel(s.base, nullptr);
+       OODB_RETURN_IF_ERROR(Read(v, ctx, w));
+       SetLevel(s.base, nullptr, w);
+       return Status::Ok();
+     },
+     [](const S& s) { return Json(BaseLevel(s.base, nullptr)); }},
+    Row<S, kBase, &M::clustering>("clustering"),
+};
+
+const Table<Cc> kCcRows = {
+    Row<Cc, &Cc::enabled>("enabled", &kCc, &kCc),
+    Row<Cc, &Cc::lock_timeout_s>("cc_lock_timeout_s", &kCc),
+    Row<Cc, &Cc::max_retries>("cc_max_retries", &kCc),
+    Row<Cc, &Cc::backoff_base_s>("cc_backoff_base_s", &kCc),
+    Row<Cc, &Cc::backoff_cap_s>("cc_backoff_cap_s", &kCc),
+    Row<Cc, &Cc::page_latches>("cc_page_latches", &kCc),
+};
+
+constexpr auto kD = &Clu::dynamic;
+const Table<Clu> kClusterRows = {
+    Row<Clu, &Clu::pool>("pool"),
+    Row<Clu, &Clu::io_limit>("io_limit"),
+    Row<Clu, &Clu::split>("split"),
+    Row<Clu, &Clu::use_hints>("use_hints"),
+    Row<Clu, &Clu::hint_kind>("hint_kind"),
+    Row<Clu, &Clu::hint_boost>("hint_boost"),
+    Row<Clu, kD, &Dyn::policy>("dynamic", nullptr, &kDyn),
+    Row<Clu, kD, &Dyn::observation_period>("dyn_observation_period", &kDyn),
+    Row<Clu, kD, &Dyn::heat_decay>("dyn_heat_decay", &kDyn),
+    Row<Clu, kD, &Dyn::max_tracked_objects>("dyn_max_tracked_objects", &kDyn),
+    Row<Clu, kD, &Dyn::max_tracked_links>("dyn_max_tracked_links", &kDyn),
+    Row<Clu, kD, &Dyn::trigger_threshold>("dyn_trigger_threshold", &kDyn),
+    Row<Clu, kD, &Dyn::max_unit_size>("dyn_unit_size", &kDyn),
+    Row<Clu, kD, &Dyn::max_moves_per_txn>("dyn_max_moves", &kDyn),
+    Row<Clu, kD, &Dyn::opcf_queue_watermark>("opcf_watermark", &kDyn),
+    Row<Clu, kD, &Dyn::opcf_batch>("opcf_batch", &kDyn),
+};
+
+constexpr auto kO = &W::ocb;
+const Table<W> kWorkloadRows = {
+    // Hand-written: the workload family, which decides the legal rows.
+    {kKind, nullptr, nullptr,
+     [](const JsonValue& v, const std::string& ctx, W& w) -> Status {
+       const std::string kind = v.is_string() ? v.string_value() : "";
+       if (kind != "oct" && kind != "ocb") {
+         return Unknown(ctx, "workload kind", kind, "oct, ocb");
+       }
+       w.ocb.enabled = kind == "ocb";
+       return Status::Ok();
+     },
+     [](const W& w) { return std::string(w.ocb.enabled ? "\"ocb\"" : ""); }},
+    Row<W, &W::oct, &Oct::density>("density", &kOct),
+    Row<W, &W::oct, &Oct::read_write_ratio>("rw_ratio"),
+    Row<W, kO, &Ocb::classes>("classes", &kOcb),
+    Row<W, kO, &Ocb::hierarchy_depth>("hierarchy_depth", &kOcb),
+    Row<W, kO, &Ocb::instances>("instances", &kOcb),
+    Row<W, kO, &Ocb::refs_per_object>("refs_per_object", &kOcb),
+    Row<W, kO, &Ocb::locality>("locality", &kOcb),
+    Row<W, kO, &Ocb::zipf_theta>("zipf_theta", &kOcb),
+    Row<W, kO, &Ocb::gaussian_window>("gaussian_window", &kOcb),
+    Row<W, kO, &Ocb::base_object_bytes>("base_object_bytes", &kOcb),
+    Row<W, kO, &Ocb::inheritance_fraction>("inheritance_fraction", &kOcb),
+    Row<W, kO, &Ocb::interleaved_read_probability>(
+        "interleaved_read_probability", &kOcb),
+    Row<W, kO, &Ocb::partitions>("partitions", &kOcb),
+    Row<W, kO, &Ocb::set_lookup_size>("set_lookup_size", &kOcb),
+    Row<W, kO, &Ocb::traversal_depth>("traversal_depth", &kOcb),
+    Row<W, kO, &Ocb::read_mix>("read_mix", &kOcb),
+    Row<W, kO, &Ocb::churn_probability>("churn_probability", &kChurn, &kChurn),
+    Row<W, kO, &Ocb::churn_burst_length>("churn_burst_length", &kChurn),
+    Row<W, kO, &Ocb::churn_cross_partition>("churn_cross_partition", &kChurn),
+};
+
+const Table<Cc>& RowsOf(const Cc&) { return kCcRows; }
+const Table<Clu>& RowsOf(const Clu&) { return kClusterRows; }
+const Table<W>& RowsOf(const W&) { return kWorkloadRows; }
+
+StatusOr<size_t> BufferLevel(const M& cfg, const JsonValue& v,
+                             const std::string& ctx) {
+  const std::string level = v.is_string() ? v.string_value() : "";
   if (level == "small") return cfg.BufferSmall();
   if (level == "medium") return cfg.BufferMedium();
   if (level == "large") return cfg.BufferLarge();
-  return Err("\"" + ctx + "\": unknown buffer level \"" + level +
-             "\"; known: small, medium, large");
+  return Unknown(ctx, "buffer level", level, "small, medium, large");
 }
 
-Status ParseConfigSection(const JsonValue& obj, ModelConfig& cfg) {
-  if (!obj.is_object()) return TypeErr("config", "an object");
-  std::string buffer_level;
-  bool buffer_pages_set = false;
-  bool span_exemplars_set = false;
-  // Sharding knobs only make sense with an explicit shard count; setting
-  // one without "shards" is an error (same guard as OCB knobs without
-  // "kind" and dyn knobs without "dynamic"), so a typo can't silently
-  // leave the cell on the single-server core.
-  bool shards_set = false;
-  std::string first_shard_key;
-  // The open-arrival rate only makes sense with "arrival": "Open" (the
-  // closed loop has no arrival rate), same gate as the knobs above.
-  bool arrival_rate_set = false;
-  for (const auto& [key, v] : obj.members()) {
-    const std::string ctx = "config." + key;
-    if (key == "database_bytes") {
-      const auto n = AsUint(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.database_bytes = *n;
-    } else if (key == "page_size_bytes") {
-      const auto n = AsUint(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.page_size_bytes = static_cast<uint32_t>(*n);
-    } else if (key == "append_fill_fraction") {
-      const auto n = AsNumber(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.append_fill_fraction = *n;
-    } else if (key == "num_users") {
-      const auto n = AsInt(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.num_users = *n;
-    } else if (key == "num_disks") {
-      const auto n = AsInt(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.num_disks = *n;
-    } else if (key == "think_time_s") {
-      const auto n = AsNumber(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.think_time_s = *n;
-    } else if (key == "buffer_pages") {
-      const auto n = AsUint(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.buffer_pages = static_cast<size_t>(*n);
-      buffer_pages_set = true;
-    } else if (key == "buffer_level") {
-      const auto s = AsString(v, ctx);
-      OODB_RETURN_IF_ERROR(s.status());
-      buffer_level = *s;
-    } else if (key == "replacement") {
-      const auto p = ResolveReplacement(v, ctx);
-      OODB_RETURN_IF_ERROR(p.status());
-      cfg.replacement = *p;
-    } else if (key == "prefetch") {
-      const auto p = ResolvePrefetch(v, ctx);
-      OODB_RETURN_IF_ERROR(p.status());
-      cfg.prefetch = *p;
-    } else if (key == "warmup_transactions") {
-      const auto n = AsInt(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.warmup_transactions = *n;
-    } else if (key == "measured_transactions") {
-      const auto n = AsInt(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.measured_transactions = *n;
-    } else if (key == "measurement_epochs") {
-      const auto n = AsInt(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.measurement_epochs = *n;
-    } else if (key == "telemetry_interval_s") {
-      const auto n = AsNumber(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.telemetry_interval_s = *n;
-    } else if (key == "telemetry_audit_placement") {
-      const auto b = AsBool(v, ctx);
-      OODB_RETURN_IF_ERROR(b.status());
-      cfg.telemetry_audit_placement = *b;
-    } else if (key == "rw_ratio_schedule") {
-      if (!v.is_array()) return TypeErr(ctx, "an array of numbers");
-      cfg.rw_ratio_schedule.clear();
-      for (size_t i = 0; i < v.items().size(); ++i) {
-        const auto n =
-            AsNumber(v.items()[i], ctx + "[" + std::to_string(i) + "]");
-        OODB_RETURN_IF_ERROR(n.status());
-        cfg.rw_ratio_schedule.push_back(*n);
-      }
-    } else if (key == "static_reorganize_after_build") {
-      const auto b = AsBool(v, ctx);
-      OODB_RETURN_IF_ERROR(b.status());
-      cfg.static_reorganize_after_build = *b;
-    } else if (key == "profile_spans") {
-      const auto b = AsBool(v, ctx);
-      OODB_RETURN_IF_ERROR(b.status());
-      cfg.profile_spans = *b;
-    } else if (key == "span_exemplars") {
-      const auto n = AsInt(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.span_exemplars = *n;
-      span_exemplars_set = true;
-    } else if (key == "shards") {
-      const auto n = AsInt(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.shards = *n;
-      shards_set = true;
-    } else if (key == "shard_placement") {
-      const auto p = ResolveShardPlacement(v, ctx);
-      OODB_RETURN_IF_ERROR(p.status());
-      cfg.shard_placement = *p;
-      if (first_shard_key.empty()) first_shard_key = key;
-    } else if (key == "shard_hop_latency_s") {
-      const auto n = AsNumber(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.shard_hop_latency_s = *n;
-      if (first_shard_key.empty()) first_shard_key = key;
-    } else if (key == "shard_group_cap") {
-      const auto n = AsInt(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.shard_group_cap = *n;
-      if (first_shard_key.empty()) first_shard_key = key;
-    } else if (key == "seed") {
-      const auto n = AsUint(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.seed = *n;
-    } else if (key == "workload") {
-      auto w = ParseWorkloadEntry(v, WorkloadEntry{cfg.workload, cfg.ocb},
-                                  ctx);
-      OODB_RETURN_IF_ERROR(w.status());
-      cfg.workload = w->oct;
-      cfg.ocb = w->ocb;
-    } else if (key == "clustering") {
-      auto c = ParseClusterEntry(v, cfg.clustering, ctx);
-      OODB_RETURN_IF_ERROR(c.status());
-      cfg.clustering = *c;
-    } else if (key == "concurrency") {
-      OODB_RETURN_IF_ERROR(ParseConcurrencySection(v, cfg.cc));
-    } else if (key == "arrival") {
-      const auto a = ResolveArrival(v, ctx);
-      OODB_RETURN_IF_ERROR(a.status());
-      cfg.arrival = *a;
-    } else if (key == "arrival_rate_tps") {
-      const auto n = AsNumber(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.arrival_rate_tps = *n;
-      arrival_rate_set = true;
-    } else {
-      return Err("config: unknown key \"" + key + "\"");
-    }
+/// The sweep row of the spec's `Levels`, each setting the base's `Target`.
+/// A level starts from the base value, so an entry object only overrides
+/// what it names. `Shorthand` names a whole axis, `Named` one level.
+template <auto Levels, auto Target, auto Shorthand = nullptr,
+          auto Named = nullptr>
+Knob<S> Axis(const char* key, int nest, const char* label = nullptr) {
+  using T = typename std::remove_reference_t<decltype(S{}.*Levels)>::value_type;
+  return {
+      key, nullptr, nullptr,
+      [](const JsonValue& v, const std::string& ctx, S& s) -> Status {
+        if constexpr (!std::is_null_pointer_v<decltype(Shorthand)>) {
+          if (v.is_string()) return Shorthand(v.string_value(), ctx, s);
+        }
+        if (!v.is_array()) return TypeErr(ctx, "an array");
+        for (size_t i = 0; i < v.items().size(); ++i) {
+          const JsonValue& item = v.items()[i];
+          if constexpr (!std::is_null_pointer_v<decltype(Named)>) {
+            if (item.is_string()) {
+              const auto named = Named(s.base, item, Indexed(ctx, i));
+              OODB_RETURN_IF_ERROR(named.status());
+              (s.*Levels).push_back(*named);
+              continue;
+            }
+          }
+          T level = BaseLevel(s.base, Target);
+          OODB_RETURN_IF_ERROR(Read(item, Indexed(ctx, i), level));
+          (s.*Levels).push_back(std::move(level));
+        }
+        return Status::Ok();
+      },
+      [](const S& s) { return Json(s.*Levels); }, nest, label,
+      [](const S& s) { return (s.*Levels).size(); },
+      [](const S& s, size_t i, M& cell) -> std::string {
+        const auto& levels = s.*Levels;
+        const T level = levels.empty() ? BaseLevel(s.base, Target) : levels[i];
+        SetLevel(cell, Target, level);
+        if constexpr (std::is_integral_v<T>) return std::to_string(level);
+        if constexpr (std::is_enum_v<T>) return CanonicalName(level);
+        if constexpr (std::is_same_v<T, Clu>) return level.Label();
+        return {};
+      }};
+}
+
+Status Figure51(const std::string& name, const std::string& ctx, S& s) {
+  if (name != "figure5_1") return Unknown(ctx, "shorthand", name, "figure5_1");
+  s.clustering = ClusteringPolicyLevels(s.base.clustering.split);
+  return Status::Ok();
+}
+
+Status StandardGrid(const std::string& name, const std::string& ctx, S& s) {
+  if (name != "standard_grid") {
+    return Unknown(ctx, "shorthand", name, "standard_grid");
   }
-  // The builder's target tracks the configured database size, and the
-  // generated graph's density tracks the workload (WithWorkload semantics).
-  cfg.database.target_bytes = cfg.database_bytes;
-  cfg.database.density = cfg.workload.density;
-  if (!buffer_level.empty()) {
-    if (buffer_pages_set) {
-      return Err(
-          "config: set either \"buffer_pages\" or \"buffer_level\", not "
-          "both");
-    }
-    const auto pages =
-        ResolveBufferLevel(cfg, buffer_level, "config.buffer_level");
-    OODB_RETURN_IF_ERROR(pages.status());
-    cfg.buffer_pages = *pages;
-  }
-  // Checked after the loop: JSON key order is arbitrary, so the gate must
-  // not depend on which of the two keys parses first.
-  if (span_exemplars_set && !cfg.profile_spans) {
-    return Err(
-        "config: \"span_exemplars\" has no effect without "
-        "\"profile_spans\": true");
-  }
-  if (!first_shard_key.empty() && !shards_set) {
-    return Err("config: \"" + first_shard_key +
-               "\" is a sharding knob; add \"shards\": <N> to enable the "
-               "N-shard core");
-  }
-  if (arrival_rate_set && cfg.arrival != ArrivalProcess::kOpen) {
-    return Err(
-        "config: \"arrival_rate_tps\" has no effect without \"arrival\": "
-        "\"Open\"");
+  for (const Oct& w : StandardWorkloadGrid()) {
+    s.workloads.push_back({w, s.base.ocb});
   }
   return Status::Ok();
 }
 
-Status ParseSweepSection(const JsonValue& obj, ScenarioSpec& spec) {
-  if (!obj.is_object()) return TypeErr("sweep", "an object");
-  for (const auto& [key, v] : obj.members()) {
-    const std::string ctx = "sweep." + key;
-    if (key == "clustering") {
-      if (v.is_string()) {
-        if (v.string_value() != "figure5_1") {
-          return Err("\"" + ctx + "\": unknown shorthand \"" +
-                     v.string_value() + "\"; known: figure5_1");
-        }
-        spec.clustering = ClusteringPolicyLevels(spec.base.clustering.split);
-      } else if (v.is_array()) {
-        for (size_t i = 0; i < v.items().size(); ++i) {
-          auto c = ParseClusterEntry(v.items()[i], spec.base.clustering,
-                                     ctx + "[" + std::to_string(i) + "]");
-          OODB_RETURN_IF_ERROR(c.status());
-          spec.clustering.push_back(*c);
-        }
-      } else {
-        return TypeErr(ctx, "\"figure5_1\" or an array");
-      }
-    } else if (key == "workload") {
-      if (v.is_string()) {
-        if (v.string_value() != "standard_grid") {
-          return Err("\"" + ctx + "\": unknown shorthand \"" +
-                     v.string_value() + "\"; known: standard_grid");
-        }
-        for (const workload::WorkloadConfig& w : StandardWorkloadGrid()) {
-          spec.workloads.push_back(WorkloadEntry{w, spec.base.ocb});
-        }
-      } else if (v.is_array()) {
-        for (size_t i = 0; i < v.items().size(); ++i) {
-          auto w = ParseWorkloadEntry(
-              v.items()[i], WorkloadEntry{spec.base.workload, spec.base.ocb},
-              ctx + "[" + std::to_string(i) + "]");
-          OODB_RETURN_IF_ERROR(w.status());
-          spec.workloads.push_back(*w);
-        }
-      } else {
-        return TypeErr(ctx, "\"standard_grid\" or an array");
-      }
-    } else if (key == "replacement") {
-      if (!v.is_array()) return TypeErr(ctx, "an array of policy names");
-      for (size_t i = 0; i < v.items().size(); ++i) {
-        const auto p = ResolveReplacement(
-            v.items()[i], ctx + "[" + std::to_string(i) + "]");
-        OODB_RETURN_IF_ERROR(p.status());
-        spec.replacement.push_back(*p);
-      }
-    } else if (key == "prefetch") {
-      if (!v.is_array()) return TypeErr(ctx, "an array of policy names");
-      for (size_t i = 0; i < v.items().size(); ++i) {
-        const auto p =
-            ResolvePrefetch(v.items()[i], ctx + "[" + std::to_string(i) + "]");
-        OODB_RETURN_IF_ERROR(p.status());
-        spec.prefetch.push_back(*p);
-      }
-    } else if (key == "buffer_pages") {
-      if (!v.is_array()) {
-        return TypeErr(ctx, "an array of page counts or level names");
-      }
-      for (size_t i = 0; i < v.items().size(); ++i) {
-        const JsonValue& item = v.items()[i];
-        const std::string sub = ctx + "[" + std::to_string(i) + "]";
-        size_t pages = 0;
-        if (item.is_string()) {
-          const auto resolved =
-              ResolveBufferLevel(spec.base, item.string_value(), sub);
-          OODB_RETURN_IF_ERROR(resolved.status());
-          pages = *resolved;
-        } else {
-          const auto n = AsUint(item, sub);
-          OODB_RETURN_IF_ERROR(n.status());
-          pages = static_cast<size_t>(*n);
-        }
-        if (pages < 8) {
-          return Err("\"" + sub + "\" is " + std::to_string(pages) +
-                     "; the pool needs at least 8 frames");
-        }
-        spec.buffer_pages.push_back(pages);
-      }
-    } else if (key == "shards") {
-      if (!v.is_array()) return TypeErr(ctx, "an array of shard counts");
-      for (size_t i = 0; i < v.items().size(); ++i) {
-        const auto n =
-            AsInt(v.items()[i], ctx + "[" + std::to_string(i) + "]");
-        OODB_RETURN_IF_ERROR(n.status());
-        if (*n < 1 || *n > 64) {
-          return Err("\"" + ctx + "[" + std::to_string(i) + "]\" is " +
-                     std::to_string(*n) +
-                     "; the core supports 1 to 64 shards");
-        }
-        spec.shards.push_back(*n);
-      }
-    } else if (key == "shard_placement") {
-      if (!v.is_array()) return TypeErr(ctx, "an array of placement names");
-      for (size_t i = 0; i < v.items().size(); ++i) {
-        const auto p = ResolveShardPlacement(
-            v.items()[i], ctx + "[" + std::to_string(i) + "]");
-        OODB_RETURN_IF_ERROR(p.status());
-        spec.shard_placement.push_back(*p);
-      }
-    } else if (key == "users") {
-      if (!v.is_array()) return TypeErr(ctx, "an array of user counts");
-      for (size_t i = 0; i < v.items().size(); ++i) {
-        const auto n =
-            AsInt(v.items()[i], ctx + "[" + std::to_string(i) + "]");
-        OODB_RETURN_IF_ERROR(n.status());
-        if (*n < 1) {
-          return Err("\"" + ctx + "[" + std::to_string(i) + "]\" is " +
-                     std::to_string(*n) + "; need at least 1 user");
-        }
-        spec.users.push_back(*n);
-      }
-    } else {
-      return Err("sweep: unknown key \"" + key +
-                 "\" (known: clustering, workload, replacement, prefetch, "
-                 "buffer_pages, shards, shard_placement, users)");
-    }
-  }
-  return Status::Ok();
-}
-
-std::string ClusterJson(const cluster::ClusterConfig& c) {
-  JsonObjectWriter o;
-  o.Add("pool", cluster::CandidatePoolName(c.pool));
-  o.Add("io_limit", c.io_limit);
-  o.Add("split", cluster::SplitPolicyName(c.split));
-  o.Add("use_hints", c.use_hints);
-  o.Add("hint_kind", obj::RelKindName(c.hint_kind));
-  o.Add("hint_boost", c.hint_boost);
-  o.Add("dynamic", dyn::PolicyKindName(c.dynamic.policy));
-  if (c.dynamic.enabled()) {
-    o.Add("dyn_observation_period", c.dynamic.observation_period);
-    o.Add("dyn_heat_decay", c.dynamic.heat_decay);
-    o.Add("dyn_max_tracked_objects", c.dynamic.max_tracked_objects);
-    o.Add("dyn_max_tracked_links", c.dynamic.max_tracked_links);
-    o.Add("dyn_trigger_threshold", c.dynamic.trigger_threshold);
-    o.Add("dyn_unit_size", c.dynamic.max_unit_size);
-    o.Add("dyn_max_moves", c.dynamic.max_moves_per_txn);
-    o.Add("opcf_watermark", c.dynamic.opcf_queue_watermark);
-    o.Add("opcf_batch", c.dynamic.opcf_batch);
-  }
-  return o.str();
-}
-
-std::string WorkloadJson(const WorkloadEntry& w) {
-  JsonObjectWriter o;
-  if (w.ocb.enabled) {
-    o.Add("kind", "ocb");
-    o.Add("rw_ratio", w.oct.read_write_ratio);
-    o.Add("classes", w.ocb.classes);
-    o.Add("hierarchy_depth", w.ocb.hierarchy_depth);
-    o.Add("instances", w.ocb.instances);
-    o.Add("refs_per_object", w.ocb.refs_per_object);
-    o.Add("locality", ocb::RefLocalityName(w.ocb.locality));
-    o.Add("zipf_theta", w.ocb.zipf_theta);
-    o.Add("gaussian_window", w.ocb.gaussian_window);
-    o.Add("base_object_bytes", static_cast<uint64_t>(w.ocb.base_object_bytes));
-    o.Add("inheritance_fraction", w.ocb.inheritance_fraction);
-    o.Add("interleaved_read_probability",
-          w.ocb.interleaved_read_probability);
-    o.Add("partitions", w.ocb.partitions);
-    o.Add("set_lookup_size", w.ocb.set_lookup_size);
-    o.Add("traversal_depth", w.ocb.traversal_depth);
-    JsonArrayWriter mix;
-    for (const double m : w.ocb.read_mix) mix.Add(m);
-    o.AddRaw("read_mix", mix.str());
-    if (w.ocb.churn_enabled()) {
-      o.Add("churn_probability", w.ocb.churn_probability);
-      o.Add("churn_burst_length", w.ocb.churn_burst_length);
-      o.Add("churn_cross_partition", w.ocb.churn_cross_partition);
-    }
-  } else {
-    o.Add("density", workload::StructureDensityName(w.oct.density));
-    o.Add("rw_ratio", w.oct.read_write_ratio);
-  }
-  return o.str();
-}
+// `nest` is the Expand order, outermost first.
+const Table<S> kSweepRows = {
+    Axis<&S::clustering, &M::clustering, Figure51>("clustering", 6, ""),
+    Axis<&S::workloads, nullptr, StandardGrid>("workload", 7),
+    Axis<&S::replacement, &M::replacement>("replacement", 3, ""),
+    Axis<&S::prefetch, &M::prefetch>("prefetch", 4, ""),
+    Axis<&S::buffer_pages, &M::buffer_pages, nullptr, BufferLevel>(
+        "buffer_pages", 5, "buf"),
+    Axis<&S::shards, &M::shards>("shards", 1, "shard"),
+    Axis<&S::shard_placement, &M::shard_placement>("shard_placement", 2, ""),
+    Axis<&S::users, &M::num_users>("users", 0, "users"),
+};
 
 }  // namespace
+
+std::vector<ScenarioKnob> ScenarioKnobs() {
+  std::vector<ScenarioKnob> knobs;
+  const auto add = [&knobs](std::string_view section, const auto& rows) {
+    for (const auto& row : rows) knobs.push_back({section, row.key});
+  };
+  add("config", kConfigRows);
+  add("config.concurrency", kCcRows);
+  add("config.workload", kWorkloadRows);
+  add("config.clustering", kClusterRows);
+  return knobs;
+}
 
 std::string WorkloadEntry::Label() const {
   return ocb.enabled ? ocb.Label(oct.read_write_ratio) : oct.Label();
 }
 
 std::vector<ScenarioCell> ScenarioSpec::Expand() const {
-  using ReplacementAxis = std::vector<buffer::ReplacementPolicy>;
-  using PrefetchAxis = std::vector<buffer::PrefetchPolicy>;
-  const ReplacementAxis reps =
-      replacement.empty() ? ReplacementAxis{base.replacement} : replacement;
-  const PrefetchAxis prefs =
-      prefetch.empty() ? PrefetchAxis{base.prefetch} : prefetch;
-  const std::vector<size_t> bufs = buffer_pages.empty()
-                                       ? std::vector<size_t>{base.buffer_pages}
-                                       : buffer_pages;
-  const std::vector<cluster::ClusterConfig> clus =
-      clustering.empty() ? std::vector<cluster::ClusterConfig>{base.clustering}
-                         : clustering;
-  const std::vector<WorkloadEntry> works =
-      workloads.empty()
-          ? std::vector<WorkloadEntry>{WorkloadEntry{base.workload, base.ocb}}
-          : workloads;
-  const std::vector<int> shard_axis =
-      shards.empty() ? std::vector<int>{base.shards} : shards;
-  const std::vector<ShardPlacement> place_axis =
-      shard_placement.empty()
-          ? std::vector<ShardPlacement>{base.shard_placement}
-          : shard_placement;
-  const std::vector<int> user_axis =
-      users.empty() ? std::vector<int>{base.num_users} : users;
-
-  std::vector<ScenarioCell> cells;
-  cells.reserve(user_axis.size() * shard_axis.size() * place_axis.size() *
-                reps.size() * prefs.size() * bufs.size() * clus.size() *
-                works.size());
-  for (const int num_users : user_axis) {
-  for (const int num_shards : shard_axis) {
-   for (const auto place : place_axis) {
-    for (const auto rep : reps) {
-     for (const auto pref : prefs) {
-      for (const size_t pages : bufs) {
-        for (const auto& clu : clus) {
-          for (const auto& work : works) {
-            ScenarioCell cell;
-            cell.config = WithWorkload(base, work.oct);
-            cell.config.ocb = work.ocb;
-            cell.config.clustering = clu;
-            cell.config.replacement = rep;
-            cell.config.prefetch = pref;
-            cell.config.buffer_pages = pages;
-            cell.config.shards = num_shards;
-            cell.config.shard_placement = place;
-            cell.config.num_users = num_users;
-
-            // Labels: identical to bench_common's FillDefaultLabels when
-            // only clustering/workload sweep; multi-level sharding and
-            // buffering axes prefix the policy label to keep cells unique.
-            std::string policy;
-            if (user_axis.size() > 1) {
-              policy = std::to_string(num_users) + "users";
-            }
-            if (shard_axis.size() > 1) {
-              if (!policy.empty()) policy += "_";
-              policy += std::to_string(num_shards);
-              policy += "shard";
-            }
-            if (place_axis.size() > 1) {
-              if (!policy.empty()) policy += "_";
-              policy += ShardPlacementName(place);
-            }
-            if (reps.size() > 1) {
-              if (!policy.empty()) policy += "_";
-              policy += buffer::ReplacementPolicyName(rep);
-            }
-            if (prefs.size() > 1) {
-              if (!policy.empty()) policy += "_";
-              policy += buffer::PrefetchPolicyName(pref);
-            }
-            if (bufs.size() > 1) {
-              if (!policy.empty()) policy += "_";
-              policy += std::to_string(pages) + "buf";
-            }
-            if (policy.empty()) {
-              policy = clu.Label();
-            } else if (clus.size() > 1) {
-              // Append in two steps: `"_" + clu.Label()` trips GCC 12's
-              // -Werror=restrict false positive (PR105651) at -O3.
-              policy += "_";
-              policy += clu.Label();
-            }
-            cell.policy = std::move(policy);
-            cell.workload = work.Label();  // OCT or OCB label
-            cell.cell_label = cell.policy + "/" + cell.workload;
-            cells.push_back(std::move(cell));
-          }
-        }
+  std::vector<const Knob<S>*> axes(kSweepRows.size());
+  for (const Knob<S>& axis : kSweepRows) axes[axis.nest] = &axis;
+  // Outermost axis first; each multi-level axis joins the policy label.
+  std::vector<ScenarioCell> cells{{base, "", "", ""}};
+  for (const Knob<S>* axis : axes) {
+    const size_t levels = std::max<size_t>(1, axis->size(*this));
+    std::vector<ScenarioCell> next;
+    for (const ScenarioCell& cell : cells) {
+      for (size_t i = 0; i < levels; ++i) {
+        ScenarioCell& out = next.emplace_back(cell);
+        const std::string text = axis->apply(*this, i, out.config);
+        if (axis->label == nullptr || levels == 1) continue;
+        if (!out.policy.empty()) out.policy += "_";
+        out.policy += text;
+        out.policy += axis->label;
       }
-     }
     }
-   }
+    cells = std::move(next);
   }
+  for (ScenarioCell& cell : cells) {
+    if (cell.policy.empty()) cell.policy = cell.config.clustering.Label();
+    cell.workload = cell.config.WorkloadLabel();
+    cell.cell_label = cell.policy + "/" + cell.workload;
   }
   return cells;
 }
@@ -931,121 +516,9 @@ std::string ScenarioSpec::ToJson() const {
   root.Add("name", name);
   root.Add("bench", bench.empty() ? name : bench);
   if (!description.empty()) root.Add("description", description);
-
-  JsonObjectWriter cfg;
-  cfg.Add("database_bytes", static_cast<uint64_t>(base.database_bytes));
-  cfg.Add("page_size_bytes", static_cast<uint64_t>(base.page_size_bytes));
-  cfg.Add("append_fill_fraction", base.append_fill_fraction);
-  cfg.Add("num_users", base.num_users);
-  cfg.Add("num_disks", base.num_disks);
-  cfg.Add("think_time_s", base.think_time_s);
-  cfg.Add("buffer_pages", static_cast<uint64_t>(base.buffer_pages));
-  cfg.Add("replacement", buffer::ReplacementPolicyName(base.replacement));
-  cfg.Add("prefetch", buffer::PrefetchPolicyName(base.prefetch));
-  cfg.Add("warmup_transactions", base.warmup_transactions);
-  cfg.Add("measured_transactions", base.measured_transactions);
-  cfg.Add("measurement_epochs", base.measurement_epochs);
-  cfg.Add("telemetry_interval_s", base.telemetry_interval_s);
-  cfg.Add("telemetry_audit_placement", base.telemetry_audit_placement);
-  if (!base.rw_ratio_schedule.empty()) {
-    JsonArrayWriter sched;
-    for (const double ratio : base.rw_ratio_schedule) sched.Add(ratio);
-    cfg.AddRaw("rw_ratio_schedule", sched.str());
-  }
-  cfg.Add("static_reorganize_after_build",
-          base.static_reorganize_after_build);
-  cfg.Add("profile_spans", base.profile_spans);
-  // Mirrors the parse-side gate: span_exemplars only round-trips when the
-  // profiler is on.
-  if (base.profile_spans) cfg.Add("span_exemplars", base.span_exemplars);
-  // Same gate for the sharding knobs: emitted only with an explicit shard
-  // count, so single-server scenarios serialize exactly as before.
-  if (base.shards != 1) {
-    cfg.Add("shards", base.shards);
-    cfg.Add("shard_placement", ShardPlacementName(base.shard_placement));
-    cfg.Add("shard_hop_latency_s", base.shard_hop_latency_s);
-    cfg.Add("shard_group_cap", base.shard_group_cap);
-  }
-  // Same gate for concurrency control and the open-arrival source: emitted
-  // only when switched on, so cc-off scenarios serialize exactly as before.
-  if (base.cc.enabled) {
-    JsonObjectWriter cc;
-    cc.Add("enabled", true);
-    cc.Add("cc_lock_timeout_s", base.cc.lock_timeout_s);
-    cc.Add("cc_max_retries", base.cc.max_retries);
-    cc.Add("cc_backoff_base_s", base.cc.backoff_base_s);
-    cc.Add("cc_backoff_cap_s", base.cc.backoff_cap_s);
-    cc.Add("cc_page_latches", base.cc.page_latches);
-    cfg.AddRaw("concurrency", cc.str());
-  }
-  if (base.arrival != ArrivalProcess::kClosed) {
-    cfg.Add("arrival", ArrivalProcessName(base.arrival));
-    cfg.Add("arrival_rate_tps", base.arrival_rate_tps);
-  }
-  cfg.Add("seed", static_cast<uint64_t>(base.seed));
-  cfg.AddRaw("workload", WorkloadJson(WorkloadEntry{base.workload, base.ocb}));
-  cfg.AddRaw("clustering", ClusterJson(base.clustering));
-  root.AddRaw("config", cfg.str());
-
-  JsonObjectWriter sweep;
-  bool any_axis = false;
-  if (!clustering.empty()) {
-    JsonArrayWriter axis;
-    for (const auto& c : clustering) axis.AddRaw(ClusterJson(c));
-    sweep.AddRaw("clustering", axis.str());
-    any_axis = true;
-  }
-  if (!workloads.empty()) {
-    JsonArrayWriter axis;
-    for (const WorkloadEntry& w : workloads) axis.AddRaw(WorkloadJson(w));
-    sweep.AddRaw("workload", axis.str());
-    any_axis = true;
-  }
-  if (!replacement.empty()) {
-    JsonArrayWriter axis;
-    for (const auto p : replacement) {
-      axis.Add(std::string_view(buffer::ReplacementPolicyName(p)));
-    }
-    sweep.AddRaw("replacement", axis.str());
-    any_axis = true;
-  }
-  if (!prefetch.empty()) {
-    JsonArrayWriter axis;
-    for (const auto p : prefetch) {
-      axis.Add(std::string_view(buffer::PrefetchPolicyName(p)));
-    }
-    sweep.AddRaw("prefetch", axis.str());
-    any_axis = true;
-  }
-  if (!buffer_pages.empty()) {
-    JsonArrayWriter axis;
-    for (const size_t pages : buffer_pages) {
-      axis.Add(static_cast<uint64_t>(pages));
-    }
-    sweep.AddRaw("buffer_pages", axis.str());
-    any_axis = true;
-  }
-  if (!shards.empty()) {
-    JsonArrayWriter axis;
-    for (const int n : shards) axis.Add(static_cast<uint64_t>(n));
-    sweep.AddRaw("shards", axis.str());
-    any_axis = true;
-  }
-  if (!shard_placement.empty()) {
-    JsonArrayWriter axis;
-    for (const auto p : shard_placement) {
-      axis.Add(std::string_view(ShardPlacementName(p)));
-    }
-    sweep.AddRaw("shard_placement", axis.str());
-    any_axis = true;
-  }
-  if (!users.empty()) {
-    JsonArrayWriter axis;
-    for (const int n : users) axis.Add(static_cast<uint64_t>(n));
-    sweep.AddRaw("users", axis.str());
-    any_axis = true;
-  }
-  if (any_axis) root.AddRaw("sweep", sweep.str());
+  root.AddRaw("config", WriteBlock(kConfigRows, *this));
+  const std::string sweep = WriteBlock(kSweepRows, *this);
+  if (sweep != "{}") root.AddRaw("sweep", sweep);
   return root.str();
 }
 
@@ -1056,31 +529,41 @@ StatusOr<ScenarioSpec> ParseScenario(std::string_view json_text) {
 
   ScenarioSpec spec;
   spec.base = ScaledConfig();
-  // "config" first regardless of file order: sweep shorthands and buffer
-  // levels derive from the base configuration.
-  if (const JsonValue* config = doc->Find("config")) {
-    OODB_RETURN_IF_ERROR(ParseConfigSection(*config, spec.base));
+  // "config" first regardless of file order: sweep levels derive from the
+  // base. Its gates wait for the sweep: the shard group counts that axis.
+  const JsonValue* config = doc->Find("config");
+  if (config != nullptr) {
+    OODB_RETURN_IF_ERROR(ReadBlock(*config, "config", kConfigRows, spec,
+                                   kBufferLevel, /*gates=*/false));
+    spec.base.database.target_bytes = spec.base.database_bytes;
+    spec.base.database.density = spec.base.workload.density;
+    if (const JsonValue* level = config->Find(kBufferLevel)) {
+      if (config->Find("buffer_pages") != nullptr) {
+        return Err("config: set either \"buffer_pages\" or \"" +
+                   std::string(kBufferLevel) + "\", not both");
+      }
+      const auto pages = BufferLevel(spec.base, *level,
+                                     std::string("config.") + kBufferLevel);
+      OODB_RETURN_IF_ERROR(pages.status());
+      spec.base.buffer_pages = *pages;
+    }
   }
   for (const auto& [key, v] : doc->members()) {
     if (key == "config") continue;
-    if (key == "name") {
-      const auto s = AsString(v, "name");
-      OODB_RETURN_IF_ERROR(s.status());
-      spec.name = *s;
-    } else if (key == "bench") {
-      const auto s = AsString(v, "bench");
-      OODB_RETURN_IF_ERROR(s.status());
-      spec.bench = *s;
-    } else if (key == "description") {
-      const auto s = AsString(v, "description");
-      OODB_RETURN_IF_ERROR(s.status());
-      spec.description = *s;
+    if (key == "name" || key == "bench" || key == "description") {
+      if (!v.is_string()) return TypeErr(key, "a string");
+      (key == "name" ? spec.name
+                     : key == "bench" ? spec.bench : spec.description) =
+          v.string_value();
     } else if (key == "sweep") {
-      OODB_RETURN_IF_ERROR(ParseSweepSection(v, spec));
+      OODB_RETURN_IF_ERROR(ReadBlock(v, "sweep", kSweepRows, spec));
     } else {
       return Err("unknown top-level key \"" + key +
                  "\" (known: name, bench, description, config, sweep)");
     }
+  }
+  if (config != nullptr) {
+    OODB_RETURN_IF_ERROR(CheckGates(*config, "config", kConfigRows, spec));
   }
   if (spec.name.empty()) return Err("\"name\" is required");
   if (spec.bench.empty()) spec.bench = spec.name;
@@ -1095,14 +578,9 @@ StatusOr<ScenarioSpec> ParseScenario(std::string_view json_text) {
         "config");
   }
 
-  const Status valid = spec.base.Validate();
-  if (!valid.ok()) return Err("config: " + valid.message());
-  for (size_t i = 0; i < spec.workloads.size(); ++i) {
-    const Status w = spec.workloads[i].ocb.Validate();
-    if (!w.ok()) {
-      return Err("sweep.workload[" + std::to_string(i) + "]: " +
-                 w.message());
-    }
+  for (const ScenarioCell& cell : spec.Expand()) {
+    const Status st = cell.config.Validate();
+    if (!st.ok()) return Err("cell " + cell.cell_label + ": " + st.message());
   }
   return spec;
 }

@@ -82,6 +82,8 @@ struct DynConfig {
 
   bool enabled() const { return policy != PolicyKind::kNone; }
 
+  friend bool operator==(const DynConfig&, const DynConfig&) = default;
+
   /// Suffix appended to ClusterConfig::Label(): "", "+DSTC", or "+OPCF".
   /// Empty when disabled so every pre-existing label is unchanged.
   std::string LabelSuffix() const {

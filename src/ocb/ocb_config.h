@@ -102,6 +102,8 @@ struct OcbConfig {
 
   /// Validates the knobs (when enabled), with actionable messages.
   Status Validate() const;
+
+  friend bool operator==(const OcbConfig&, const OcbConfig&) = default;
 };
 
 }  // namespace oodb::ocb

@@ -16,16 +16,6 @@ double JsonValue::number_value() const {
   return number_;
 }
 
-uint64_t JsonValue::uint_value() const {
-  OODB_CHECK(is_number());
-  return std::strtoull(scalar_.c_str(), nullptr, 10);
-}
-
-int64_t JsonValue::int_value() const {
-  OODB_CHECK(is_number());
-  return std::strtoll(scalar_.c_str(), nullptr, 10);
-}
-
 const std::string& JsonValue::string_value() const {
   OODB_CHECK(is_string());
   return scalar_;
@@ -41,6 +31,7 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
 struct JsonParser {
   std::string_view s;
   size_t at = 0;
+  int depth = 0;  // containers currently open
 
   Status Fail(const std::string& why) const {
     return Status::InvalidArgument("json: " + why + " at offset " +
@@ -113,36 +104,47 @@ struct JsonParser {
     return Status::Ok();
   }
 
+  Status ParseObject(JsonValue& out) {
+    out.kind_ = JsonValue::Kind::kObject;
+    if (Consume('}')) return Status::Ok();
+    do {
+      std::string key;
+      OODB_RETURN_IF_ERROR(ParseString(key));
+      if (!Consume(':')) return Fail("expected ':'");
+      JsonValue value;
+      OODB_RETURN_IF_ERROR(ParseValue(value));
+      out.members_.emplace_back(std::move(key), std::move(value));
+    } while (Consume(','));
+    if (!Consume('}')) return Fail("expected '}'");
+    return Status::Ok();
+  }
+
+  Status ParseArray(JsonValue& out) {
+    out.kind_ = JsonValue::Kind::kArray;
+    if (Consume(']')) return Status::Ok();
+    do {
+      JsonValue value;
+      OODB_RETURN_IF_ERROR(ParseValue(value));
+      out.items_.push_back(std::move(value));
+    } while (Consume(','));
+    if (!Consume(']')) return Fail("expected ']'");
+    return Status::Ok();
+  }
+
   Status ParseValue(JsonValue& out) {
     SkipWs();
     if (at >= s.size()) return Fail("unexpected end of input");
     const char c = s[at];
-    if (c == '{') {
+    if (c == '{' || c == '[') {
+      if (depth == JsonValue::kMaxDepth) {
+        return Fail("nesting deeper than " +
+                    std::to_string(JsonValue::kMaxDepth) + " levels");
+      }
       ++at;
-      out.kind_ = JsonValue::Kind::kObject;
-      if (Consume('}')) return Status::Ok();
-      do {
-        std::string key;
-        OODB_RETURN_IF_ERROR(ParseString(key));
-        if (!Consume(':')) return Fail("expected ':'");
-        JsonValue value;
-        OODB_RETURN_IF_ERROR(ParseValue(value));
-        out.members_.emplace_back(std::move(key), std::move(value));
-      } while (Consume(','));
-      if (!Consume('}')) return Fail("expected '}'");
-      return Status::Ok();
-    }
-    if (c == '[') {
-      ++at;
-      out.kind_ = JsonValue::Kind::kArray;
-      if (Consume(']')) return Status::Ok();
-      do {
-        JsonValue value;
-        OODB_RETURN_IF_ERROR(ParseValue(value));
-        out.items_.push_back(std::move(value));
-      } while (Consume(','));
-      if (!Consume(']')) return Fail("expected ']'");
-      return Status::Ok();
+      ++depth;
+      const Status status = c == '{' ? ParseObject(out) : ParseArray(out);
+      --depth;
+      return status;
     }
     if (c == '"') {
       out.kind_ = JsonValue::Kind::kString;
@@ -176,7 +178,12 @@ struct JsonParser {
     if (at == begin) return Fail("unexpected character");
     out.kind_ = JsonValue::Kind::kNumber;
     out.scalar_ = std::string(s.substr(begin, at - begin));
-    out.number_ = std::strtod(out.scalar_.c_str(), nullptr);
+    char* end = nullptr;
+    out.number_ = std::strtod(out.scalar_.c_str(), &end);
+    if (end != out.scalar_.c_str() + out.scalar_.size()) {
+      at = begin;
+      return Fail("malformed number \"" + out.scalar_ + "\"");
+    }
     return Status::Ok();
   }
 };

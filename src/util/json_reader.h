@@ -25,6 +25,10 @@ class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
+  /// Arrays and objects nest at most this deep; deeper input is an error
+  /// rather than a stack overflow.
+  static constexpr int kMaxDepth = 64;
+
   /// Parses exactly one JSON document (trailing whitespace allowed,
   /// trailing garbage is an error). Errors carry a byte offset.
   static StatusOr<JsonValue> Parse(std::string_view text);
@@ -40,12 +44,8 @@ class JsonValue {
   bool bool_value() const;
   double number_value() const;
   /// The number's source text, e.g. "12345678901234567"; empty for
-  /// non-numbers.
+  /// non-numbers. Integer fields parse this text (exact above 2^53).
   const std::string& number_text() const { return scalar_; }
-  /// Unsigned 64-bit view of a number (parsed from the source text, so
-  /// values above 2^53 are exact).
-  uint64_t uint_value() const;
-  int64_t int_value() const;
   const std::string& string_value() const;
 
   const std::vector<JsonValue>& items() const { return items_; }

@@ -67,6 +67,9 @@ struct WorkloadConfig {
 
   /// Paper-style cell label, e.g. "hi10-100" or "low3-5".
   std::string Label() const;
+
+  friend bool operator==(const WorkloadConfig&,
+                         const WorkloadConfig&) = default;
 };
 
 }  // namespace oodb::workload

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 
 #include "core/engineering_db.h"
 #include "core/experiment.h"
@@ -10,6 +11,7 @@
 #include "dyn/dyn_config.h"
 #include "exec/experiment_runner.h"
 #include "util/json_reader.h"
+#include "util/json_writer.h"
 
 namespace oodb::core {
 namespace {
@@ -37,15 +39,41 @@ TEST(JsonReaderTest, ParsesNestedDocument) {
 }
 
 TEST(JsonReaderTest, LargeIntegersSurviveViaSourceText) {
-  // 2^53 + 1 is not representable as a double; the uint view must be exact.
+  // 2^53 + 1 is not representable as a double; the source text keeps it
+  // exact for the scenario loader's integer read (the seed in
+  // ScenarioTest.ParseSerializeRoundTripIsStable).
   const auto doc = JsonValue::Parse("{\"seed\": 9007199254740993}");
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc->Find("seed")->uint_value(), 9007199254740993ull);
   EXPECT_EQ(doc->Find("seed")->number_text(), "9007199254740993");
 }
 
 TEST(JsonReaderTest, ErrorsCarryByteOffsets) {
   for (const char* bad : {"{", "[1,2] junk", "{\"a\" 1}", "tru", ""}) {
+    const auto doc = JsonValue::Parse(bad);
+    EXPECT_FALSE(doc.ok()) << bad;
+    EXPECT_NE(doc.status().message().find("offset"), std::string::npos)
+        << doc.status().ToString();
+  }
+}
+
+TEST(JsonReaderTest, NestingDepthIsBoundedNotAStackOverflow) {
+  // 200k open brackets used to recurse until the stack ran out.
+  const auto deep = JsonValue::Parse(std::string(200000, '['));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_NE(deep.status().message().find("nesting deeper than"),
+            std::string::npos)
+      << deep.status().ToString();
+  EXPECT_NE(deep.status().message().find("offset"), std::string::npos);
+
+  const auto nest = [](int depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(JsonValue::Parse(nest(JsonValue::kMaxDepth)).ok());
+  EXPECT_FALSE(JsonValue::Parse(nest(JsonValue::kMaxDepth + 1)).ok());
+}
+
+TEST(JsonReaderTest, MalformedNumbersAreErrors) {
+  for (const char* bad : {"1-2", "--3", "1.2.3", "e5", "[1, 2e]"}) {
     const auto doc = JsonValue::Parse(bad);
     EXPECT_FALSE(doc.ok()) << bad;
     EXPECT_NE(doc.status().message().find("offset"), std::string::npos)
@@ -274,6 +302,224 @@ TEST(ScenarioTest, ActionableErrors) {
   expect_error(
       R"({"name": "x", "config": {"clustering": {"dynamic": "DBSCAN"}}})",
       "DSTC");
+  // Integer fields are read exactly or not at all: no truncation, no sign
+  // wrap, no narrowing, and the error names the field.
+  expect_error(R"({"name": "x", "config": {"measured_transactions": 2.9}})",
+               "config.measured_transactions");
+  expect_error(R"({"name": "x", "config": {"buffer_pages": -1}})",
+               "config.buffer_pages");
+  expect_error(R"({"name": "x", "config": {"num_users": 99999999999}})",
+               "config.num_users");
+  expect_error(R"({"name": "x", "config": {"page_size_bytes": 4294971392}})",
+               "config.page_size_bytes");
+  expect_error(
+      R"({"name": "x", "config":
+          {"workload": {"kind": "ocb", "base_object_bytes": 4294967456}}})",
+      "config.workload.base_object_bytes");
+  expect_error(R"({"name": "x", "config": {"seed": 1e400}})", "config.seed");
+  expect_error(R"({"name": "x", "sweep": {"shards": [2.5]}})",
+               "sweep.shards[0]");
+  // An explicit OCT kind does not switch the OCB gate off.
+  expect_error(
+      R"({"name": "x", "config":
+          {"workload": {"kind": "oct", "instances": 500}}})",
+      "\"instances\" is an OCB knob; add \"kind\": \"ocb\"");
+}
+
+/// Expand() configs and labels of two specs are equal, cell by cell.
+void ExpectSameCells(const ScenarioSpec& a, const ScenarioSpec& b) {
+  const auto left = a.Expand();
+  const auto right = b.Expand();
+  ASSERT_EQ(left.size(), right.size());
+  for (size_t i = 0; i < left.size(); ++i) {
+    EXPECT_EQ(left[i].cell_label, right[i].cell_label);
+    EXPECT_EQ(left[i].policy, right[i].policy);
+    EXPECT_TRUE(left[i].config == right[i].config) << left[i].cell_label;
+  }
+}
+
+TEST(ScenarioTest, ShardKnobsSurviveARoundTripWhenOnlyTheSweepShards) {
+  // The shard knobs apply to every swept cell, so ToJson must keep them
+  // even though the base config runs one shard.
+  const auto first = ParseScenario(R"json({
+    "name": "swept_shards",
+    "config": {"buffer_pages": 64, "shards": 1, "shard_group_cap": 8,
+               "shard_placement": "Structure_Shard"},
+    "sweep": {"shards": [2, 4]}
+  })json");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  for (const auto& cell : first->Expand()) {
+    EXPECT_EQ(cell.config.shard_group_cap, 8);
+    EXPECT_EQ(cell.config.shard_placement, ShardPlacement::kStructureShard);
+  }
+  const auto second = ParseScenario(first->ToJson());
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(first->ToJson(), second->ToJson());
+  ExpectSameCells(*first, *second);
+}
+
+// ------------------------------------------------------ knob-table sweep
+
+/// A scenario document as section -> (key -> JSON value text), so a test
+/// can set any (section, key) pair of ScenarioKnobs().
+using Doc = std::map<std::string, std::map<std::string, std::string>>;
+
+std::string Render(const Doc& doc) {
+  const auto object = [](const std::map<std::string, std::string>& members) {
+    std::string out = "{";
+    for (const auto& [key, value] : members) {
+      out += (out.size() > 1 ? ", \"" : "\"") + key + "\": " + value;
+    }
+    return out + "}";
+  };
+  auto config = doc.count("config") ? doc.at("config")
+                                    : std::map<std::string, std::string>{};
+  for (const auto& [section, members] : doc) {
+    if (section.rfind("config.", 0) == 0) {
+      config[section.substr(7)] = object(members);
+    }
+  }
+  return "{\"name\": \"knobs\", \"config\": " + object(config) + "}";
+}
+
+/// The value of `key` in `section` ("config.workload") of a ToJson
+/// document, or nullptr when it is not written there.
+const JsonValue* Written(const JsonValue& json, const std::string& section,
+                         const std::string& key) {
+  const JsonValue* node = &json;
+  size_t start = 0;
+  while (node != nullptr && start <= section.size()) {
+    const size_t dot = std::min(section.find('.', start), section.size());
+    node = node->Find(section.substr(start, dot - start));
+    start = dot + 1;
+  }
+  return node == nullptr ? nullptr : node->Find(key);
+}
+
+/// `value` as JSON text.
+std::string Text(const JsonValue& value) {
+  if (value.is_bool()) return value.bool_value() ? "true" : "false";
+  if (value.is_number()) return value.number_text();
+  if (value.is_string()) return "\"" + value.string_value() + "\"";
+  std::string out = "[";
+  for (const JsonValue& item : value.items()) {
+    out += (out.size() > 1 ? ", " : "") + Text(item);
+  }
+  return out + "]";
+}
+
+/// Valid-looking replacement values for `value`, in JSON text.
+std::vector<std::string> Mutations(const JsonValue& value) {
+  std::vector<std::string> out;
+  if (value.is_bool()) out.push_back(value.bool_value() ? "false" : "true");
+  if (value.is_number()) {
+    const double x = value.number_value();
+    const bool integer =
+        value.number_text().find_first_of(".eE") == std::string::npos;
+    for (const double y : integer ? std::vector<double>{x + 1, x * 2, x - 1}
+                                  : std::vector<double>{x * 0.5, x * 1.5}) {
+      out.push_back(integer ? std::to_string(static_cast<long long>(y))
+                            : JsonNumber(y));
+    }
+  }
+  if (value.is_string()) {
+    for (const PolicyAxis axis : kAllPolicyAxes) {
+      for (const auto& name : PolicyRegistry::Global().CanonicalNames(axis)) {
+        out.push_back("\"" + name + "\"");
+      }
+    }
+    out.insert(out.end(), {"\"oct\"", "\"ocb\""});
+  }
+  if (value.is_array()) {
+    std::string halved = "[";
+    for (const JsonValue& item : value.items()) {
+      halved += (halved.size() > 1 ? ", " : "") +
+                JsonNumber(item.number_value() * 0.5);
+    }
+    out.push_back(halved + "]");
+  }
+  return out;
+}
+
+TEST(ScenarioTest, EveryTableKnobRoundTripsAndIsGated) {
+  const Doc base = {{"config",
+                     {{"buffer_pages", "64"},
+                      {"warmup_transactions", "10"},
+                      {"measured_transactions", "60"}}}};
+  // Between them, the open documents open every gate group.
+  Doc oct = base;
+  oct["config"].insert({{"profile_spans", "true"},
+                        {"shards", "2"},
+                        {"arrival", "\"Open\""},
+                        {"rw_ratio_schedule", "[5, 100]"}});
+  oct["config.workload"] = {{"density", "\"hi10\""}};
+  Doc ocb = base;
+  ocb["config.workload"] = {{"kind", "\"ocb\""}};
+  Doc churn = ocb;
+  churn["config.workload"]["churn_probability"] = "0.5";
+  churn["config.concurrency"] = {{"enabled", "true"}};
+  churn["config.clustering"] = {{"dynamic", "\"DSTC\""}};
+  const std::vector<Doc> open = {oct, ocb, churn};
+  // In a closed document every gate group is shut.
+  Doc closed_ocb = base;
+  closed_ocb["config.workload"] = {{"kind", "\"ocb\""}};
+  const std::vector<Doc> closed = {base, closed_ocb};
+
+  size_t rows = 0;
+  for (const ScenarioKnob& knob : ScenarioKnobs()) {
+    const std::string section(knob.section);
+    const std::string key(knob.key);
+    SCOPED_TRACE(section + "." + key);
+    bool section_row = false;
+    bool mutated = false;
+    std::string open_value;  // as an open document writes it
+    for (const Doc& doc : open) {
+      const auto spec = ParseScenario(Render(doc));
+      ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+      const auto json = JsonValue::Parse(spec->ToJson());
+      ASSERT_TRUE(json.ok());
+      const JsonValue* value = Written(*json, section, key);
+      if (value == nullptr) continue;
+      section_row = value->is_object();  // its own rows cover a section
+      if (section_row) break;
+      if (open_value.empty()) open_value = Text(*value);
+      for (const std::string& mutation : Mutations(*value)) {
+        Doc changed = doc;
+        changed[section][key] = mutation;
+        const auto first = ParseScenario(Render(changed));
+        if (!first.ok() || first->ToJson() == spec->ToJson()) continue;
+        // ToJson -> Parse -> ToJson is a fixed point, and the cells match.
+        const auto second = ParseScenario(first->ToJson());
+        ASSERT_TRUE(second.ok()) << second.status().ToString();
+        EXPECT_EQ(first->ToJson(), second->ToJson());
+        ExpectSameCells(*first, *second);
+        mutated = true;
+        break;
+      }
+      if (mutated) break;
+    }
+    if (section_row) continue;
+    ASSERT_FALSE(open_value.empty()) << "no open document writes this knob";
+    EXPECT_TRUE(mutated) << "no value of this knob changes the scenario";
+    ++rows;
+    // With its gate shut, a knob fails the parse naming itself, unless it
+    // opens its own gate; it is never silently dropped.
+    for (const Doc& doc : closed) {
+      Doc set = doc;
+      set[section][key] = open_value;
+      const auto spec = ParseScenario(Render(set));
+      if (!spec.ok()) {
+        EXPECT_NE(spec.status().message().find("\"" + key + "\""),
+                  std::string::npos)
+            << spec.status().ToString();
+        continue;
+      }
+      const auto json = JsonValue::Parse(spec->ToJson());
+      ASSERT_TRUE(json.ok());
+      EXPECT_NE(Written(*json, section, key), nullptr) << Render(set);
+    }
+  }
+  EXPECT_GT(rows, 60u);
 }
 
 TEST(ScenarioTest, DynamicKnobsRoundTripAndExpand) {
