@@ -33,13 +33,16 @@ int main() {
       core::ModelConfig cfg = core::WithWorkload(bench::BaseConfig(), w);
       cfg.clustering.pool = pool;
       const core::RunResult r = core::RunCell(cfg);
+      const uint64_t log_flush_ios =
+          r.metrics.counter("io.log-write").value_or(0);
       const double per_write =
-          static_cast<double>(r.log_flush_ios) /
+          static_cast<double>(log_flush_ios) /
           std::max<uint64_t>(1, r.logical_writes);
       table.AddRow({workload::StructureDensityName(density),
                     cluster::CandidatePoolName(pool),
-                    std::to_string(r.log_flush_ios),
-                    std::to_string(r.log_before_images),
+                    std::to_string(log_flush_ios),
+                    std::to_string(
+                        r.metrics.counter("log.before_images").value_or(0)),
                     FormatDouble(per_write, 4)});
       if (pool == cluster::CandidatePool::kNoClustering) {
         none_per_write[d] = per_write;

@@ -68,6 +68,17 @@ int main() {
   const auto at = [&](size_t u, size_t p) -> const core::RunResult& {
     return results[u * pools.size() + p];
   };
+  const auto cc = [](const core::RunResult& r, const char* name) {
+    return static_cast<unsigned long long>(
+        r.metrics.counter(name).value_or(0));
+  };
+  // Aborted attempts over all attempts (committed + aborted).
+  const auto abort_rate = [](const core::RunResult& r) {
+    const uint64_t attempts = r.transactions + r.cc_txn_aborts;
+    return attempts == 0 ? 0.0
+                         : static_cast<double>(r.cc_txn_aborts) /
+                               static_cast<double>(attempts);
+  };
 
   bench::ClusteringGrid grid;
   for (const auto& pool : pools) grid.policy_labels.push_back(pool.Label());
@@ -90,12 +101,9 @@ int main() {
       const auto& r = at(u, p);
       std::printf("%5dusers %-6s %8.1f%% %7llu %8llu %8llu %11llu %11llu\n",
                   user_axis[u], p == 0 ? "none" : "clust",
-                  100.0 * r.cc_abort_rate,
-                  (unsigned long long)r.cc_txn_aborts,
-                  (unsigned long long)r.cc_txn_retries,
-                  (unsigned long long)r.cc_txn_giveups,
-                  (unsigned long long)r.cc_lock_waits,
-                  (unsigned long long)r.cc_latch_waits);
+                  100.0 * abort_rate(r), cc(r, "cc.txn_aborts"),
+                  cc(r, "cc.txn_retries"), cc(r, "cc.txn_giveups"),
+                  cc(r, "cc.lock_waits"), cc(r, "cc.latch_waits"));
     }
   }
 
@@ -119,25 +127,24 @@ int main() {
       "user population",
       clustering_leads);
 
-  uint64_t aborts = 0, retries = 0, lock_waits = 0, latch_waits = 0;
+  unsigned long long aborts = 0, retries = 0, lock_waits = 0,
+                     latch_waits = 0;
   for (const auto& r : results) {
-    aborts += r.cc_txn_aborts;
-    retries += r.cc_txn_retries;
-    lock_waits += r.cc_lock_waits;
-    latch_waits += r.cc_latch_waits;
+    aborts += cc(r, "cc.txn_aborts");
+    retries += cc(r, "cc.txn_retries");
+    lock_waits += cc(r, "cc.lock_waits");
+    latch_waits += cc(r, "cc.latch_waits");
   }
   std::printf("\ngrid totals: aborts %llu, retries %llu, lock_waits %llu, "
               "latch_waits %llu\n",
-              (unsigned long long)aborts, (unsigned long long)retries,
-              (unsigned long long)lock_waits,
-              (unsigned long long)latch_waits);
+              aborts, retries, lock_waits, latch_waits);
   bench::ShapeCheck(
       "contention machinery engages across the grid: aborts, retries, "
       "lock waits, and latch waits all nonzero",
       aborts > 0 && retries > 0 && lock_waits > 0 && latch_waits > 0);
 
-  const double low_rate = at(0, 0).cc_abort_rate;
-  const double high_rate = at(user_axis.size() - 1, 0).cc_abort_rate;
+  const double low_rate = abort_rate(at(0, 0));
+  const double high_rate = abort_rate(at(user_axis.size() - 1, 0));
   std::printf("No_Clustering abort rate: 200users %.3f -> 2000users %.3f\n",
               low_rate, high_rate);
   bench::ShapeCheck(

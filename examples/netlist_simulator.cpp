@@ -39,10 +39,16 @@ int main() {
     cfg.replacement = buffer::ReplacementPolicy::kContextSensitive;
     cfg.prefetch = prefetch;
     const core::RunResult r = core::RunCell(cfg);
+    const double hits =
+        static_cast<double>(r.metrics.counter("buffer.hits").value_or(0));
+    const double misses =
+        static_cast<double>(r.metrics.counter("buffer.misses").value_or(0));
     std::printf("%-28s %14.1f %11.1f%% %14llu\n",
                 buffer::PrefetchPolicyName(prefetch),
-                r.response_time.Mean() * 1000, r.buffer_hit_ratio * 100,
-                static_cast<unsigned long long>(r.prefetch_reads));
+                r.response_time.Mean() * 1000,
+                hits + misses == 0 ? 0.0 : hits / (hits + misses) * 100,
+                static_cast<unsigned long long>(
+                    r.metrics.counter("io.prefetch-read").value_or(0)));
     if (prefetch == buffer::PrefetchPolicy::kNone) {
       rt_none = r.response_time.Mean();
     }

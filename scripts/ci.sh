@@ -106,6 +106,10 @@ printf '%s\n' '{"name": "p", "config": {"num_users": 99999999999}}' \
   > "${PROBES}/int_overflow.json"
 printf '%s\n' '{"name": "p", "config": {"page_size_bytes": 4294971392}}' \
   > "${PROBES}/uint32_overflow.json"
+printf '%s\n' '{"name": "p", "config": {"buffer_pages": 1000000000000}}' \
+  > "${PROBES}/buffer_pages_bound.json"
+printf '%s\n' '{"name": "p", "config": {"num_users": 2000000000}}' \
+  > "${PROBES}/num_users_bound.json"
 printf '%s\n' '{"name": "p", "config": {"workload":
   {"kind": "ocb", "base_object_bytes": 4294967456}}}' \
   > "${PROBES}/ocb_uint32_overflow.json"
@@ -301,6 +305,19 @@ if ! diff <(strip_wall "${CCB}") <(strip_wall "${CC1}"); then
   exit 1
 fi
 
+# Byte-level baseline gate: bench_diff flattens records before comparing,
+# so a reordered key or 0 vs 0.0 would pass it. Every committed baseline
+# must regenerate byte for byte; only the host wall-clock field is stripped.
+for pair in "${S1} ${BASELINE}" "${O1} ${OCB_BASELINE}" \
+    "${C1} ${CHURN_BASELINE}" "${SH1} ${SHARD_BASELINE}" \
+    "${D1} ${OCT_DYN_BASELINE}" "${CC1} ${CC_BASELINE}"; do
+  read -r fresh baseline <<< "${pair}"
+  if ! diff <(strip_wall "${fresh}") <(strip_wall "${baseline}"); then
+    echo "FAIL: ${fresh} is not byte-identical to ${baseline}" >&2
+    exit 1
+  fi
+done
+
 # Contention-shape check on the fresh run: the cc machinery must actually
 # engage (aborts, retries, lock waits, latch waits all nonzero over the
 # grid) and mean response time must rise with the user population under
@@ -379,4 +396,22 @@ cmake -S "${ROOT}" -B "${RELBUILD}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${RELBUILD}" -j "$(nproc)"
 ctest --test-dir "${RELBUILD}" --output-on-failure -j "$(nproc)"
 
-echo "ci: ok (tests passed, jobs=1 == jobs=4, scenario == bench, OCT/OCB/churn/shard/dyn/contention baselines exact, structure sharding beats hash, cc engages under load, Release build clean)"
+# Sanitizer job: AddressSanitizer + UndefinedBehaviorSanitizer over the
+# test suite and the fig5.1 scenario at jobs=4 (thread pool included). Any
+# UB report halts the run, and the instrumented output must still match
+# the committed baseline byte for byte.
+SANBUILD="${ROOT}/build-sanitize"
+cmake -S "${ROOT}" -B "${SANBUILD}" -DSEMCLUST_SANITIZE="address|undefined"
+cmake --build "${SANBUILD}" -j "$(nproc)"
+export UBSAN_OPTIONS=halt_on_error=1
+ctest --test-dir "${SANBUILD}" --output-on-failure -j "$(nproc)"
+SAN1="${SANBUILD}/scenario_jobs4.json"
+rm -f "${SAN1}"
+"${SANBUILD}/tools/semclust_run" --jobs 4 --json "${SAN1}" "${SCENARIO}" \
+  > "${SANBUILD}/scenario_jobs4.out"
+if ! diff <(strip_wall "${SAN1}") <(strip_wall "${BASELINE}"); then
+  echo "FAIL: sanitized fig5.1 scenario differs from the baseline" >&2
+  exit 1
+fi
+
+echo "ci: ok (tests passed, jobs=1 == jobs=4, scenario == bench, OCT/OCB/churn/shard/dyn/contention baselines exact, committed baselines byte-identical, structure sharding beats hash, cc engages under load, Release build clean, ASan/UBSan clean)"

@@ -32,17 +32,24 @@ std::string BenchReport::ToJsonLine(const BenchRecord& record) const {
       .Add("response_p95_s", record.response_p95_s)
       .Add("response_p99_s", record.response_p99_s)
       .Add("elapsed_wall_s", record.elapsed_wall_s);
-  if (record.has_cc) {
+  if (const std::optional<uint64_t> aborts =
+          record.metrics.counter("cc.txn_aborts")) {
+    const obs::MetricsSnapshot& m = record.metrics;
+    // Rate per *attempt*: committed transactions plus aborted attempts.
+    const std::optional<double> abort_rate = obs::MetricsSnapshot::Ratio(
+        aborts, *aborts + m.counter("core.txns").value_or(0));
     JsonObjectWriter cc;
-    cc.Add("txn_aborts", record.cc_txn_aborts)
-        .Add("txn_retries", record.cc_txn_retries)
-        .Add("txn_giveups", record.cc_txn_giveups)
-        .Add("abort_rate", record.cc_abort_rate)
-        .Add("lock_waits", record.cc_lock_waits)
-        .Add("deadlock_timeouts", record.cc_deadlock_timeouts)
-        .Add("latch_waits", record.cc_latch_waits)
-        .Add("rollback_pages", record.cc_rollback_pages)
-        .Add("lock_wait_time_s", record.cc_lock_wait_time_s);
+    cc.Add("txn_aborts", *aborts)
+        .Add("txn_retries", m.counter("cc.txn_retries").value_or(0))
+        .Add("txn_giveups", m.counter("cc.txn_giveups").value_or(0))
+        .Add("abort_rate", abort_rate.value_or(0.0))
+        .Add("lock_waits", m.counter("cc.lock_waits").value_or(0))
+        .Add("deadlock_timeouts",
+             m.counter("cc.deadlock_timeouts").value_or(0))
+        .Add("latch_waits", m.counter("cc.latch_waits").value_or(0))
+        .Add("rollback_pages", m.counter("cc.rollback_pages").value_or(0))
+        .Add("lock_wait_time_s",
+             m.gauge("cc.lock_wait_time_s").value_or(0.0));
     json.AddRaw("cc", cc.str());
   }
   if (!record.response_epochs.empty()) {
@@ -104,28 +111,33 @@ BenchRecord BenchReport::FromResult(const std::string& cell_label,
   r.workload = workload;
   r.mean_response_s = result.response_time.Mean();
   r.io_count = result.total_physical_ios();
-  r.hit_ratio = result.buffer_hit_ratio;
   r.elapsed_wall_s = elapsed_wall_s;
   r.metrics = result.metrics;
-  // Derived ratios come from the registry snapshot when available so the
-  // JSONL record is self-consistent with the embedded metrics; they fall
-  // back to the RunResult counters when metrics collection is disabled.
-  // Either way a zero denominator yields null, not a division by zero.
+  // Every counter comes from the registry snapshot, so the JSONL record is
+  // self-consistent with the embedded metrics; a zero denominator yields
+  // null, not a division by zero.
   const std::optional<uint64_t> hits = r.metrics.counter("buffer.hits");
   const std::optional<uint64_t> misses = r.metrics.counter("buffer.misses");
   std::optional<uint64_t> accesses;
   if (hits.has_value() && misses.has_value()) accesses = *hits + *misses;
   r.buffer_hit_ratio = obs::MetricsSnapshot::Ratio(hits, accesses);
+  r.hit_ratio = r.buffer_hit_ratio.value_or(0.0);
   r.exam_ios_per_recluster =
       obs::MetricsSnapshot::Ratio(r.metrics.counter("cluster.exam_reads"),
                                   r.metrics.counter("cluster.reclusterings"));
   r.prefetch_accuracy =
       obs::MetricsSnapshot::Ratio(r.metrics.counter("core.prefetch.hits"),
                                   r.metrics.counter("core.prefetch.issued"));
-  if (result.shard_local_fetches + result.shard_remote_fetches != 0) {
-    r.remote_fetch_fraction = result.remote_fetch_fraction;
-  }
-  r.page_splits = result.cluster_stats.splits;
+  // Null when the run was not sharded (the shard.* counters exist only
+  // then) or no fetch was routed.
+  const std::optional<uint64_t> local =
+      r.metrics.counter("shard.local_fetches");
+  const std::optional<uint64_t> remote =
+      r.metrics.counter("shard.remote_fetches");
+  std::optional<uint64_t> fetches;
+  if (local.has_value() && remote.has_value()) fetches = *local + *remote;
+  r.remote_fetch_fraction = obs::MetricsSnapshot::Ratio(remote, fetches);
+  r.page_splits = r.metrics.counter("cluster.splits").value_or(0);
   if (const obs::HistogramSnapshot* rt =
           r.metrics.histogram("core.response_s");
       rt != nullptr && rt->count > 0) {
@@ -140,33 +152,8 @@ BenchRecord BenchReport::FromResult(const std::string& cell_label,
   for (const StreamingStats& epoch : result.response_epochs) {
     r.response_epochs.emplace_back(epoch.count(), epoch.Mean());
   }
-  if (result.cc_enabled) {
-    r.has_cc = true;
-    r.cc_txn_aborts = result.cc_txn_aborts;
-    r.cc_txn_retries = result.cc_txn_retries;
-    r.cc_txn_giveups = result.cc_txn_giveups;
-    r.cc_lock_waits = result.cc_lock_waits;
-    r.cc_deadlock_timeouts = result.cc_deadlock_timeouts;
-    r.cc_latch_waits = result.cc_latch_waits;
-    r.cc_rollback_pages = result.cc_rollback_pages;
-    r.cc_lock_wait_time_s = result.cc_lock_wait_time_s;
-    r.cc_abort_rate = result.cc_abort_rate;
-  }
   r.series = result.series;
   r.breakdown = result.span_breakdown;
-  if (r.metrics.empty()) {
-    // SEMCLUST_METRICS=0: derive what the RunResult itself carries.
-    const uint64_t exams = result.cluster_stats.exam_reads;
-    const uint64_t attempts = result.cluster_stats.reclusterings;
-    if (attempts != 0) {
-      r.exam_ios_per_recluster =
-          static_cast<double>(exams) / static_cast<double>(attempts);
-    }
-    if (result.prefetch_issued != 0) {
-      r.prefetch_accuracy = static_cast<double>(result.prefetch_hits) /
-                            static_cast<double>(result.prefetch_issued);
-    }
-  }
   return r;
 }
 

@@ -41,7 +41,7 @@ struct BenchRecord {
   uint64_t page_splits = 0;
 
   /// Response-time percentiles interpolated from the core.response_s
-  /// histogram buckets (null when metrics are off or no transactions ran).
+  /// histogram buckets (null when no transactions ran).
   std::optional<double> response_p50_s;
   std::optional<double> response_p95_s;
   std::optional<double> response_p99_s;
@@ -50,22 +50,11 @@ struct BenchRecord {
   /// seconds), one entry per configured epoch.
   std::vector<std::pair<uint64_t, double>> response_epochs;
 
-  /// Concurrency-control summary (DESIGN.md §16), emitted as a nested
-  /// "cc" object only when the run had the subsystem on — cc-off records
-  /// (every committed pre-cc baseline) carry no cc keys at all.
-  bool has_cc = false;
-  uint64_t cc_txn_aborts = 0;
-  uint64_t cc_txn_retries = 0;
-  uint64_t cc_txn_giveups = 0;
-  uint64_t cc_lock_waits = 0;
-  uint64_t cc_deadlock_timeouts = 0;
-  uint64_t cc_latch_waits = 0;
-  uint64_t cc_rollback_pages = 0;
-  double cc_lock_wait_time_s = 0;
-  double cc_abort_rate = 0;
-
   /// The cell's full metric snapshot (empty snapshots are omitted from the
-  /// JSON rather than rendered as an empty object).
+  /// JSON rather than rendered as an empty object). The nested "cc" object
+  /// (DESIGN.md §16) is rendered from its `cc.*` counters, which are
+  /// registered only when the run had the subsystem on — cc-off records
+  /// (every committed pre-cc baseline) carry no cc keys at all.
   obs::MetricsSnapshot metrics;
 
   /// The cell's simulated-time telemetry (omitted from the JSON when

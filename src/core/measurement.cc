@@ -162,7 +162,6 @@ sim::Task MeasurementController::UserLoop(int user) {
 
 void MeasurementController::SyncComponentMetrics() {
   obs::MetricsRegistry& metrics = ctx_.metrics;
-  if (!metrics.enabled()) return;
   // Registration is idempotent (re-registering returns the existing
   // handle) and the values are absolute cumulative counts written with
   // set-semantics, so syncing at every telemetry sample and again at end
@@ -307,7 +306,6 @@ void MeasurementController::SyncComponentMetrics() {
 }
 
 RunResult MeasurementController::Run() {
-  const double start_time = ctx_.sim.now();
   if (ctx_.config.arrival == ArrivalProcess::kOpen) {
     open_session_left_.assign(ctx_.generators.size(), 0);
     sim::Spawn(ArrivalLoop());
@@ -327,91 +325,12 @@ RunResult MeasurementController::Run() {
   result.transactions = measured_txns_;
   result.logical_reads = pipeline_.logical_reads();
   result.logical_writes = pipeline_.logical_writes();
-  // Physical counters are summed over every shard; with shards = 1 the
-  // single iteration reads the server's own components, value for value
-  // the pre-sharding assembly.
-  const int num_shards = ctx_.shards->num_shards();
-  uint64_t buf_hits = 0, buf_accesses = 0;
-  for (int s = 0; s < num_shards; ++s) {
-    const ShardView& v = ctx_.shards->view(s);
-    result.data_reads += v.io->physical_count(io::IoCategory::kDataRead);
-    result.dirty_flushes +=
-        v.io->physical_count(io::IoCategory::kDirtyFlush);
-    result.log_flush_ios +=
-        v.io->physical_count(io::IoCategory::kLogWrite);
-    result.cluster_exam_reads +=
-        v.io->physical_count(io::IoCategory::kClusterRead);
-    result.prefetch_reads +=
-        v.io->physical_count(io::IoCategory::kPrefetchRead);
-    result.split_writes +=
-        v.io->physical_count(io::IoCategory::kDataWrite);
-    buf_hits += v.buffer->hits();
-    buf_accesses += v.buffer->hits() + v.buffer->misses();
-    result.log_before_images += v.log->before_images();
-    const cluster::ClusterStats& scs = v.cluster->stats();
-    result.cluster_stats.placements += scs.placements;
-    result.cluster_stats.reclusterings += scs.reclusterings;
-    result.cluster_stats.appends += scs.appends;
-    result.cluster_stats.relocations += scs.relocations;
-    result.cluster_stats.splits += scs.splits;
-    result.cluster_stats.exam_reads += scs.exam_reads;
-    result.cluster_stats.objects_moved_by_splits +=
-        scs.objects_moved_by_splits;
-    result.cluster_stats.split_search_steps += scs.split_search_steps;
-    result.cluster_stats.split_broken_cost += scs.split_broken_cost;
-    result.mean_disk_utilization += v.io->MeanUtilization();
-    result.cpu_utilization += v.cpu->Utilization();
-  }
-  result.buffer_hit_ratio =
-      buf_accesses == 0 ? 0.0
-                        : static_cast<double>(buf_hits) /
-                              static_cast<double>(buf_accesses);
-  result.mean_disk_utilization /= static_cast<double>(num_shards);
-  result.cpu_utilization /= static_cast<double>(num_shards);
-  if (ctx_.shards->sharded()) {
-    const ShardedContext::Counters& sc = ctx_.shards->counters();
-    result.shard_local_fetches = sc.local_fetches;
-    result.shard_remote_fetches = sc.remote_fetches;
-    result.shard_remote_writes = sc.remote_writes;
-    const uint64_t fetches = sc.local_fetches + sc.remote_fetches;
-    result.remote_fetch_fraction =
-        fetches == 0 ? 0.0
-                     : static_cast<double>(sc.remote_fetches) /
-                           static_cast<double>(fetches);
-  }
-  if (ctx_.locks) {
-    const cc::LockStats& ls = ctx_.locks->stats();
-    result.cc_enabled = true;
-    result.cc_lock_grants = ls.lock_grants;
-    result.cc_lock_waits = ls.lock_waits;
-    result.cc_deadlock_timeouts = ls.lock_timeouts;
-    result.cc_latch_waits = ls.latch_waits;
-    result.cc_lock_wait_time_s = ls.lock_wait_time_s;
-    result.cc_txn_aborts = ctx_.metrics.value(ctx_.cc_handles.txn_aborts);
-    result.cc_txn_retries =
-        ctx_.metrics.value(ctx_.cc_handles.txn_retries);
-    result.cc_txn_giveups =
-        ctx_.metrics.value(ctx_.cc_handles.txn_giveups);
-    result.cc_rollback_pages =
-        ctx_.metrics.value(ctx_.cc_handles.rollback_pages);
-    // Rate per *attempt*: committed transactions plus aborted attempts.
-    const uint64_t attempts = result.transactions + result.cc_txn_aborts;
-    result.cc_abort_rate =
-        attempts == 0 ? 0.0
-                      : static_cast<double>(result.cc_txn_aborts) /
-                            static_cast<double>(attempts);
-  }
-  result.sim_duration_s = ctx_.sim.now() - start_time;
   result.achieved_rw_ratio =
       result.logical_writes == 0
           ? static_cast<double>(result.logical_reads)
           : static_cast<double>(result.logical_reads) /
                 static_cast<double>(result.logical_writes);
-  result.prefetch_issued = ctx_.metrics.value(ctx_.handles.prefetch_issued);
-  result.prefetch_hits = ctx_.metrics.value(ctx_.handles.prefetch_hits);
-  result.prefetch_wasted =
-      ctx_.metrics.value(ctx_.handles.prefetch_wasted);
-  for (int s = 0; s < num_shards; ++s) {
+  for (int s = 0; s < ctx_.shards->num_shards(); ++s) {
     result.db_pages += ctx_.shards->view(s).storage->page_count();
   }
   result.db_objects = ctx_.graph->live_count();
@@ -423,6 +342,7 @@ RunResult MeasurementController::Run() {
                            static_cast<uint32_t>(current_epoch_));
   SyncComponentMetrics();
   result.metrics = ctx_.metrics.Snapshot();
+  result.cc_txn_aborts = result.metrics.counter("cc.txn_aborts").value_or(0);
   result.series = ctx_.sampler.series();
   if (ctx_.spans) {
     result.span_breakdown = ctx_.spans->Breakdown();
@@ -437,6 +357,16 @@ RunResult MeasurementController::Run() {
         ctx_.trace);
   }
   return result;
+}
+
+uint64_t RunResult::total_physical_ios() const {
+  uint64_t total = 0;
+  for (int c = 0; c < io::kNumIoCategories; ++c) {
+    const auto cat = static_cast<io::IoCategory>(c);
+    total += metrics.counter(std::string("io.") + io::IoCategoryName(cat))
+                 .value_or(0);
+  }
+  return total;
 }
 
 }  // namespace oodb::core

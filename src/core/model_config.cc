@@ -10,6 +10,13 @@ Status Invalid(const std::string& what) {
   return Status::InvalidArgument("invalid ModelConfig: " + what);
 }
 
+// Upper bounds far above every committed scenario (at most 2000 users) and
+// the paper's full-scale 128K-page database. The buffer pool allocates all
+// of its frames up front and each user owns a transaction generator, so an
+// unbounded value would end in an out-of-memory abort, not an error.
+constexpr int kMaxUsers = 100000;
+constexpr size_t kMaxBufferPages = size_t{1} << 22;
+
 }  // namespace
 
 const char* ArrivalProcessName(ArrivalProcess a) {
@@ -50,6 +57,12 @@ Status ModelConfig::Validate() const {
                    "; at least one user process must submit transactions "
                    "or the simulation never terminates");
   }
+  if (num_users > kMaxUsers) {
+    return Invalid("num_users is " + std::to_string(num_users) +
+                   "; at most " + std::to_string(kMaxUsers) +
+                   " user processes are supported (each owns a "
+                   "transaction generator)");
+  }
   if (num_disks <= 0) {
     return Invalid("num_disks is " + std::to_string(num_disks) +
                    "; the I/O subsystem needs at least one disk to stripe "
@@ -60,6 +73,12 @@ Status ModelConfig::Validate() const {
                    "; the pool needs at least 8 frames to hold a pinned "
                    "read-modify-write page plus an eviction victim under "
                    "concurrent transactions (ScaledBuffers clamps here)");
+  }
+  if (buffer_pages > kMaxBufferPages) {
+    return Invalid("buffer_pages is " + std::to_string(buffer_pages) +
+                   "; at most " + std::to_string(kMaxBufferPages) +
+                   " frames are supported (the pool allocates every frame "
+                   "up front)");
   }
   if (measured_transactions <= 0) {
     return Invalid("measured_transactions is " +

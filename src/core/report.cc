@@ -15,6 +15,13 @@ std::string Ms(double seconds) { return FormatDouble(seconds * 1e3, 2); }
 
 void PrintRunReport(std::ostream& os, const ModelConfig& config,
                     const RunResult& result) {
+  const obs::MetricsSnapshot& m = result.metrics;
+  const auto count = [&m](std::string_view name) {
+    return std::to_string(m.counter(name).value_or(0));
+  };
+  const auto percent = [&m](std::string_view gauge) {
+    return FormatDouble(m.gauge(gauge).value_or(0.0) * 100, 1);
+  };
   os << "== semclust run report ==\n";
   os << "workload " << config.WorkloadLabel() << ", clustering "
      << config.clustering.Label() << ", replacement "
@@ -24,8 +31,8 @@ void PrintRunReport(std::ostream& os, const ModelConfig& config,
   os << "database: " << result.db_objects << " objects on "
      << result.db_pages << " pages; " << result.transactions
      << " measured transactions over "
-     << FormatDouble(result.sim_duration_s, 1) << " simulated seconds\n\n";
-
+     << FormatDouble(m.gauge("sim.duration_s").value_or(0.0), 1)
+     << " simulated seconds\n\n";
   TablePrinter rt({"response time", "count", "mean (ms)", "max (ms)"});
   rt.AddRow({"all transactions", std::to_string(result.response_time.count()),
              Ms(result.response_time.Mean()), Ms(result.response_time.max())});
@@ -54,61 +61,28 @@ void PrintRunReport(std::ostream& os, const ModelConfig& config,
   TablePrinter io({"I/O", "count"});
   io.AddRow({"logical reads", std::to_string(result.logical_reads)});
   io.AddRow({"logical writes", std::to_string(result.logical_writes)});
-  io.AddRow({"physical data reads", std::to_string(result.data_reads)});
-  io.AddRow({"dirty-page flushes", std::to_string(result.dirty_flushes)});
-  io.AddRow({"log flushes", std::to_string(result.log_flush_ios)});
-  io.AddRow({"cluster exam reads",
-             std::to_string(result.cluster_exam_reads)});
-  io.AddRow({"prefetch reads", std::to_string(result.prefetch_reads)});
-  io.AddRow({"split page writes", std::to_string(result.split_writes)});
+  io.AddRow({"physical data reads", count("io.data-read")});
+  io.AddRow({"dirty-page flushes", count("io.dirty-flush")});
+  io.AddRow({"log flushes", count("io.log-write")});
+  io.AddRow({"cluster exam reads", count("io.cluster-read")});
+  io.AddRow({"prefetch reads", count("io.prefetch-read")});
+  io.AddRow({"split page writes", count("io.data-write")});
   io.Print(os);
 
+  const std::optional<uint64_t> hits = m.counter("buffer.hits");
+  const std::optional<uint64_t> misses = m.counter("buffer.misses");
+  const double hit_ratio =
+      obs::MetricsSnapshot::Ratio(hits, hits.value_or(0) + misses.value_or(0))
+          .value_or(0.0);
   os << '\n'
-     << "buffer hit ratio " << FormatDouble(result.buffer_hit_ratio * 100, 1)
+     << "buffer hit ratio " << FormatDouble(hit_ratio * 100, 1)
      << "%, achieved R/W " << FormatDouble(result.achieved_rw_ratio, 1)
-     << ", disk utilisation "
-     << FormatDouble(result.mean_disk_utilization * 100, 1)
-     << "%, CPU utilisation "
-     << FormatDouble(result.cpu_utilization * 100, 1) << "%\n";
-  os << "clustering: " << result.cluster_stats.placements << " placements ("
-     << result.cluster_stats.appends << " arrival-order), "
-     << result.cluster_stats.relocations << " relocations, "
-     << result.cluster_stats.splits << " splits, "
-     << result.log_before_images << " log before-images\n";
-}
-
-std::string CsvHeader() {
-  return "label,txns,mean_response_s,read_response_s,write_response_s,"
-         "hit_ratio,achieved_rw,logical_reads,logical_writes,data_reads,"
-         "dirty_flushes,log_flushes,exam_reads,prefetch_reads,split_writes,"
-         "relocations,splits,db_pages,db_objects";
-}
-
-std::string ToCsvRow(const std::string& label, const RunResult& r) {
-  std::string row = label;
-  auto add = [&row](const std::string& v) {
-    row += ',';
-    row += v;
-  };
-  add(std::to_string(r.transactions));
-  add(FormatDouble(r.response_time.Mean(), 6));
-  add(FormatDouble(r.read_response.Mean(), 6));
-  add(FormatDouble(r.write_response.Mean(), 6));
-  add(FormatDouble(r.buffer_hit_ratio, 4));
-  add(FormatDouble(r.achieved_rw_ratio, 2));
-  add(std::to_string(r.logical_reads));
-  add(std::to_string(r.logical_writes));
-  add(std::to_string(r.data_reads));
-  add(std::to_string(r.dirty_flushes));
-  add(std::to_string(r.log_flush_ios));
-  add(std::to_string(r.cluster_exam_reads));
-  add(std::to_string(r.prefetch_reads));
-  add(std::to_string(r.split_writes));
-  add(std::to_string(r.cluster_stats.relocations));
-  add(std::to_string(r.cluster_stats.splits));
-  add(std::to_string(r.db_pages));
-  add(std::to_string(r.db_objects));
-  return row;
+     << ", disk utilisation " << percent("io.mean_disk_utilization")
+     << "%, CPU utilisation " << percent("cpu.utilization") << "%\n";
+  os << "clustering: " << count("cluster.placements") << " placements, "
+     << count("cluster.relocations") << " relocations, "
+     << count("cluster.splits") << " splits, " << count("log.before_images")
+     << " log before-images\n";
 }
 
 }  // namespace oodb::core

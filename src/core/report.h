@@ -2,13 +2,12 @@
 #define SEMCLUST_CORE_REPORT_H_
 
 #include <ostream>
-#include <string>
 
 #include "core/engineering_db.h"
 
 /// \file
-/// Human-readable and CSV rendering of simulation results, shared by
-/// examples and downstream users of the library.
+/// Human-readable rendering of simulation results, shared by examples and
+/// downstream users of the library.
 
 namespace oodb::core {
 
@@ -18,11 +17,6 @@ namespace oodb::core {
 /// activity counters.
 void PrintRunReport(std::ostream& os, const ModelConfig& config,
                     const RunResult& result);
-
-/// One CSV line (plus a header line via CsvHeader) summarising a run —
-/// convenient for collecting sweeps into a spreadsheet.
-std::string CsvHeader();
-std::string ToCsvRow(const std::string& label, const RunResult& result);
 
 }  // namespace oodb::core
 

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "cluster/cluster_manager.h"
 #include "obs/metrics.h"
 #include "obs/span_profiler.h"
 #include "obs/time_series.h"
@@ -38,59 +37,21 @@ struct RunResult {
   /// Response time per measurement epoch (config.measurement_epochs).
   std::vector<StreamingStats> response_epochs;
 
-  // Physical I/O by purpose (measured phase).
-  uint64_t data_reads = 0;
-  uint64_t dirty_flushes = 0;
-  uint64_t log_flush_ios = 0;
-  uint64_t cluster_exam_reads = 0;
-  uint64_t prefetch_reads = 0;
-  uint64_t split_writes = 0;
-
-  double buffer_hit_ratio = 0;
-  uint64_t log_before_images = 0;
-  cluster::ClusterStats cluster_stats;
-
-  double mean_disk_utilization = 0;
-  double cpu_utilization = 0;
-  double sim_duration_s = 0;
   double achieved_rw_ratio = 0;
-
-  // Prefetch effectiveness (measured phase): pages whose asynchronous read
-  // was issued, absorbed a later demand access, or was evicted unused.
-  uint64_t prefetch_issued = 0;
-  uint64_t prefetch_hits = 0;
-  uint64_t prefetch_wasted = 0;
 
   size_t db_pages = 0;
   size_t db_objects = 0;
 
-  // Cross-shard traffic (measured phase; all zero when shards = 1). A
-  // fetch is remote when the executing transaction's home shard is not
-  // the accessed object's owner; the fraction is remote / (local +
-  // remote) object-page fetches.
-  uint64_t shard_local_fetches = 0;
-  uint64_t shard_remote_fetches = 0;
-  uint64_t shard_remote_writes = 0;
-  double remote_fetch_fraction = 0;
-
-  // Concurrency control (measured phase; all zero when ModelConfig::cc is
-  // off). `cc_deadlock_timeouts` counts lock waits resolved by the
-  // deadlock wait-timeout; `cc_abort_rate` is aborted attempts over all
-  // attempts (committed transactions + aborted attempts).
-  bool cc_enabled = false;
-  uint64_t cc_lock_grants = 0;
-  uint64_t cc_lock_waits = 0;
-  uint64_t cc_deadlock_timeouts = 0;
-  uint64_t cc_latch_waits = 0;
+  /// Deadlock-timeout aborts of the measured phase (0 when cc is off): the
+  /// `cc.txn_aborts` counter of `metrics`, kept as a field only because
+  /// perfbench/driver.cc reads it and perfbench/ changes only together
+  /// with the benchmark it defines.
   uint64_t cc_txn_aborts = 0;
-  uint64_t cc_txn_retries = 0;
-  uint64_t cc_txn_giveups = 0;
-  uint64_t cc_rollback_pages = 0;
-  double cc_lock_wait_time_s = 0;
-  double cc_abort_rate = 0;
 
   /// The cell's full metrics-registry state at the end of the measured
-  /// phase (empty when SEMCLUST_METRICS=0).
+  /// phase: the one place every reported counter lives (physical I/O by
+  /// purpose, buffer, log, clustering, utilisation, prefetch, shard and cc
+  /// counters). Read them by name, e.g. `metrics.counter("io.data-read")`.
   obs::MetricsSnapshot metrics;
 
   /// Simulated-time telemetry over the measured phase: metric deltas and
@@ -102,10 +63,8 @@ struct RunResult {
   /// (DESIGN.md §14). Empty unless `config.profile_spans`.
   std::vector<obs::SpanKindBreakdown> span_breakdown;
 
-  uint64_t total_physical_ios() const {
-    return data_reads + dirty_flushes + log_flush_ios + cluster_exam_reads +
-           prefetch_reads + split_writes;
-  }
+  /// Sum of the six `io.<category>` counters of `metrics`.
+  uint64_t total_physical_ios() const;
 };
 
 }  // namespace oodb::core

@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "util/check.h"
 #include "util/json_writer.h"
@@ -129,15 +128,7 @@ std::string MetricsSnapshot::ToJson() const {
   return out.str();
 }
 
-MetricsRegistry::MetricsRegistry(bool enabled) : enabled_(enabled) {}
-
-bool MetricsRegistry::EnabledFromEnv() {
-  const char* env = std::getenv("SEMCLUST_METRICS");
-  return env == nullptr || env[0] == '\0' || env[0] != '0';
-}
-
 CounterHandle MetricsRegistry::Counter(std::string_view name) {
-  if (!enabled_) return CounterHandle{};
   for (size_t i = 0; i < counter_names_.size(); ++i) {
     if (counter_names_[i] == name) {
       return CounterHandle{static_cast<uint32_t>(i)};
@@ -149,7 +140,6 @@ CounterHandle MetricsRegistry::Counter(std::string_view name) {
 }
 
 GaugeHandle MetricsRegistry::Gauge(std::string_view name) {
-  if (!enabled_) return GaugeHandle{};
   for (size_t i = 0; i < gauge_names_.size(); ++i) {
     if (gauge_names_[i] == name) return GaugeHandle{static_cast<uint32_t>(i)};
   }
@@ -160,7 +150,6 @@ GaugeHandle MetricsRegistry::Gauge(std::string_view name) {
 
 HistogramHandle MetricsRegistry::Histogram(std::string_view name,
                                            std::vector<double> bounds) {
-  if (!enabled_) return HistogramHandle{};
   OODB_CHECK(std::is_sorted(bounds.begin(), bounds.end()));
   for (size_t i = 0; i < histograms_.size(); ++i) {
     if (histograms_[i].name == name) {

@@ -17,11 +17,8 @@
 /// simulation cell (single-threaded by construction) owns its own
 /// registry; `exec::ExperimentRunner` merges the per-cell snapshots in
 /// submission order, so the merged view is bit-identical at any job count.
-///
-/// Environment:
-///   SEMCLUST_METRICS=0   disables collection (registrations return
-///                        invalid handles, mutations no-op, snapshots are
-///                        empty). Any other value — or unset — leaves it on.
+/// The registry is always on: it is the one place a reported counter
+/// lives (core::RunResult carries only what it does not hold).
 
 namespace oodb::obs {
 
@@ -104,16 +101,10 @@ struct MetricsSnapshot {
 /// registry per simulation cell, merged after the fact.
 class MetricsRegistry {
  public:
-  /// `enabled` defaults to the SEMCLUST_METRICS environment knob.
-  explicit MetricsRegistry(bool enabled = EnabledFromEnv());
+  MetricsRegistry() = default;
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  bool enabled() const { return enabled_; }
-
-  /// SEMCLUST_METRICS != "0" (unset means on).
-  static bool EnabledFromEnv();
 
   // ---- registration (cold path; re-registering a name returns the
   //      existing handle) ----
@@ -123,7 +114,8 @@ class MetricsRegistry {
   HistogramHandle Histogram(std::string_view name,
                             std::vector<double> bounds);
 
-  // ---- mutation (hot path: bounds-checked slot writes, no hashing) ----
+  // ---- mutation (hot path: bounds-checked slot writes, no hashing;
+  //      a default-constructed handle is invalid and no-ops) ----
   void Add(CounterHandle h, uint64_t delta = 1) {
     if (h.valid()) counter_slots_[h.slot] += delta;
   }
@@ -162,7 +154,6 @@ class MetricsRegistry {
     double sum = 0;
   };
 
-  bool enabled_;
   std::vector<std::string> counter_names_;
   std::vector<uint64_t> counter_slots_;
   std::vector<std::string> gauge_names_;

@@ -5,6 +5,7 @@
 
 #include "cc/cc_config.h"
 #include "cc/lock_manager.h"
+#include "core/bench_report.h"
 #include "core/engineering_db.h"
 #include "core/model_config.h"
 #include "core/policy_registry.h"
@@ -266,24 +267,41 @@ TEST(CcModelTest, DisabledCcKnobsAreBitInvisible) {
   EXPECT_EQ(ra.transactions, rb.transactions);
   EXPECT_EQ(ra.logical_reads, rb.logical_reads);
   EXPECT_EQ(ra.total_physical_ios(), rb.total_physical_ios());
-  EXPECT_FALSE(ra.cc_enabled);
-  EXPECT_FALSE(rb.cc_enabled);
-  EXPECT_EQ(rb.cc_lock_grants, 0u);
+  // No cc.* metric is registered while the subsystem is off, so the
+  // snapshot layout (and the JSONL record, which carries no cc object) is
+  // exactly the cc-free one.
+  EXPECT_EQ(ra.metrics.ToJson(), rb.metrics.ToJson());
+  EXPECT_FALSE(rb.metrics.counter("cc.lock_grants").has_value());
+  EXPECT_FALSE(rb.metrics.counter("cc.txn_aborts").has_value());
   EXPECT_EQ(rb.cc_txn_aborts, 0u);
+  const std::string line = core::BenchReport("t").ToJsonLine(
+      core::BenchReport::FromResult("c", "p", "w", rb, 0.0));
+  EXPECT_EQ(line.find("\"cc\":"), std::string::npos);
 }
 
 TEST(CcModelTest, EnabledCcRunsLocksAndCompletes) {
   const core::RunResult r = core::EngineeringDbModel(ContentionConfig()).Run();
-  EXPECT_TRUE(r.cc_enabled);
+  const auto count = [&r](const char* name) {
+    return r.metrics.counter(name).value_or(0);
+  };
   EXPECT_GT(r.transactions, 0u);
-  EXPECT_GT(r.cc_lock_grants, 0u);
+  EXPECT_GT(count("cc.lock_grants"), 0u);
   // 20 users on a hot write-heavy loop with per-page latches: some
   // request must have queued somewhere.
-  EXPECT_GT(r.cc_lock_waits + r.cc_latch_waits, 0u);
+  EXPECT_GT(count("cc.lock_waits") + count("cc.latch_waits"), 0u);
   // Every abort is either retried or given up, never lost.
-  EXPECT_EQ(r.cc_txn_aborts, r.cc_txn_retries + r.cc_txn_giveups);
-  EXPECT_GE(r.cc_abort_rate, 0.0);
-  EXPECT_LE(r.cc_abort_rate, 1.0);
+  EXPECT_EQ(r.cc_txn_aborts, count("cc.txn_aborts"));
+  EXPECT_EQ(count("cc.txn_aborts"),
+            count("cc.txn_retries") + count("cc.txn_giveups"));
+  // The JSONL cc object is rendered from the snapshot, abort rate per
+  // attempt (committed transactions plus aborted attempts).
+  const core::BenchReport report("t");
+  const std::string line = report.ToJsonLine(
+      core::BenchReport::FromResult("c", "p", "w", r, 0.0));
+  EXPECT_NE(line.find("\"cc\":{\"txn_aborts\":" +
+                      std::to_string(count("cc.txn_aborts")) + ","),
+            std::string::npos);
+  EXPECT_NE(line.find("\"abort_rate\":"), std::string::npos);
 }
 
 TEST(CcModelTest, CcRunsAreIdenticalAcrossJobCounts) {
@@ -301,14 +319,7 @@ TEST(CcModelTest, CcRunsAreIdenticalAcrossJobCounts) {
     EXPECT_EQ(a.response_time.Mean(), b.response_time.Mean());
     EXPECT_EQ(a.transactions, b.transactions);
     EXPECT_EQ(a.total_physical_ios(), b.total_physical_ios());
-    EXPECT_EQ(a.cc_lock_grants, b.cc_lock_grants);
-    EXPECT_EQ(a.cc_lock_waits, b.cc_lock_waits);
-    EXPECT_EQ(a.cc_deadlock_timeouts, b.cc_deadlock_timeouts);
-    EXPECT_EQ(a.cc_txn_aborts, b.cc_txn_aborts);
-    EXPECT_EQ(a.cc_txn_retries, b.cc_txn_retries);
-    EXPECT_EQ(a.cc_txn_giveups, b.cc_txn_giveups);
-    EXPECT_EQ(a.cc_rollback_pages, b.cc_rollback_pages);
-    EXPECT_EQ(a.cc_lock_wait_time_s, b.cc_lock_wait_time_s);
+    EXPECT_EQ(a.metrics.ToJson(), b.metrics.ToJson());
   }
 }
 

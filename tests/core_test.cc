@@ -23,11 +23,11 @@ TEST(EngineeringDbModelTest, RunCompletesAndCounts) {
   EXPECT_GT(r.response_time.Mean(), 0.0);
   EXPECT_GT(r.logical_reads, 0u);
   EXPECT_GT(r.logical_writes, 0u);
-  EXPECT_GE(r.buffer_hit_ratio, 0.0);
-  EXPECT_LE(r.buffer_hit_ratio, 1.0);
+  EXPECT_GT(*r.metrics.counter("buffer.hits"), 0u);
+  EXPECT_GT(*r.metrics.counter("buffer.misses"), 0u);
   EXPECT_GT(r.db_pages, 100u);
   EXPECT_GT(r.db_objects, 1000u);
-  EXPECT_GT(r.sim_duration_s, 0.0);
+  EXPECT_GT(*r.metrics.gauge("sim.duration_s"), 0.0);
 }
 
 TEST(EngineeringDbModelTest, DeterministicForEqualSeeds) {
@@ -36,7 +36,8 @@ TEST(EngineeringDbModelTest, DeterministicForEqualSeeds) {
   RunResult b = RunCell(cfg);
   EXPECT_DOUBLE_EQ(a.response_time.Mean(), b.response_time.Mean());
   EXPECT_EQ(a.logical_reads, b.logical_reads);
-  EXPECT_EQ(a.data_reads, b.data_reads);
+  EXPECT_EQ(a.metrics.counter("io.data-read"),
+            b.metrics.counter("io.data-read"));
 }
 
 TEST(EngineeringDbModelTest, DifferentSeedsDiffer) {
@@ -111,11 +112,12 @@ TEST(EngineeringDbModelTest, ClusteringReducesLogBeforeImages) {
   RunResult r_none = RunCell(none);
   RunResult r_clustered = RunCell(clustered);
   // Normalise per logical write.
-  const double bi_none = static_cast<double>(r_none.log_before_images) /
-                         static_cast<double>(r_none.logical_writes);
-  const double bi_clustered =
-      static_cast<double>(r_clustered.log_before_images) /
-      static_cast<double>(r_clustered.logical_writes);
+  const auto before_images_per_write = [](const RunResult& r) {
+    return static_cast<double>(*r.metrics.counter("log.before_images")) /
+           static_cast<double>(r.logical_writes);
+  };
+  const double bi_none = before_images_per_write(r_none);
+  const double bi_clustered = before_images_per_write(r_clustered);
   EXPECT_LT(bi_clustered, bi_none);
 }
 
@@ -144,11 +146,11 @@ TEST(EngineeringDbModelTest, PrefetchWithinBufferCausesNoExtraReads) {
   ModelConfig cfg = SmallConfig();
   cfg.prefetch = buffer::PrefetchPolicy::kWithinBuffer;
   RunResult r = RunCell(cfg);
-  EXPECT_EQ(r.prefetch_reads, 0u);
+  EXPECT_EQ(*r.metrics.counter("io.prefetch-read"), 0u);
 
   cfg.prefetch = buffer::PrefetchPolicy::kWithinDb;
   RunResult r2 = RunCell(cfg);
-  EXPECT_GT(r2.prefetch_reads, 0u);
+  EXPECT_GT(*r2.metrics.counter("io.prefetch-read"), 0u);
 }
 
 TEST(EngineeringDbModelTest, IoLimitBoundsClusterExamIos) {
@@ -164,7 +166,8 @@ TEST(EngineeringDbModelTest, IoLimitBoundsClusterExamIos) {
 
   RunResult r_lim = RunCell(limited);
   RunResult r_unl = RunCell(unlimited);
-  EXPECT_LE(r_lim.cluster_exam_reads, r_unl.cluster_exam_reads);
+  EXPECT_LE(*r_lim.metrics.counter("io.cluster-read"),
+            *r_unl.metrics.counter("io.cluster-read"));
 }
 
 TEST(EngineeringDbModelTest, WithinBufferClusteringNeverExamReads) {
@@ -172,7 +175,7 @@ TEST(EngineeringDbModelTest, WithinBufferClusteringNeverExamReads) {
   cfg.workload.read_write_ratio = 5;
   cfg.clustering.pool = cluster::CandidatePool::kWithinBuffer;
   RunResult r = RunCell(cfg);
-  EXPECT_EQ(r.cluster_exam_reads, 0u);
+  EXPECT_EQ(*r.metrics.counter("io.cluster-read"), 0u);
 }
 
 // ------------------------------------------------------------ experiment

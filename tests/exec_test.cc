@@ -85,14 +85,7 @@ void ExpectIdenticalResults(const core::RunResult& a,
   EXPECT_EQ(a.transactions, b.transactions);
   EXPECT_EQ(a.logical_reads, b.logical_reads);
   EXPECT_EQ(a.logical_writes, b.logical_writes);
-  EXPECT_EQ(a.data_reads, b.data_reads);
-  EXPECT_EQ(a.dirty_flushes, b.dirty_flushes);
-  EXPECT_EQ(a.log_flush_ios, b.log_flush_ios);
-  EXPECT_EQ(a.cluster_exam_reads, b.cluster_exam_reads);
-  EXPECT_EQ(a.prefetch_reads, b.prefetch_reads);
-  EXPECT_EQ(a.split_writes, b.split_writes);
-  EXPECT_EQ(a.buffer_hit_ratio, b.buffer_hit_ratio);
-  EXPECT_EQ(a.sim_duration_s, b.sim_duration_s);
+  EXPECT_EQ(a.metrics.ToJson(), b.metrics.ToJson());
   EXPECT_EQ(a.achieved_rw_ratio, b.achieved_rw_ratio);
   EXPECT_EQ(a.db_pages, b.db_pages);
   EXPECT_EQ(a.db_objects, b.db_objects);

@@ -104,9 +104,9 @@ TEST(AccountingTest, MissesAndReadsReconcile) {
   // Without prefetch or clustering exams, every physical data read is a
   // buffer miss. (Misses can exceed reads only for unplaced pages, which
   // do not occur.)
-  EXPECT_EQ(r.prefetch_reads, 0u);
-  EXPECT_EQ(r.cluster_exam_reads, 0u);
-  EXPECT_GT(r.data_reads, 0u);
+  EXPECT_EQ(*r.metrics.counter("io.prefetch-read"), 0u);
+  EXPECT_EQ(*r.metrics.counter("io.cluster-read"), 0u);
+  EXPECT_GT(*r.metrics.counter("io.data-read"), 0u);
 }
 
 TEST(AccountingTest, DirtyFlushesRequireWrites) {
@@ -116,7 +116,7 @@ TEST(AccountingTest, DirtyFlushesRequireWrites) {
   core::RunResult r = core::RunCell(cfg);
   EXPECT_GT(r.logical_writes, 0u);
   // Log activity exists whenever writes exist.
-  EXPECT_GT(r.log_before_images, 0u);
+  EXPECT_GT(*r.metrics.counter("log.before_images"), 0u);
 }
 
 // Seed sweep: the full stack must be reproducible and seeds independent.
@@ -130,8 +130,10 @@ TEST_P(SeedSweepTest, RunsAreReproducible) {
   core::RunResult a = core::RunCell(cfg);
   core::RunResult b = core::RunCell(cfg);
   EXPECT_DOUBLE_EQ(a.response_time.Mean(), b.response_time.Mean());
-  EXPECT_EQ(a.data_reads, b.data_reads);
-  EXPECT_EQ(a.log_flush_ios, b.log_flush_ios);
+  EXPECT_EQ(a.metrics.counter("io.data-read"),
+            b.metrics.counter("io.data-read"));
+  EXPECT_EQ(a.metrics.counter("io.log-write"),
+            b.metrics.counter("io.log-write"));
   EXPECT_EQ(a.db_objects, b.db_objects);
 }
 

@@ -94,8 +94,13 @@ TEST(SessionModulesTest, IndependentSamplingLowersHitRatio) {
   local.workload.session_module_count = 1;
   ModelConfig indep = SmallConfig();
   indep.workload.session_module_count = 0;  // fresh module per transaction
-  const double hit_local = RunCell(local).buffer_hit_ratio;
-  const double hit_indep = RunCell(indep).buffer_hit_ratio;
+  const auto hit_ratio = [](const RunResult& r) {
+    const std::optional<uint64_t> hits = r.metrics.counter("buffer.hits");
+    return *obs::MetricsSnapshot::Ratio(
+        hits, *hits + *r.metrics.counter("buffer.misses"));
+  };
+  const double hit_local = hit_ratio(RunCell(local));
+  const double hit_indep = hit_ratio(RunCell(indep));
   EXPECT_LT(hit_indep, hit_local);
 }
 

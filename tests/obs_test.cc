@@ -10,7 +10,7 @@ namespace oodb::obs {
 namespace {
 
 TEST(MetricsTest, CounterAddAndRead) {
-  MetricsRegistry reg(/*enabled=*/true);
+  MetricsRegistry reg;
   const CounterHandle c = reg.Counter("a");
   EXPECT_TRUE(c.valid());
   EXPECT_EQ(reg.value(c), 0u);
@@ -20,7 +20,7 @@ TEST(MetricsTest, CounterAddAndRead) {
 }
 
 TEST(MetricsTest, ReregisteringReturnsSameSlot) {
-  MetricsRegistry reg(/*enabled=*/true);
+  MetricsRegistry reg;
   const CounterHandle a = reg.Counter("a");
   const CounterHandle again = reg.Counter("a");
   EXPECT_EQ(a.slot, again.slot);
@@ -30,7 +30,7 @@ TEST(MetricsTest, ReregisteringReturnsSameSlot) {
 }
 
 TEST(MetricsTest, GaugeKeepsLastSet) {
-  MetricsRegistry reg(/*enabled=*/true);
+  MetricsRegistry reg;
   const GaugeHandle g = reg.Gauge("g");
   reg.Set(g, 1.5);
   reg.Set(g, -2.25);
@@ -38,7 +38,7 @@ TEST(MetricsTest, GaugeKeepsLastSet) {
 }
 
 TEST(MetricsTest, HistogramBucketsObservations) {
-  MetricsRegistry reg(/*enabled=*/true);
+  MetricsRegistry reg;
   const HistogramHandle h = reg.Histogram("h", {1.0, 2.0, 4.0});
   reg.Observe(h, 0.5);   // bucket 0 (<= 1)
   reg.Observe(h, 1.0);   // bucket 0 (inclusive upper bound)
@@ -57,23 +57,34 @@ TEST(MetricsTest, HistogramBucketsObservations) {
   EXPECT_DOUBLE_EQ(*hs->Mean(), 104.5 / 4);
 }
 
-TEST(MetricsTest, DisabledRegistryNoops) {
-  MetricsRegistry reg(/*enabled=*/false);
-  const CounterHandle c = reg.Counter("a");
-  const GaugeHandle g = reg.Gauge("g");
-  const HistogramHandle h = reg.Histogram("h", {1.0});
+TEST(MetricsTest, DefaultConstructedHandleNoops) {
+  // Subsystems that are off (cc, dyn) leave their handles default-
+  // constructed: every mutation through them must no-op and every read
+  // must return zero, without touching registered slots.
+  MetricsRegistry reg;
+  const CounterHandle registered = reg.Counter("a");
+  reg.Add(registered, 2);
+  const CounterHandle c;
+  const GaugeHandle g;
+  const HistogramHandle h;
   EXPECT_FALSE(c.valid());
   EXPECT_FALSE(g.valid());
   EXPECT_FALSE(h.valid());
   reg.Add(c, 5);
+  reg.SetCounter(c, 7);
   reg.Set(g, 1.0);
   reg.Observe(h, 1.0);
   EXPECT_EQ(reg.value(c), 0u);
-  EXPECT_TRUE(reg.Snapshot().empty());
+  EXPECT_EQ(reg.value(g), 0.0);
+  EXPECT_EQ(reg.value(registered), 2u);
+  const MetricsSnapshot snap = reg.Snapshot();
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_TRUE(snap.gauges.empty());
+  EXPECT_TRUE(snap.histograms.empty());
 }
 
 TEST(MetricsTest, ResetValuesKeepsRegistrations) {
-  MetricsRegistry reg(/*enabled=*/true);
+  MetricsRegistry reg;
   const CounterHandle c = reg.Counter("a");
   const HistogramHandle h = reg.Histogram("h", {1.0});
   reg.Add(c, 9);
@@ -90,7 +101,7 @@ TEST(MetricsTest, ResetValuesKeepsRegistrations) {
 }
 
 MetricsSnapshot MakeSnapshot(uint64_t a, double g, double observed) {
-  MetricsRegistry reg(/*enabled=*/true);
+  MetricsRegistry reg;
   reg.Add(reg.Counter("a"), a);
   reg.Set(reg.Gauge("g"), g);
   reg.Observe(reg.Histogram("h", {1.0, 2.0}), observed);
@@ -109,7 +120,7 @@ TEST(MetricsTest, MergeSumsAndAppendsDeterministically) {
   EXPECT_EQ(h->buckets[1], 1u);
 
   // A name only the other snapshot has is appended, preserving its order.
-  MetricsRegistry extra(/*enabled=*/true);
+  MetricsRegistry extra;
   extra.Add(extra.Counter("z"), 7);
   merged.MergeFrom(extra.Snapshot());
   EXPECT_EQ(*merged.counter("z"), 7u);
@@ -125,7 +136,7 @@ TEST(MetricsTest, MergeSumsAndAppendsDeterministically) {
 }
 
 TEST(MetricsTest, SetCounterOverwritesInsteadOfAdding) {
-  MetricsRegistry reg(/*enabled=*/true);
+  MetricsRegistry reg;
   const CounterHandle c = reg.Counter("a");
   reg.SetCounter(c, 10);
   reg.SetCounter(c, 7);  // idempotent mirroring: last write wins
@@ -135,7 +146,7 @@ TEST(MetricsTest, SetCounterOverwritesInsteadOfAdding) {
 }
 
 TEST(MetricsTest, QuantileInterpolatesWithinBuckets) {
-  MetricsRegistry reg(/*enabled=*/true);
+  MetricsRegistry reg;
   const HistogramHandle h = reg.Histogram("h", {1.0, 2.0, 4.0});
   reg.Observe(h, 0.5);
   reg.Observe(h, 1.0);
@@ -153,7 +164,7 @@ TEST(MetricsTest, QuantileInterpolatesWithinBuckets) {
 }
 
 TEST(MetricsTest, QuantileClampsOverflowMassToLastBound) {
-  MetricsRegistry reg(/*enabled=*/true);
+  MetricsRegistry reg;
   const HistogramHandle h = reg.Histogram("h", {1.0, 2.0});
   reg.Observe(h, 100.0);  // all mass in the overflow bucket
   const MetricsSnapshot snap = reg.Snapshot();
@@ -163,7 +174,7 @@ TEST(MetricsTest, QuantileClampsOverflowMassToLastBound) {
 }
 
 TEST(MetricsTest, QuantileOfEmptyHistogramIsZero) {
-  MetricsRegistry reg(/*enabled=*/true);
+  MetricsRegistry reg;
   reg.Histogram("h", {1.0});
   const MetricsSnapshot snap = reg.Snapshot();
   const HistogramSnapshot* hs = snap.histogram("h");

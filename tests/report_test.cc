@@ -30,25 +30,6 @@ TEST(ReportTest, PrintsAllSections) {
   EXPECT_NE(out.find("epoch 2"), std::string::npos);
 }
 
-TEST(ReportTest, CsvRowMatchesHeaderArity) {
-  const RunResult r = SampleRun();
-  const std::string header = CsvHeader();
-  const std::string row = ToCsvRow("cell-1", r);
-  const auto count = [](const std::string& s) {
-    size_t commas = 0;
-    for (char c : s) commas += (c == ',');
-    return commas;
-  };
-  EXPECT_EQ(count(header), count(row));
-  EXPECT_EQ(row.rfind("cell-1,", 0), 0u);
-}
-
-TEST(ReportTest, CsvRowContainsTransactionCount) {
-  const RunResult r = SampleRun();
-  const std::string row = ToCsvRow("x", r);
-  EXPECT_NE(row.find(",150,"), std::string::npos);
-}
-
 TEST(BenchReportTest, ZeroSampleRatiosEmitNull) {
   // A RunResult that never ran: no buffer accesses, no reclusterings, no
   // prefetches. Every derived ratio must come out null, not 0/0 or inf.
@@ -73,17 +54,21 @@ TEST(BenchReportTest, RealRunEmbedsMetricsAndRatios) {
   const RunResult r = SampleRun();
   const BenchRecord rec =
       BenchReport::FromResult("cell", "policy", "workload", r, 1.0);
-  // TestConfig runs under the default-on metrics registry.
-  if (!rec.metrics.empty()) {
-    ASSERT_TRUE(rec.buffer_hit_ratio.has_value());
-    EXPECT_GT(*rec.buffer_hit_ratio, 0.0);
-    EXPECT_LE(*rec.buffer_hit_ratio, 1.0);
-    EXPECT_EQ(*rec.metrics.counter("core.txns"), r.transactions);
-    const BenchReport report("t");
-    const std::string line = report.ToJsonLine(rec);
-    EXPECT_NE(line.find("\"metrics\":{\"counters\":{"), std::string::npos);
-    EXPECT_NE(line.find("\"core.response_s\""), std::string::npos);
-  }
+  ASSERT_TRUE(rec.buffer_hit_ratio.has_value());
+  EXPECT_GT(*rec.buffer_hit_ratio, 0.0);
+  EXPECT_LE(*rec.buffer_hit_ratio, 1.0);
+  EXPECT_EQ(rec.hit_ratio, *rec.buffer_hit_ratio);
+  EXPECT_EQ(*rec.metrics.counter("core.txns"), r.transactions);
+  EXPECT_EQ(rec.io_count, r.total_physical_ios());
+  EXPECT_GT(rec.io_count, 0u);
+  EXPECT_EQ(rec.page_splits, *rec.metrics.counter("cluster.splits"));
+  // Unsharded, cc off: neither figure is reported.
+  EXPECT_FALSE(rec.remote_fetch_fraction.has_value());
+  const BenchReport report("t");
+  const std::string line = report.ToJsonLine(rec);
+  EXPECT_NE(line.find("\"metrics\":{\"counters\":{"), std::string::npos);
+  EXPECT_NE(line.find("\"core.response_s\""), std::string::npos);
+  EXPECT_EQ(line.find("\"cc\":"), std::string::npos);
 }
 
 }  // namespace

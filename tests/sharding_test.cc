@@ -187,13 +187,12 @@ TEST(ShardingModelTest, SingleShardIsBitIdenticalAcrossInertShardKnobs) {
   EXPECT_EQ(ra.response_time.Mean(), rb.response_time.Mean());
   EXPECT_EQ(ra.transactions, rb.transactions);
   EXPECT_EQ(ra.logical_reads, rb.logical_reads);
-  EXPECT_EQ(ra.data_reads, rb.data_reads);
-  EXPECT_EQ(ra.total_physical_ios(), rb.total_physical_ios());
-  EXPECT_EQ(ra.buffer_hit_ratio, rb.buffer_hit_ratio);
-  // And the shard counters stay zero — no fetch is ever "routed".
-  EXPECT_EQ(ra.shard_local_fetches, 0u);
-  EXPECT_EQ(ra.shard_remote_fetches, 0u);
-  EXPECT_EQ(ra.remote_fetch_fraction, 0.0);
+  EXPECT_EQ(ra.metrics.ToJson(), rb.metrics.ToJson());
+  // And the shard counters are never registered — no fetch is ever
+  // "routed".
+  EXPECT_FALSE(ra.metrics.counter("shard.local_fetches").has_value());
+  EXPECT_FALSE(ra.metrics.counter("shard.remote_fetches").has_value());
+  EXPECT_FALSE(ra.metrics.gauge("shard.remote_fetch_fraction").has_value());
 }
 
 TEST(ShardingModelTest, MultiShardRunRoutesAndCountsRemoteFetches) {
@@ -203,14 +202,15 @@ TEST(ShardingModelTest, MultiShardRunRoutesAndCountsRemoteFetches) {
   EXPECT_GT(r.transactions, 0u);
   // Hash placement scatters every composite object's components, so a
   // healthy share of routed fetches must be remote.
-  EXPECT_GT(r.shard_local_fetches, 0u);
-  EXPECT_GT(r.shard_remote_fetches, 0u);
-  EXPECT_GT(r.remote_fetch_fraction, 0.0);
-  EXPECT_LE(r.remote_fetch_fraction, 1.0);
-  const double expected =
-      static_cast<double>(r.shard_remote_fetches) /
-      static_cast<double>(r.shard_local_fetches + r.shard_remote_fetches);
-  EXPECT_DOUBLE_EQ(r.remote_fetch_fraction, expected);
+  const uint64_t local = *r.metrics.counter("shard.local_fetches");
+  const uint64_t remote = *r.metrics.counter("shard.remote_fetches");
+  const double fraction = *r.metrics.gauge("shard.remote_fetch_fraction");
+  EXPECT_GT(local, 0u);
+  EXPECT_GT(remote, 0u);
+  EXPECT_GT(fraction, 0.0);
+  EXPECT_LE(fraction, 1.0);
+  EXPECT_DOUBLE_EQ(fraction, static_cast<double>(remote) /
+                                 static_cast<double>(local + remote));
 }
 
 TEST(ShardingModelTest, StructurePlacementCutsRemoteFetchFraction) {
@@ -222,11 +222,13 @@ TEST(ShardingModelTest, StructurePlacementCutsRemoteFetchFraction) {
   const RunResult structure =
       EngineeringDbModel(ShardTestConfig(4, ShardPlacement::kStructureShard))
           .Run();
-  ASSERT_GT(hash.remote_fetch_fraction, 0.0);
-  EXPECT_LT(structure.remote_fetch_fraction,
-            hash.remote_fetch_fraction * 0.5)
-      << "structure=" << structure.remote_fetch_fraction
-      << " hash=" << hash.remote_fetch_fraction;
+  const double hash_fraction =
+      *hash.metrics.gauge("shard.remote_fetch_fraction");
+  const double structure_fraction =
+      *structure.metrics.gauge("shard.remote_fetch_fraction");
+  ASSERT_GT(hash_fraction, 0.0);
+  EXPECT_LT(structure_fraction, hash_fraction * 0.5)
+      << "structure=" << structure_fraction << " hash=" << hash_fraction;
 }
 
 TEST(ShardingModelTest, ShardedRunsAreIdenticalAcrossJobCounts) {
@@ -247,12 +249,7 @@ TEST(ShardingModelTest, ShardedRunsAreIdenticalAcrossJobCounts) {
     const RunResult& b = parallel[i].result;
     EXPECT_EQ(a.response_time.Mean(), b.response_time.Mean());
     EXPECT_EQ(a.transactions, b.transactions);
-    EXPECT_EQ(a.data_reads, b.data_reads);
-    EXPECT_EQ(a.total_physical_ios(), b.total_physical_ios());
-    EXPECT_EQ(a.shard_local_fetches, b.shard_local_fetches);
-    EXPECT_EQ(a.shard_remote_fetches, b.shard_remote_fetches);
-    EXPECT_EQ(a.shard_remote_writes, b.shard_remote_writes);
-    EXPECT_EQ(a.remote_fetch_fraction, b.remote_fetch_fraction);
+    EXPECT_EQ(a.metrics.ToJson(), b.metrics.ToJson());
   }
 }
 

@@ -46,7 +46,7 @@ TEST(SpanRecorderTest, DefaultConstructedRecorderIsDisabledAndNoOps) {
 }
 
 TEST(SpanRecorderTest, QueuedIntervalSplitsExactlyAtDispatch) {
-  obs::MetricsRegistry reg(/*enabled=*/true);
+  obs::MetricsRegistry reg;
   obs::SpanProfiler prof(&reg, TwoKinds(), /*exemplars=*/1);
   obs::TxnSpanRecord seen;
   prof.set_txn_observer([&](const obs::TxnSpanRecord& r) { seen = r; });
@@ -66,7 +66,7 @@ TEST(SpanRecorderTest, QueuedIntervalSplitsExactlyAtDispatch) {
 }
 
 TEST(SpanRecorderTest, DynScopeOverridesEveryLeafPhase) {
-  obs::MetricsRegistry reg(/*enabled=*/true);
+  obs::MetricsRegistry reg;
   obs::SpanProfiler prof(&reg, TwoKinds(), /*exemplars=*/1);
   obs::TxnSpanRecord seen;
   prof.set_txn_observer([&](const obs::TxnSpanRecord& r) { seen = r; });
@@ -89,7 +89,7 @@ TEST(SpanRecorderTest, DynScopeOverridesEveryLeafPhase) {
 }
 
 TEST(SpanRecorderTest, NodeCapTruncatesTreeButKeepsExactTicks) {
-  obs::MetricsRegistry reg(/*enabled=*/true);
+  obs::MetricsRegistry reg;
   obs::SpanProfiler prof(&reg, TwoKinds(), /*exemplars=*/1);
   obs::TxnSpanRecord seen;
   prof.set_txn_observer([&](const obs::TxnSpanRecord& r) { seen = r; });
@@ -123,7 +123,7 @@ obs::TxnSpanRecord MakeTxn(uint64_t txn, int kind, double begin_s,
 }
 
 TEST(SpanProfilerTest, BreakdownOmitsKindsWithNoTransactions) {
-  obs::MetricsRegistry reg(/*enabled=*/true);
+  obs::MetricsRegistry reg;
   obs::SpanProfiler prof(&reg, TwoKinds(), 0);
   prof.EndTxn(MakeTxn(1, 1, 0.0, 0.5));
   prof.EndTxn(MakeTxn(2, 1, 1.0, 0.25));
@@ -140,7 +140,7 @@ TEST(SpanProfilerTest, BreakdownOmitsKindsWithNoTransactions) {
 }
 
 TEST(SpanProfilerTest, ReservoirKeepsSlowestWithDeterministicTieBreak) {
-  obs::MetricsRegistry reg(/*enabled=*/true);
+  obs::MetricsRegistry reg;
   obs::SpanProfiler prof(&reg, TwoKinds(), /*exemplars=*/2);
   prof.EndTxn(MakeTxn(1, 0, 0.0, 0.3));
   prof.EndTxn(MakeTxn(2, 0, 1.0, 0.1));
@@ -155,7 +155,7 @@ TEST(SpanProfilerTest, ReservoirKeepsSlowestWithDeterministicTieBreak) {
 }
 
 TEST(SpanProfilerTest, ResetForgetsTotalsAndExemplars) {
-  obs::MetricsRegistry reg(/*enabled=*/true);
+  obs::MetricsRegistry reg;
   obs::SpanProfiler prof(&reg, TwoKinds(), 2);
   prof.EndTxn(MakeTxn(1, 0, 0.0, 0.3));
   prof.Reset();
@@ -168,7 +168,7 @@ TEST(SpanProfilerTest, PhaseMetricsRegisteredEagerlyAndFoldExactTicks) {
   // Eager registration: the snapshot layout must not depend on which
   // kinds/phases a workload happened to exercise (cross-job determinism
   // of the merged snapshot relies on it).
-  obs::MetricsRegistry reg(/*enabled=*/true);
+  obs::MetricsRegistry reg;
   obs::SpanProfiler prof(&reg, TwoKinds(), 0);
   const obs::MetricsSnapshot before = reg.Snapshot();
   EXPECT_EQ(before.counter("span.alpha.txns"), 0u);
@@ -184,7 +184,7 @@ TEST(SpanProfilerTest, PhaseMetricsRegisteredEagerlyAndFoldExactTicks) {
 }
 
 TEST(SpanProfilerTest, ExportedExemplarsAreCompleteEventsOnSpansTrack) {
-  obs::MetricsRegistry reg(/*enabled=*/true);
+  obs::MetricsRegistry reg;
   obs::SpanProfiler prof(&reg, TwoKinds(), 1);
 
   obs::SpanRecorder rec(&prof, 9, 1, 10.0);
@@ -418,7 +418,7 @@ TEST(TraceSinkSpanLoadTest, ExemplarExportOverflowIsAccountedInTheTrace) {
   // A profiler whose exemplar trees exceed the ring must surface the loss
   // through dropped(), which the collector renders as the
   // semclust_ring_dropped metadata record trace_summary reports.
-  obs::MetricsRegistry reg(/*enabled=*/true);
+  obs::MetricsRegistry reg;
   obs::SpanProfiler prof(&reg, TwoKinds(), /*exemplars=*/4);
   for (uint64_t t = 0; t < 4; ++t) {
     obs::SpanRecorder rec(&prof, t, 0, static_cast<double>(t));

@@ -27,7 +27,7 @@ namespace {
 // ------------------------------------------------------ sampler mechanics
 
 TEST(TimeSeriesSamplerTest, DeltasBetweenSamplesNotCumulatives) {
-  obs::MetricsRegistry reg(/*enabled=*/true);
+  obs::MetricsRegistry reg;
   const obs::CounterHandle c = reg.Counter("c");
   obs::TimeSeriesSampler sampler(&reg, /*interval_s=*/0);
 
@@ -51,7 +51,7 @@ TEST(TimeSeriesSamplerTest, DeltasBetweenSamplesNotCumulatives) {
 }
 
 TEST(TimeSeriesSamplerTest, ZeroDeltasKeepTheKeySet) {
-  obs::MetricsRegistry reg(/*enabled=*/true);
+  obs::MetricsRegistry reg;
   reg.Counter("idle");
   obs::TimeSeriesSampler sampler(&reg, 0);
   sampler.StartMeasurement(0.0);
@@ -61,7 +61,7 @@ TEST(TimeSeriesSamplerTest, ZeroDeltasKeepTheKeySet) {
 }
 
 TEST(TimeSeriesSamplerTest, CounterRegisteredMidSeriesDeltasFromZero) {
-  obs::MetricsRegistry reg(/*enabled=*/true);
+  obs::MetricsRegistry reg;
   obs::TimeSeriesSampler sampler(&reg, 0);
   sampler.StartMeasurement(0.0);
   const obs::CounterHandle late = reg.Counter("late");
@@ -76,7 +76,7 @@ TEST(TimeSeriesSamplerTest, PreSampleHookSyncsMirroredCounters) {
   // The model mirrors component-owned counters into the registry with
   // set-semantics right before each snapshot; deltas must still come out
   // as per-window flows.
-  obs::MetricsRegistry reg(/*enabled=*/true);
+  obs::MetricsRegistry reg;
   const obs::CounterHandle mirror = reg.Counter("mirror");
   uint64_t component_total = 0;
   obs::TimeSeriesSampler sampler(&reg, 0);
@@ -96,7 +96,7 @@ TEST(TimeSeriesSamplerTest, PreSampleHookSyncsMirroredCounters) {
 }
 
 TEST(TimeSeriesSamplerTest, GaugesAreLevelsNotFlows) {
-  obs::MetricsRegistry reg(/*enabled=*/true);
+  obs::MetricsRegistry reg;
   const obs::GaugeHandle g = reg.Gauge("g");
   obs::TimeSeriesSampler sampler(&reg, 0);
   sampler.StartMeasurement(0.0);
@@ -112,7 +112,7 @@ TEST(TimeSeriesSamplerTest, GaugesAreLevelsNotFlows) {
 }
 
 TEST(TimeSeriesSamplerTest, IntervalScheduleCatchesUpWithoutBackfill) {
-  obs::MetricsRegistry reg(/*enabled=*/true);
+  obs::MetricsRegistry reg;
   obs::TimeSeriesSampler sampler(&reg, /*interval_s=*/10.0);
   sampler.Poll(100.0, 0);  // before StartMeasurement: no-op
   EXPECT_TRUE(sampler.series().empty());
@@ -134,14 +134,14 @@ TEST(TimeSeriesSamplerTest, IntervalScheduleCatchesUpWithoutBackfill) {
 }
 
 TEST(TimeSeriesTest, MergeFromSumsDeltasByIndex) {
-  obs::MetricsRegistry reg_a(/*enabled=*/true);
+  obs::MetricsRegistry reg_a;
   const obs::CounterHandle ca = reg_a.Counter("c");
   obs::TimeSeriesSampler a(&reg_a, 0);
   a.StartMeasurement(0.0);
   reg_a.Add(ca, 5);
   a.SampleFinal(10.0, 0);
 
-  obs::MetricsRegistry reg_b(/*enabled=*/true);
+  obs::MetricsRegistry reg_b;
   const obs::CounterHandle cb = reg_b.Counter("c");
   obs::TimeSeriesSampler b(&reg_b, 0);
   b.StartMeasurement(0.0);
