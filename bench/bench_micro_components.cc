@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <functional>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "cluster/affinity.h"
 #include "cluster/cluster_manager.h"
 #include "cluster/page_splitter.h"
+#include "cluster/static_clusterer.h"
 #include "obs/placement_auditor.h"
 #include "ocb/ocb_builder.h"
 #include "sim/process.h"
@@ -246,6 +248,39 @@ BENCHMARK(BM_PlacementAuditorSample)
     ->Arg(1)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------- static clustering
+
+// One StaticClusterer::Reorganize (visit order plus repack) of a
+// fixed-seed 48 MB OCT database built in arrival order, the size and
+// policy of an oct_dyn cell. Each iteration rebuilds the database with the
+// timer paused, so only the reorganisation is timed.
+void BM_StaticReorganize(benchmark::State& state) {
+  struct OctDatabase {
+    obj::TypeLattice lattice;
+    workload::CadTypes types = workload::RegisterCadTypes(lattice);
+    obj::ObjectGraph graph{&lattice};
+    store::StorageManager storage{4096};
+    cluster::AffinityModel affinity{&lattice};
+    cluster::ClusterManager mgr{&graph, &storage, &affinity, nullptr, {}};
+    OctDatabase() {
+      workload::DatabaseSpec spec;
+      spec.target_bytes = 48 << 20;
+      workload::DbBuilder(&graph, &mgr, nullptr, spec).Build(types);
+    }
+  };
+  std::unique_ptr<OctDatabase> db;
+  for (auto _ : state) {
+    state.PauseTiming();
+    db = std::make_unique<OctDatabase>();  // frees the previous one too
+    cluster::StaticClusterer reorg(&db->graph, &db->storage, &db->affinity);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(reorg.Reorganize());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(db->graph.live_count()));
+}
+BENCHMARK(BM_StaticReorganize)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------------ rng
 

@@ -414,4 +414,22 @@ if ! diff <(strip_wall "${SAN1}") <(strip_wall "${BASELINE}"); then
   exit 1
 fi
 
-echo "ci: ok (tests passed, jobs=1 == jobs=4, scenario == bench, OCT/OCB/churn/shard/dyn/contention baselines exact, committed baselines byte-identical, structure sharding beats hash, cc engages under load, Release build clean, ASan/UBSan clean)"
+# ThreadSanitizer job (cannot share a build with ASan): the thread pool and
+# the parallel experiment runner -- exec_test, then the fig5.1 scenario at
+# jobs=4. Any data race report halts the run, and the instrumented output
+# must still match the committed baseline byte for byte.
+TSANBUILD="${ROOT}/build-tsan"
+cmake -S "${ROOT}" -B "${TSANBUILD}" -DSEMCLUST_SANITIZE=thread
+cmake --build "${TSANBUILD}" -j "$(nproc)" --target exec_test semclust_run
+export TSAN_OPTIONS=halt_on_error=1
+ctest --test-dir "${TSANBUILD}" -R '^exec_test$' --output-on-failure
+TSAN1="${TSANBUILD}/scenario_jobs4.json"
+rm -f "${TSAN1}"
+"${TSANBUILD}/tools/semclust_run" --jobs 4 --json "${TSAN1}" "${SCENARIO}" \
+  > "${TSANBUILD}/scenario_jobs4.out"
+if ! diff <(strip_wall "${TSAN1}") <(strip_wall "${BASELINE}"); then
+  echo "FAIL: TSan fig5.1 scenario differs from the baseline" >&2
+  exit 1
+fi
+
+echo "ci: ok (tests passed, jobs=1 == jobs=4, scenario == bench, OCT/OCB/churn/shard/dyn/contention baselines exact, committed baselines byte-identical, structure sharding beats hash, cc engages under load, Release build clean, ASan/UBSan clean, TSan clean)"

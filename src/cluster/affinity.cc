@@ -73,9 +73,13 @@ double AffinityModel::Weight(obj::TypeId type, obj::RelKind kind) const {
 double AffinityModel::EdgeWeight(const obj::ObjectGraph& graph,
                                  obj::ObjectId from,
                                  const obj::Edge& edge) const {
-  const obj::TypeId type = graph.object(from).type;
-  double w = Weight(type, edge.kind);
-  if (edge.kind == obj::RelKind::kInstanceInheritance) {
+  return KindEdgeWeight(graph.object(from).type, edge.kind);
+}
+
+double AffinityModel::KindEdgeWeight(obj::TypeId type,
+                                     obj::RelKind kind) const {
+  double w = Weight(type, kind);
+  if (kind == obj::RelKind::kInstanceInheritance) {
     // A by-reference inherited attribute is dereferenced on reads of the
     // heir; co-locating heir and source saves that extra logical I/O, so
     // the link counts somewhat more than its raw traversal share.

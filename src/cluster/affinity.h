@@ -50,6 +50,11 @@ class AffinityModel {
   double EdgeWeight(const obj::ObjectGraph& graph, obj::ObjectId from,
                     const obj::Edge& edge) const;
 
+  /// EdgeWeight for any edge of `kind` leaving an instance of `type`: the
+  /// weight depends on nothing else, so bulk walks can tabulate it once
+  /// per (type, kind).
+  double KindEdgeWeight(obj::TypeId type, obj::RelKind kind) const;
+
   uint64_t observations(obj::TypeId type) const;
 
  private:

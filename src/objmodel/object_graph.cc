@@ -4,9 +4,9 @@
 
 namespace oodb::obj {
 
-FamilyId ObjectGraph::NewFamily(std::string name) {
+FamilyId ObjectGraph::NewFamily(std::string name, size_t expected_members) {
   family_names_.push_back(std::move(name));
-  family_members_.emplace_back();
+  family_members_.emplace_back().reserve(expected_members);
   return static_cast<FamilyId>(family_names_.size() - 1);
 }
 

@@ -108,8 +108,10 @@ class ObjectGraph {
   ObjectGraph(const ObjectGraph&) = delete;
   ObjectGraph& operator=(const ObjectGraph&) = delete;
 
-  /// Registers an object-name family and returns its id.
-  FamilyId NewFamily(std::string name);
+  /// Registers an object-name family and returns its id. A builder that
+  /// knows how many objects the family will get passes it as
+  /// `expected_members`, so the member list is sized once.
+  FamilyId NewFamily(std::string name, size_t expected_members = 0);
 
   /// Creates an object `family[version].type` of the given size.
   ObjectId Create(FamilyId family, uint16_t version, TypeId type,

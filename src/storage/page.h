@@ -27,9 +27,12 @@ struct Slot {
 /// A fixed-capacity slotted page.
 class Page {
  public:
-  /// Creates an empty page with `capacity_bytes` of usable space.
-  explicit Page(uint32_t capacity_bytes) : capacity_(capacity_bytes) {
+  /// Creates an empty page with `capacity_bytes` of usable space and room
+  /// for `reserve_slots` records before the slot directory reallocates.
+  explicit Page(uint32_t capacity_bytes, size_t reserve_slots = 0)
+      : capacity_(capacity_bytes) {
     OODB_CHECK_GT(capacity_bytes, 0u);
+    slots_.reserve(reserve_slots);
   }
 
   /// True if an object of `size_bytes` fits.
@@ -45,6 +48,12 @@ class Page {
 
   /// True if `id` is resident here.
   bool Contains(obj::ObjectId id) const;
+
+  /// Drops every record (the slot directory keeps its capacity).
+  void Clear() {
+    slots_.clear();
+    used_ = 0;
+  }
 
   /// Changes the recorded size of a resident object. Returns false if the
   /// object is absent or the new size does not fit.

@@ -83,6 +83,50 @@ Status StorageManager::Relocate(obj::ObjectId id, PageId to) {
   return Status::Ok();
 }
 
+size_t StorageManager::RelocateToNewPages(
+    const std::vector<obj::ObjectId>& objects,
+    const std::vector<size_t>& page_start) {
+  OODB_CHECK(!page_start.empty());
+  OODB_CHECK_EQ(page_start.back(), objects.size());
+  // A source page that every record leaves is emptied in one step. Removal
+  // order shows only on a page some records stay on, so only those pages
+  // replay the per-record removals, in sequence.
+  std::vector<uint32_t> leaving(pages_.size(), 0);
+  for (obj::ObjectId id : objects) {
+    const PageId from = PageOf(id);
+    OODB_CHECK_NE(from, kInvalidPage);
+    ++leaving[from];
+  }
+  size_t sources = 0;
+  std::vector<uint8_t> vacated(pages_.size(), 0);
+  for (PageId p = 0; p < pages_.size(); ++p) {
+    if (leaving[p] == 0) continue;
+    ++sources;
+    OODB_CHECK_LE(leaving[p], pages_[p].object_count());
+    if (leaving[p] == pages_[p].object_count()) {
+      vacated[p] = 1;
+      pages_[p].Clear();
+    }
+  }
+  for (obj::ObjectId id : objects) {
+    const PageId from = object_page_[id];
+    if (!vacated[from]) OODB_CHECK(pages_[from].Remove(id));
+  }
+
+  pages_.reserve(pages_.size() + page_start.size() - 1);
+  for (size_t k = 0; k + 1 < page_start.size(); ++k) {
+    const auto to = static_cast<PageId>(pages_.size());
+    Page& page = pages_.emplace_back(page_size_, page_start[k + 1] -
+                                                     page_start[k]);
+    for (size_t i = page_start[k]; i < page_start[k + 1]; ++i) {
+      const obj::ObjectId id = objects[i];
+      OODB_CHECK(page.Insert(id, object_size_[id]));
+      object_page_[id] = to;
+    }
+  }
+  return sources;
+}
+
 Status StorageManager::Erase(obj::ObjectId id) {
   const PageId from = PageOf(id);
   if (from == kInvalidPage) {

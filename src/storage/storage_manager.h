@@ -47,6 +47,16 @@ class StorageManager {
   /// doesn't fit.
   Status Relocate(obj::ObjectId id, PageId to);
 
+  /// Moves `objects` (distinct and placed) onto fresh pages appended to
+  /// the directory: new page k receives objects[page_start[k]] up to
+  /// objects[page_start[k + 1]] in sequence, its slot list sized exactly.
+  /// Ends in the same state as AllocatePage plus Relocate of each object
+  /// in sequence; a source page that every record leaves is emptied in
+  /// one step instead of record by record. Every new page must fit its
+  /// objects. Returns the number of source pages the objects left.
+  size_t RelocateToNewPages(const std::vector<obj::ObjectId>& objects,
+                          const std::vector<size_t>& page_start);
+
   /// Removes a placed object from its page.
   Status Erase(obj::ObjectId id);
 

@@ -219,7 +219,10 @@ DesignDatabase DbBuilder::Build(CadTypes types) {
     // -Werror=restrict false positive (PR105651) at -O3.
     std::string module_name("M");
     module_name += std::to_string(module_index++);
-    s.family = graph_->NewFamily(module_name);
+    // Every plan step creates exactly one object of the module.
+    s.family = graph_->NewFamily(module_name, s.plan.size());
+    s.local_ids.reserve(s.plan.size());
+    s.module.objects.reserve(s.plan.size());
   };
   for (auto& s : streams) start_module(s);
 
