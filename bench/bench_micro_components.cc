@@ -1,7 +1,7 @@
 // Component micro-benchmarks on google-benchmark: the cost of the core
 // mechanisms — buffer-pool fixes per replacement policy, page splitting at
-// several graph sizes, the event kernel, candidate scoring, the placement
-// audit, and the workload RNG. These are engineering baselines, not paper
+// several graph sizes, the event kernel, coroutine tasks, lock and latch
+// requests, candidate scoring, the placement audit, and the workload RNG. These are engineering baselines, not paper
 // figures.
 
 #include <benchmark/benchmark.h>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "buffer/buffer_pool.h"
+#include "cc/lock_manager.h"
 #include "sim/event_calendar.h"
 #include "cluster/affinity.h"
 #include "cluster/cluster_manager.h"
@@ -176,6 +177,53 @@ void BM_ResourceRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_ResourceRoundTrip);
+
+sim::Task AwaitChain(int depth, int& leaves) {
+  if (depth == 0) {
+    ++leaves;
+    co_return;
+  }
+  co_await AwaitChain(depth - 1, leaves);
+}
+
+// One spawned process whose body awaits a chain of nested tasks four deep:
+// five task frames and one driver frame are created and destroyed per
+// iteration, the shape of a transaction's primitive calls.
+void BM_TaskAwaitChain(benchmark::State& state) {
+  int leaves = 0;
+  for (auto _ : state) {
+    sim::Spawn(AwaitChain(4, leaves));
+  }
+  benchmark::DoNotOptimize(leaves);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TaskAwaitChain);
+
+// ---------------------------------------------------------------- cc
+
+// One transaction's uncontended lock traffic: four exclusive locks on keys
+// no earlier transaction used (each granted at once), ReleaseAll, then one
+// page latch acquired and released. Items are transactions.
+void BM_LockAcquireRelease(benchmark::State& state) {
+  sim::Simulator sim;
+  cc::CcConfig config;
+  config.enabled = true;
+  cc::LockManager lm(sim, config);
+  cc::TxnId txn = 0;
+  for (auto _ : state) {
+    ++txn;
+    for (cc::LockKey k = 0; k < 4; ++k) {
+      auto lock = lm.Acquire(txn, txn * 4 + k, cc::LockMode::kExclusive);
+      benchmark::DoNotOptimize(lock.await_ready());
+    }
+    lm.ReleaseAll(txn);
+    auto latch = lm.AcquireLatch(txn);
+    benchmark::DoNotOptimize(latch.await_ready());
+    lm.ReleaseLatch(txn);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LockAcquireRelease);
 
 // --------------------------------------------------------- cluster score
 

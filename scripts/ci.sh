@@ -397,9 +397,12 @@ cmake --build "${RELBUILD}" -j "$(nproc)"
 ctest --test-dir "${RELBUILD}" --output-on-failure -j "$(nproc)"
 
 # Sanitizer job: AddressSanitizer + UndefinedBehaviorSanitizer over the
-# test suite and the fig5.1 scenario at jobs=4 (thread pool included). Any
-# UB report halts the run, and the instrumented output must still match
-# the committed baseline byte for byte.
+# test suite and the fig5.1 and contention scenarios at jobs=4 (thread pool
+# included). Any UB report halts the run, and the instrumented output must
+# still match the committed baselines byte for byte. The contention
+# scenario is the only committed one with strict 2PL on, so it runs the
+# recycled lock and latch entries and the pooled coroutine frames
+# (poisoned while pooled) under the sanitizers.
 SANBUILD="${ROOT}/build-sanitize"
 cmake -S "${ROOT}" -B "${SANBUILD}" -DSEMCLUST_SANITIZE="address|undefined"
 cmake --build "${SANBUILD}" -j "$(nproc)"
@@ -413,11 +416,21 @@ if ! diff <(strip_wall "${SAN1}") <(strip_wall "${BASELINE}"); then
   echo "FAIL: sanitized fig5.1 scenario differs from the baseline" >&2
   exit 1
 fi
+SANCC="${SANBUILD}/cc_jobs4.json"
+rm -f "${SANCC}"
+"${SANBUILD}/tools/semclust_run" --jobs 4 --json "${SANCC}" "${CC_SCENARIO}" \
+  > "${SANBUILD}/cc_jobs4.out"
+if ! diff <(strip_wall "${SANCC}") <(strip_wall "${CC_BASELINE}"); then
+  echo "FAIL: sanitized contention scenario differs from the baseline" >&2
+  exit 1
+fi
 
 # ThreadSanitizer job (cannot share a build with ASan): the thread pool and
-# the parallel experiment runner -- exec_test, then the fig5.1 scenario at
-# jobs=4. Any data race report halts the run, and the instrumented output
-# must still match the committed baseline byte for byte.
+# the parallel experiment runner -- exec_test, then the fig5.1 and
+# contention scenarios at jobs=4 (the latter runs every worker thread's
+# own coroutine-frame pool). Any data race report halts the run, and the
+# instrumented output must still match the committed baselines byte for
+# byte.
 TSANBUILD="${ROOT}/build-tsan"
 cmake -S "${ROOT}" -B "${TSANBUILD}" -DSEMCLUST_SANITIZE=thread
 cmake --build "${TSANBUILD}" -j "$(nproc)" --target exec_test semclust_run
@@ -429,6 +442,14 @@ rm -f "${TSAN1}"
   > "${TSANBUILD}/scenario_jobs4.out"
 if ! diff <(strip_wall "${TSAN1}") <(strip_wall "${BASELINE}"); then
   echo "FAIL: TSan fig5.1 scenario differs from the baseline" >&2
+  exit 1
+fi
+TSANCC="${TSANBUILD}/cc_jobs4.json"
+rm -f "${TSANCC}"
+"${TSANBUILD}/tools/semclust_run" --jobs 4 --json "${TSANCC}" \
+  "${CC_SCENARIO}" > "${TSANBUILD}/cc_jobs4.out"
+if ! diff <(strip_wall "${TSANCC}") <(strip_wall "${CC_BASELINE}"); then
+  echo "FAIL: TSan contention scenario differs from the baseline" >&2
   exit 1
 fi
 

@@ -33,9 +33,9 @@ bool LockManager::CompatibleWithHolders(const LockEntry& entry, TxnId txn,
 }
 
 bool LockManager::Holds(TxnId txn, LockKey key, LockMode mode) const {
-  auto it = locks_.find(key);
-  if (it == locks_.end()) return false;
-  for (const Holder& h : it->second.holders) {
+  const LockEntry* entry = locks_.Find(key);
+  if (entry == nullptr) return false;
+  for (const Holder& h : entry->holders) {
     if (h.txn != txn) continue;
     return mode == LockMode::kShared || h.mode == LockMode::kExclusive;
   }
@@ -52,11 +52,11 @@ void LockManager::ApplyGrant(LockEntry& entry, TxnId txn, LockKey key,
     return;
   }
   entry.holders.push_back(Holder{txn, mode});
-  held_[txn].push_back(key);
+  held_.FindOrInsert(txn).push_back(key);
 }
 
 bool LockManager::TryImmediateGrant(TxnId txn, LockKey key, LockMode mode) {
-  LockEntry& entry = locks_[key];
+  LockEntry& entry = locks_.FindOrInsert(key);
   if (Holds(txn, key, mode)) {
     ++stats_.lock_grants;
     return true;  // already covered; no queue fairness question arises
@@ -73,45 +73,61 @@ bool LockManager::TryImmediateGrant(TxnId txn, LockKey key, LockMode mode) {
 }
 
 void LockManager::GrantWaiters(LockKey key) {
-  auto it = locks_.find(key);
-  if (it == locks_.end()) return;
+  LockEntry* entry = locks_.Find(key);
+  if (entry == nullptr) return;
   // Collect the grantable prefix first, then resume: a resumed waiter
   // runs synchronously and may re-enter the manager (release this very
-  // key, even erase the entry), so no iterator may live across a resume.
-  std::vector<std::shared_ptr<Waiter>> resumable;
-  {
-    LockEntry& entry = it->second;
-    while (!entry.queue.empty()) {
-      const std::shared_ptr<Waiter>& w = entry.queue.front();
-      if (!CompatibleWithHolders(entry, w->txn, w->mode)) break;
-      ApplyGrant(entry, w->txn, key, w->mode);
-      w->granted = true;
-      w->resolved = true;
-      ++stats_.lock_grants;
-      stats_.lock_wait_time_s += sim_.now() - w->enqueued_s;
-      resumable.push_back(w);
-      entry.queue.pop_front();
-    }
-    if (entry.holders.empty() && entry.queue.empty()) locks_.erase(it);
+  // key, even recycle the entry), so no reference may live across a
+  // resume.
+  const size_t base = resumable_.size();
+  while (!entry->queue.empty()) {
+    Waiter& w = waiters_[entry->queue.front()];
+    if (!CompatibleWithHolders(*entry, w.txn, w.mode)) break;
+    ApplyGrant(*entry, w.txn, key, w.mode);
+    w.granted = true;
+    w.resolved = true;
+    ++stats_.lock_grants;
+    stats_.lock_wait_time_s += sim_.now() - w.enqueued_s;
+    resumable_.push_back(w.handle);
+    entry->queue.pop_front();
   }
-  for (const std::shared_ptr<Waiter>& w : resumable) w->handle.resume();
+  if (entry->holders.empty() && entry->queue.empty()) locks_.Erase(key);
+  const size_t end = resumable_.size();
+  for (size_t i = base; i < end; ++i) resumable_[i].resume();
+  resumable_.resize(base);
 }
 
-void LockManager::OnTimeout(LockKey key,
-                            const std::shared_ptr<Waiter>& waiter) {
+uint32_t LockManager::NewWaiter(TxnId txn, LockMode mode,
+                                std::coroutine_handle<> h) {
+  uint32_t slot;
+  if (free_waiters_.empty()) {
+    slot = static_cast<uint32_t>(waiters_.size());
+    waiters_.emplace_back();
+  } else {
+    slot = free_waiters_.back();
+    free_waiters_.pop_back();
+  }
+  waiters_[slot] = Waiter{txn, mode, h, sim_.now(), false, false};
+  return slot;
+}
+
+void LockManager::OnTimeout(LockKey key, uint32_t slot) {
   // Events cannot be cancelled in the calendar queue; a grant that beat
   // this timeout left the waiter resolved and this event is a no-op.
-  if (waiter->resolved) return;
-  auto it = locks_.find(key);
-  OODB_CHECK(it != locks_.end());
-  LockEntry& entry = it->second;
-  auto pos = std::find(entry.queue.begin(), entry.queue.end(), waiter);
-  OODB_CHECK(pos != entry.queue.end());
-  entry.queue.erase(pos);
-  waiter->granted = false;
-  waiter->resolved = true;
+  if (waiters_[slot].resolved) {
+    free_waiters_.push_back(slot);
+    return;
+  }
+  LockEntry* entry = locks_.Find(key);
+  OODB_CHECK(entry != nullptr);
+  size_t pos = 0;
+  while (pos < entry->queue.size() && entry->queue[pos] != slot) ++pos;
+  entry->queue.erase(pos);
+  Waiter& waiter = waiters_[slot];
+  waiter.granted = false;
+  waiter.resolved = true;
   ++stats_.lock_timeouts;
-  stats_.lock_wait_time_s += sim_.now() - waiter->enqueued_s;
+  stats_.lock_wait_time_s += sim_.now() - waiter.enqueued_s;
   // Removing a queued request can unblock those behind it (e.g. a
   // timed-out X request that was fencing compatible S requests). Grant
   // them before resuming the victim so the victim's rollback/retry runs
@@ -119,7 +135,10 @@ void LockManager::OnTimeout(LockKey key,
   // this ordering keeps the queue state canonical when the victim
   // re-requests the same key during its retry.
   GrantWaiters(key);
-  waiter->handle.resume();
+  // The victim reads its outcome from the slot as it resumes; the slot is
+  // free for reuse once it has.
+  waiters_[slot].handle.resume();
+  free_waiters_.push_back(slot);
 }
 
 // ---------------------------------------------------------------------------
@@ -131,27 +150,24 @@ bool LockManager::LockAwait::await_ready() {
 }
 
 void LockManager::LockAwait::await_suspend(std::coroutine_handle<> h) {
-  waiter_ = std::make_shared<Waiter>();
-  waiter_->txn = txn_;
-  waiter_->mode = mode_;
-  waiter_->handle = h;
-  waiter_->enqueued_s = lm_.sim_.now();
-  lm_.locks_[key_].queue.push_back(waiter_);
+  slot_ = lm_.NewWaiter(txn_, mode_, h);
+  lm_.locks_.FindOrInsert(key_).queue.push_back(slot_);
   ++lm_.stats_.lock_waits;
   // One timeout event per queued waiter, scheduled up front (no
   // cancellation): whichever of grant/timeout fires second sees
   // `resolved` and no-ops.
   const LockKey key = key_;
-  std::shared_ptr<Waiter> w = waiter_;
+  const uint32_t slot = slot_;
   LockManager* lm = &lm_;
   lm_.sim_.Schedule(lm_.config_.lock_timeout_s,
-                    [lm, key, w] { lm->OnTimeout(key, w); });
+                    [lm, key, slot] { lm->OnTimeout(key, slot); });
 }
 
 bool LockManager::LockAwait::await_resume() {
-  if (waiter_ == nullptr) return true;  // immediate grant via await_ready
-  OODB_CHECK(waiter_->resolved);
-  return waiter_->granted;
+  if (slot_ == kNoWaiter) return true;  // immediate grant via await_ready
+  const Waiter& w = lm_.waiters_[slot_];
+  OODB_CHECK(w.resolved);
+  return w.granted;
 }
 
 // ---------------------------------------------------------------------------
@@ -159,26 +175,27 @@ bool LockManager::LockAwait::await_resume() {
 // ---------------------------------------------------------------------------
 
 void LockManager::ReleaseAll(TxnId txn) {
-  auto held_it = held_.find(txn);
-  if (held_it == held_.end()) return;
-  // Move the key list out: GrantWaiters resumes waiters synchronously
-  // and a resumed transaction may mutate held_ (its own acquisitions).
-  std::vector<LockKey> keys = std::move(held_it->second);
-  held_.erase(held_it);
+  // Take the key list out of the map: GrantWaiters resumes waiters
+  // synchronously and a resumed transaction may mutate held_ (its own
+  // acquisitions). The node is recycled once the walk is done.
+  auto node = held_.Take(txn);
+  if (node.empty()) return;
+  std::vector<LockKey>& keys = node.mapped();
   for (const LockKey key : keys) {
-    auto it = locks_.find(key);
-    if (it == locks_.end()) continue;
-    LockEntry& entry = it->second;
-    entry.holders.erase(
-        std::remove_if(entry.holders.begin(), entry.holders.end(),
+    LockEntry* entry = locks_.Find(key);
+    if (entry == nullptr) continue;
+    entry->holders.erase(
+        std::remove_if(entry->holders.begin(), entry->holders.end(),
                        [txn](const Holder& h) { return h.txn == txn; }),
-        entry.holders.end());
-    if (entry.holders.empty() && entry.queue.empty()) {
-      locks_.erase(it);
+        entry->holders.end());
+    if (entry->holders.empty() && entry->queue.empty()) {
+      locks_.Erase(key);
       continue;
     }
     GrantWaiters(key);
   }
+  keys.clear();
+  held_.Recycle(std::move(node));
 }
 
 // ---------------------------------------------------------------------------
@@ -186,7 +203,7 @@ void LockManager::ReleaseAll(TxnId txn) {
 // ---------------------------------------------------------------------------
 
 bool LockManager::LatchAwait::await_ready() {
-  LatchEntry& entry = lm_.latches_[key_];
+  LatchEntry& entry = lm_.latches_.FindOrInsert(key_);
   if (entry.held) return false;
   entry.held = true;
   ++lm_.stats_.latch_grants;
@@ -194,23 +211,21 @@ bool LockManager::LatchAwait::await_ready() {
 }
 
 void LockManager::LatchAwait::await_suspend(std::coroutine_handle<> h) {
-  LatchEntry& entry = lm_.latches_[key_];
-  entry.queue.emplace_back(h, lm_.sim_.now());
+  lm_.latches_.FindOrInsert(key_).queue.push_back({h, lm_.sim_.now()});
   ++lm_.stats_.latch_waits;
 }
 
 void LockManager::ReleaseLatch(LockKey key) {
-  auto it = latches_.find(key);
-  OODB_CHECK(it != latches_.end());
-  LatchEntry& entry = it->second;
-  OODB_CHECK(entry.held);
-  if (entry.queue.empty()) {
-    latches_.erase(it);
+  LatchEntry* entry = latches_.Find(key);
+  OODB_CHECK(entry != nullptr);
+  OODB_CHECK(entry->held);
+  if (entry->queue.empty()) {
+    entry->held = false;  // recycled entries start free
+    latches_.Erase(key);
     return;
   }
   // Hand the latch to the FIFO head; it stays held across the transfer.
-  auto [handle, enqueued_s] = entry.queue.front();
-  entry.queue.pop_front();
+  const auto [handle, enqueued_s] = entry->queue.pop_front();
   ++stats_.latch_grants;
   stats_.latch_wait_time_s += sim_.now() - enqueued_s;
   handle.resume();
@@ -221,13 +236,13 @@ void LockManager::ReleaseLatch(LockKey key) {
 // ---------------------------------------------------------------------------
 
 size_t LockManager::held_count(TxnId txn) const {
-  auto it = held_.find(txn);
-  return it == held_.end() ? 0 : it->second.size();
+  const std::vector<LockKey>* keys = held_.Find(txn);
+  return keys == nullptr ? 0 : keys->size();
 }
 
 size_t LockManager::queue_length(LockKey key) const {
-  auto it = locks_.find(key);
-  return it == locks_.end() ? 0 : it->second.queue.size();
+  const LockEntry* entry = locks_.Find(key);
+  return entry == nullptr ? 0 : entry->queue.size();
 }
 
 }  // namespace oodb::cc

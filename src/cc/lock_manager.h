@@ -3,13 +3,13 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cc/cc_config.h"
 #include "sim/simulator.h"
+#include "util/recycling_map.h"
+#include "util/ring_queue.h"
 
 /// \file
 /// Object-level strict two-phase locking on the virtual clock: shared /
@@ -32,6 +32,12 @@
 /// backoff. Latches cannot deadlock — a transaction holds at most one at
 /// a time and never waits on a lock while holding one — so they have no
 /// timeout.
+///
+/// Allocation: nothing is allocated per request in steady state. Lock,
+/// latch and held-key entries live in RecyclingMaps, so releasing a key
+/// recycles its entry (holder vector and queue capacity included) for the
+/// next key; wait queues are RingQueues; queued lock requests live in a
+/// slab of Waiter slots, each freed by its own timeout event.
 
 namespace oodb::cc {
 
@@ -58,9 +64,9 @@ struct LockStats {
 };
 
 class LockManager {
-  struct Waiter;
   struct LockEntry;
   struct LatchEntry;
+  static constexpr uint32_t kNoWaiter = UINT32_MAX;
 
  public:
   LockManager(sim::Simulator& sim, const CcConfig& config);
@@ -85,7 +91,9 @@ class LockManager {
     TxnId txn_;
     LockKey key_;
     LockMode mode_;
-    std::shared_ptr<Waiter> waiter_;
+    /// The queued request's Waiter slot; kNoWaiter after an immediate
+    /// grant.
+    uint32_t slot_ = kNoWaiter;
   };
 
   /// Awaitable exclusive page latch. Always granted (FIFO, no timeout).
@@ -139,9 +147,12 @@ class LockManager {
                                     LockMode mode);
   void ApplyGrant(LockEntry& entry, TxnId txn, LockKey key, LockMode mode);
   /// Grants every now-compatible waiter from the queue front (FIFO),
-  /// resuming each synchronously. `entry` may be erased on return.
+  /// resuming each synchronously. `key`'s entry may be recycled on
+  /// return.
   void GrantWaiters(LockKey key);
-  void OnTimeout(LockKey key, const std::shared_ptr<Waiter>& waiter);
+  /// The timeout event of the request in Waiter slot `slot`: times the
+  /// request out unless a grant resolved it first, then frees the slot.
+  void OnTimeout(LockKey key, uint32_t slot);
 
   struct Holder {
     TxnId txn;
@@ -159,22 +170,33 @@ class LockManager {
 
   struct LockEntry {
     std::vector<Holder> holders;
-    std::deque<std::shared_ptr<Waiter>> queue;
+    RingQueue<uint32_t> queue;  ///< Waiter slots, FIFO
   };
 
   struct LatchEntry {
     bool held = false;
-    std::deque<std::pair<std::coroutine_handle<>, double>> queue;
+    RingQueue<std::pair<std::coroutine_handle<>, double>> queue;
   };
+
+  uint32_t NewWaiter(TxnId txn, LockMode mode, std::coroutine_handle<> h);
 
   sim::Simulator& sim_;
   CcConfig config_;
   LockStats stats_;
-  std::unordered_map<LockKey, LockEntry> locks_;
-  std::unordered_map<LockKey, LatchEntry> latches_;
+  RecyclingMap<LockKey, LockEntry> locks_;
+  RecyclingMap<LockKey, LatchEntry> latches_;
   /// Keys each transaction holds, in acquisition order — ReleaseAll walks
   /// this vector, never a hash map, so release order is deterministic.
-  std::unordered_map<TxnId, std::vector<LockKey>> held_;
+  RecyclingMap<TxnId, std::vector<LockKey>> held_;
+  /// Slab of queued lock requests. A slot stays taken until its timeout
+  /// event fires, since that event always fires (the calendar cannot
+  /// cancel one); it is then reused through `free_waiters_`.
+  std::vector<Waiter> waiters_;
+  std::vector<uint32_t> free_waiters_;
+  /// Handles GrantWaiters is about to resume, used as a stack: a resumed
+  /// waiter may re-enter GrantWaiters, which pushes above the caller's
+  /// entries and pops back to them before it returns.
+  std::vector<std::coroutine_handle<>> resumable_;
 };
 
 }  // namespace oodb::cc

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <utility>
 
 #include "util/check.h"
+#include "util/epoch_set.h"
 
 namespace oodb::core {
 
@@ -20,8 +21,43 @@ constexpr double kPrefetchBoost = 6.0;
 constexpr double kInheritanceDerefProbability = 0.5;
 }  // namespace
 
+struct TxnPipeline::QueryScratch {
+  std::vector<obj::ObjectId> ids;
+  std::vector<std::pair<obj::ObjectId, int>> frontier;
+  std::vector<obj::ObjectId> next;
+  EpochSet visited;
+};
+
+class TxnPipeline::ScratchLease {
+ public:
+  explicit ScratchLease(TxnPipeline& pipeline)
+      : pool_(pipeline.scratch_pool_) {
+    if (pool_.empty()) {
+      scratch_ = std::make_unique<QueryScratch>();
+    } else {
+      scratch_ = std::move(pool_.back());
+      pool_.pop_back();
+      scratch_->ids.clear();
+      scratch_->frontier.clear();
+      scratch_->next.clear();
+      scratch_->visited.Clear();
+    }
+  }
+  ~ScratchLease() { pool_.push_back(std::move(scratch_)); }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  QueryScratch* operator->() const { return scratch_.get(); }
+
+ private:
+  std::vector<std::unique_ptr<QueryScratch>>& pool_;
+  std::unique_ptr<QueryScratch> scratch_;
+};
+
 TxnPipeline::TxnPipeline(ServerContext& context)
     : ctx_(context), rng_(context.config.seed) {}
+
+TxnPipeline::~TxnPipeline() = default;
 
 sim::Task TxnPipeline::LockObject(TxnCc* lk, obj::ObjectId id,
                                   cc::LockMode mode,
@@ -342,11 +378,22 @@ sim::Task TxnPipeline::ReadQuery(const ShardView& home,
   const obj::TypeId ttype = ctx_.graph->object(target).type;
   co_await AccessObject(home, target, ttype, -1, lk, prof);
 
+  // Every traversal below snapshots neighbour lists into the scratch
+  // before it awaits: a concurrent writer may mutate edges meanwhile.
+  const ScratchLease scratch(*this);
+  std::vector<obj::ObjectId>& ids = scratch->ids;
+  const auto snapshot = [&](obj::ObjectId id, obj::RelKind kind,
+                            obj::Direction dir) {
+    ids.clear();
+    ctx_.graph->ForEachNeighbor(id, kind, dir,
+                                [&](obj::ObjectId t) { ids.push_back(t); });
+  };
   switch (spec.type) {
     case workload::QueryType::kSimpleLookup:
       break;
     case workload::QueryType::kComponentRetrieval: {
-      for (obj::ObjectId c : ctx_.graph->Components(target)) {
+      snapshot(target, obj::RelKind::kConfiguration, obj::Direction::kDown);
+      for (const obj::ObjectId c : ids) {
         if (ctx_.graph->IsLive(c)) {
           co_await AccessObject(
               home, c, ttype,
@@ -360,23 +407,26 @@ sim::Task TxnPipeline::ReadQuery(const ShardView& home,
       // Attachments are unvalidated (as in OCT), so the configuration
       // graph may contain cycles: guard with a visited set and a bound.
       constexpr size_t kMaxRetrieval = 512;
-      std::vector<obj::ObjectId> stack = ctx_.graph->Components(target);
-      std::unordered_set<obj::ObjectId> visited{target};
+      std::vector<obj::ObjectId>& stack = ids;
+      EpochSet& visited = scratch->visited;
+      snapshot(target, obj::RelKind::kConfiguration, obj::Direction::kDown);
+      visited.Insert(target);
       while (!stack.empty() && visited.size() < kMaxRetrieval) {
         const obj::ObjectId o = stack.back();
         stack.pop_back();
-        if (!ctx_.graph->IsLive(o) || !visited.insert(o).second) continue;
+        if (!ctx_.graph->IsLive(o) || !visited.Insert(o)) continue;
         co_await AccessObject(
             home, o, ttype,
             static_cast<int>(obj::RelKind::kConfiguration), lk, prof);
-        for (obj::ObjectId c : ctx_.graph->Components(o)) {
-          stack.push_back(c);
-        }
+        ctx_.graph->ForEachNeighbor(
+            o, obj::RelKind::kConfiguration, obj::Direction::kDown,
+            [&](obj::ObjectId c) { stack.push_back(c); });
       }
       break;
     }
     case workload::QueryType::kDescendantVersions: {
-      for (obj::ObjectId d : ctx_.graph->Descendants(target)) {
+      snapshot(target, obj::RelKind::kVersionHistory, obj::Direction::kDown);
+      for (const obj::ObjectId d : ids) {
         if (ctx_.graph->IsLive(d)) {
           co_await AccessObject(
               home, d, ttype,
@@ -386,7 +436,8 @@ sim::Task TxnPipeline::ReadQuery(const ShardView& home,
       break;
     }
     case workload::QueryType::kAncestorVersions: {
-      for (obj::ObjectId a : ctx_.graph->Ancestors(target)) {
+      snapshot(target, obj::RelKind::kVersionHistory, obj::Direction::kUp);
+      for (const obj::ObjectId a : ids) {
         if (ctx_.graph->IsLive(a)) {
           co_await AccessObject(
               home, a, ttype,
@@ -396,7 +447,8 @@ sim::Task TxnPipeline::ReadQuery(const ShardView& home,
       break;
     }
     case workload::QueryType::kCorresponding: {
-      for (obj::ObjectId c : ctx_.graph->Correspondents(target)) {
+      snapshot(target, obj::RelKind::kCorrespondence, obj::Direction::kDown);
+      for (const obj::ObjectId c : ids) {
         if (ctx_.graph->IsLive(c)) {
           co_await AccessObject(
               home, c, ttype,
@@ -421,24 +473,25 @@ sim::Task TxnPipeline::ReadQuery(const ShardView& home,
       // configured depth. References may form cycles (the generator draws
       // targets freely), so guard with a visited set and a bound.
       constexpr size_t kMaxTraversal = 512;
-      std::vector<std::pair<obj::ObjectId, int>> stack;
-      std::unordered_set<obj::ObjectId> visited{target};
+      std::vector<std::pair<obj::ObjectId, int>>& stack = scratch->frontier;
+      EpochSet& visited = scratch->visited;
+      visited.Insert(target);
       if (spec.depth > 0) {
-        for (obj::ObjectId c : ctx_.graph->Components(target)) {
-          stack.emplace_back(c, 1);
-        }
+        ctx_.graph->ForEachNeighbor(
+            target, obj::RelKind::kConfiguration, obj::Direction::kDown,
+            [&](obj::ObjectId c) { stack.emplace_back(c, 1); });
       }
       while (!stack.empty() && visited.size() < kMaxTraversal) {
         const auto [o, d] = stack.back();
         stack.pop_back();
-        if (!ctx_.graph->IsLive(o) || !visited.insert(o).second) continue;
+        if (!ctx_.graph->IsLive(o) || !visited.Insert(o)) continue;
         co_await AccessObject(
             home, o, ttype,
             static_cast<int>(obj::RelKind::kConfiguration), lk, prof);
         if (d < spec.depth) {
-          for (obj::ObjectId c : ctx_.graph->Components(o)) {
-            stack.emplace_back(c, d + 1);
-          }
+          ctx_.graph->ForEachNeighbor(
+              o, obj::RelKind::kConfiguration, obj::Direction::kDown,
+              [&, d = d](obj::ObjectId c) { stack.emplace_back(c, d + 1); });
         }
       }
       break;
@@ -449,17 +502,19 @@ sim::Task TxnPipeline::ReadQuery(const ShardView& home,
       // the traversal that exercises exactly the semantics this paper's
       // clustering exploits.
       constexpr size_t kMaxTraversal = 512;
-      std::vector<std::pair<obj::ObjectId, int>> stack{{target, 0}};
-      std::unordered_set<obj::ObjectId> visited{target};
+      std::vector<std::pair<obj::ObjectId, int>>& stack = scratch->frontier;
+      EpochSet& visited = scratch->visited;
+      stack.emplace_back(target, 0);
+      visited.Insert(target);
       while (!stack.empty() && visited.size() < kMaxTraversal) {
         const auto [o, d] = stack.back();
         stack.pop_back();
         if (d >= spec.depth) continue;
         // Snapshot the inheritance neighbours before awaiting: the loop
         // suspends mid-iteration, and a concurrent writer mutating any
-        // object's edges would invalidate a live edge view. Frame-local
-        // (not a member): other transactions interleave at each await.
-        std::vector<obj::ObjectId> inheritance;
+        // object's edges would invalidate a live edge view.
+        std::vector<obj::ObjectId>& inheritance = scratch->next;
+        inheritance.clear();
         for (const obj::Edge e : ctx_.graph->edges(o)) {
           if (e.kind == obj::RelKind::kInstanceInheritance) {
             inheritance.push_back(e.target);
@@ -467,7 +522,7 @@ sim::Task TxnPipeline::ReadQuery(const ShardView& home,
         }
         for (const obj::ObjectId t : inheritance) {
           if (!ctx_.graph->IsLive(t)) continue;
-          if (!visited.insert(t).second) continue;
+          if (!visited.Insert(t)) continue;
           co_await AccessObject(
               home, t, ttype,
               static_cast<int>(obj::RelKind::kInstanceInheritance), lk,
@@ -482,15 +537,18 @@ sim::Task TxnPipeline::ReadQuery(const ShardView& home,
       // backtracks out of dead ends, accessing up to `depth` objects
       // beyond the root. Draws come from the pipeline's single stream, so
       // the walk is deterministic per run.
-      std::vector<obj::ObjectId> path{target};
-      std::unordered_set<obj::ObjectId> visited{target};
+      std::vector<obj::ObjectId>& path = ids;
+      std::vector<obj::ObjectId>& next = scratch->next;
+      EpochSet& visited = scratch->visited;
+      path.push_back(target);
+      visited.Insert(target);
       int accessed = 0;
       while (!path.empty() && accessed < spec.depth) {
-        std::vector<obj::ObjectId> next;
+        next.clear();
         ctx_.graph->ForEachNeighbor(
             path.back(), obj::RelKind::kConfiguration, obj::Direction::kDown,
             [&](obj::ObjectId c) {
-              if (ctx_.graph->IsLive(c) && visited.find(c) == visited.end()) {
+              if (ctx_.graph->IsLive(c) && !visited.Contains(c)) {
                 next.push_back(c);
               }
             });
@@ -499,7 +557,7 @@ sim::Task TxnPipeline::ReadQuery(const ShardView& home,
           continue;
         }
         const obj::ObjectId chosen = next[rng_.NextBelow(next.size())];
-        visited.insert(chosen);
+        visited.Insert(chosen);
         co_await AccessObject(
             home, chosen, ttype,
             static_cast<int>(obj::RelKind::kConfiguration), lk, prof);

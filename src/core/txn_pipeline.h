@@ -3,6 +3,7 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -47,6 +48,7 @@ namespace oodb::core {
 class TxnPipeline {
  public:
   explicit TxnPipeline(ServerContext& context);
+  ~TxnPipeline();
 
   TxnPipeline(const TxnPipeline&) = delete;
   TxnPipeline& operator=(const TxnPipeline&) = delete;
@@ -126,6 +128,13 @@ class TxnPipeline {
   sim::Task ReadQuery(const ShardView& home,
                       const workload::TransactionSpec& spec, TxnCc* lk,
                       obs::SpanRecorder* prof);
+  /// Stack, neighbour snapshot and visited set of one ReadQuery.
+  struct QueryScratch;
+  /// A QueryScratch leased from `scratch_pool_` for the life of one
+  /// ReadQuery. Transactions interleave at every await, so two live
+  /// queries never share one; the pool grows to the largest number of
+  /// queries ever live at once, and traversals then allocate nothing.
+  class ScratchLease;
 
   // Write-side primitives.
   sim::Task WriteQuery(const ShardView& home,
@@ -226,6 +235,8 @@ class TxnPipeline {
   // access has referenced yet: a later demand access scores a hit, an
   // eviction first scores a waste. Keyed like `inflight_`.
   std::unordered_set<uint64_t> prefetched_unused_;
+
+  std::vector<std::unique_ptr<QueryScratch>> scratch_pool_;
 };
 
 }  // namespace oodb::core

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "sim/frame_pool.h"
 #include "sim/simulator.h"
 
 /// \file
@@ -26,10 +27,10 @@ namespace oodb::sim {
 
 /// A lazily-started coroutine task. Awaiting a Task starts it and resumes
 /// the awaiter when the task completes (symmetric transfer). The Task handle
-/// owns the coroutine frame.
+/// owns the coroutine frame, which comes from the per-thread FramePool.
 class [[nodiscard]] Task {
  public:
-  struct promise_type {
+  struct promise_type : internal::PooledFrame {
     std::coroutine_handle<> continuation;
 
     Task get_return_object() {
@@ -87,7 +88,7 @@ namespace internal {
 
 /// Fire-and-forget driver coroutine; its frame self-destroys on completion.
 struct DetachedTask {
-  struct promise_type {
+  struct promise_type : PooledFrame {
     DetachedTask get_return_object() { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }

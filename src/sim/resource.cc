@@ -35,8 +35,7 @@ void Resource::TouchStats() {
 
 void Resource::StartIfPossible() {
   while (busy_ < servers_ && !waiters_.empty()) {
-    Waiter w = std::move(waiters_.front());
-    waiters_.pop_front();
+    Waiter w = waiters_.pop_front();
     TouchStats();
     ++busy_;
     uint32_t slot;

@@ -3,10 +3,11 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.h"
+#include "util/ring_queue.h"
 #include "util/stats.h"
 
 /// \file
@@ -95,7 +96,9 @@ class Resource {
   uint64_t completions_ = 0;
   SimTime last_enqueue_ = 0;
   SimTime last_start_ = 0;
-  std::deque<Waiter> waiters_;
+  /// FCFS queue of requests waiting for a server; a ring, so steady
+  /// queueing allocates nothing.
+  RingQueue<Waiter> waiters_;
   /// Requests currently holding a server, parked in a slab so the
   /// completion event's closure is just {this, slot} — small enough for
   /// the kernel's inline callback storage (no per-I/O heap allocation).

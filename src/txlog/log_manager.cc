@@ -16,8 +16,11 @@ LogManager::LogManager(uint32_t buffer_bytes, uint32_t page_size_bytes,
 }
 
 void LogManager::Begin(TxnId txn) {
-  const bool inserted = touched_.emplace(txn, std::unordered_set<store::PageId>{}).second;
+  bool inserted = false;
+  const std::vector<store::PageId>& pages =
+      touched_.FindOrInsert(txn, &inserted);
   OODB_CHECK(inserted);
+  OODB_CHECK(pages.empty());
 }
 
 int LogManager::Append(uint32_t payload) {
@@ -59,10 +62,12 @@ void LogManager::Journal(LogRecordType type, TxnId txn, store::PageId page,
 
 int LogManager::LogWrite(TxnId txn, store::PageId page,
                          uint32_t object_size) {
-  auto it = touched_.find(txn);
-  OODB_CHECK(it != touched_.end());
+  std::vector<store::PageId>* pages = touched_.Find(txn);
+  OODB_CHECK(pages != nullptr);
   int flushes = 0;
-  if (it->second.insert(page).second) {
+  auto pos = std::lower_bound(pages->begin(), pages->end(), page);
+  if (pos == pages->end() || *pos != page) {
+    pages->insert(pos, page);
     // First touch of this page by this transaction: page before-image.
     ++before_images_;
     Journal(LogRecordType::kBeforeImage, txn, page,
@@ -76,9 +81,7 @@ int LogManager::LogWrite(TxnId txn, store::PageId page,
 }
 
 int LogManager::Commit(TxnId txn, bool force) {
-  auto it = touched_.find(txn);
-  OODB_CHECK(it != touched_.end());
-  touched_.erase(it);
+  Forget(txn);
   Journal(LogRecordType::kCommit, txn, store::kInvalidPage, 16);
   int flushes = Append(/*payload=*/16);  // commit record
   if (force && buffered_ > 0) {
@@ -97,17 +100,18 @@ int LogManager::Commit(TxnId txn, bool force) {
 }
 
 std::vector<store::PageId> LogManager::TouchedPages(TxnId txn) const {
-  auto it = touched_.find(txn);
-  OODB_CHECK(it != touched_.end());
-  std::vector<store::PageId> pages(it->second.begin(), it->second.end());
-  std::sort(pages.begin(), pages.end());
-  return pages;
+  const std::vector<store::PageId>* pages = touched_.Find(txn);
+  OODB_CHECK(pages != nullptr);
+  return *pages;
 }
 
-void LogManager::Abort(TxnId txn) {
-  auto it = touched_.find(txn);
-  OODB_CHECK(it != touched_.end());
-  touched_.erase(it);
+void LogManager::Abort(TxnId txn) { Forget(txn); }
+
+void LogManager::Forget(TxnId txn) {
+  auto node = touched_.Take(txn);
+  OODB_CHECK(!node.empty());
+  node.mapped().clear();
+  touched_.Recycle(std::move(node));
 }
 
 void LogManager::ResetCounters() {

@@ -2,14 +2,13 @@
 #define SEMCLUST_TXLOG_LOG_MANAGER_H_
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "obs/trace_sink.h"
 #include "storage/page.h"
 #include "util/check.h"
+#include "util/recycling_map.h"
 
 /// \file
 /// Transaction logging (paper §4.1): a circular in-memory log buffer whose
@@ -75,9 +74,8 @@ class LogManager {
   void Abort(TxnId txn);
 
   /// The pages an active transaction has logged writes against, sorted by
-  /// page id. The rollback path (src/cc/) walks this to undo dirty work;
-  /// sorting keeps the iteration order independent of the hash layout of
-  /// the internal page set.
+  /// page id. The rollback path (src/cc/) walks this to undo dirty work in
+  /// that order.
   std::vector<store::PageId> TouchedPages(TxnId txn) const;
 
   uint64_t records_appended() const { return records_; }
@@ -115,13 +113,18 @@ class LogManager {
   int Append(uint32_t payload);
   void Journal(LogRecordType type, TxnId txn, store::PageId page,
                uint32_t payload);
+  /// Ends an active transaction's page tracking, recycling its entry.
+  void Forget(TxnId txn);
 
   uint32_t capacity_;
   uint32_t page_size_;
   uint32_t header_;
   uint32_t buffered_ = 0;
 
-  std::unordered_map<TxnId, std::unordered_set<store::PageId>> touched_;
+  /// Each active transaction's touched pages, kept sorted (the
+  /// membership check is a binary search). Commit and Abort recycle the
+  /// entry, vector capacity included, for a later transaction.
+  RecyclingMap<TxnId, std::vector<store::PageId>> touched_;
 
   uint64_t records_ = 0;
   uint64_t before_images_ = 0;

@@ -235,6 +235,106 @@ TEST(LockManagerTest, PageLatchesAreExclusiveFifoWithoutTimeout) {
   EXPECT_DOUBLE_EQ(lm.stats().latch_wait_time_s, 2.0 + 4.0 + 6.0);
 }
 
+// -------------------------------------------------------------- recycling
+//
+// Released lock, latch and held-key entries are recycled for later keys;
+// a recycled entry must carry nothing over from its previous key.
+
+sim::Task HoldFor(sim::Simulator& sim, LockManager& lm, cc::TxnId txn,
+                  cc::LockKey key, LockMode mode, double hold_s,
+                  LockProbe& probe) {
+  probe.granted = co_await lm.Acquire(txn, key, mode);
+  probe.done = true;
+  probe.at = sim.now();
+  co_await sim::Delay(sim, hold_s);
+  lm.ReleaseAll(txn);
+}
+
+TEST(LockManagerRecyclingTest, ReacquiredKeySeesNoStaleHoldersOrQueue) {
+  sim::Simulator sim;
+  LockManager lm(sim, FastCc());
+  LockProbe x1, x2;
+  sim::Spawn(HoldFor(sim, lm, 1, 5, LockMode::kExclusive, 0.1, x1));
+  sim::Spawn(HoldFor(sim, lm, 2, 5, LockMode::kExclusive, 0.1, x2));
+  EXPECT_EQ(lm.queue_length(5), 1u);
+  sim.Run();  // 1 releases, 2 is granted and releases: key 5 recycled
+  ASSERT_TRUE(x1.granted && x2.granted);
+  EXPECT_EQ(lm.held_count(1), 0u);
+  EXPECT_EQ(lm.held_count(2), 0u);
+
+  // A new key and a new transaction take the recycled entries.
+  LockProbe s3, x4;
+  sim::Spawn(AcquireAndHold(sim, lm, 3, 6, LockMode::kShared, s3));
+  ASSERT_TRUE(s3.done && s3.granted);
+  EXPECT_EQ(lm.held_count(3), 1u);
+  EXPECT_EQ(lm.queue_length(6), 0u);
+  EXPECT_FALSE(lm.Holds(1, 6, LockMode::kShared));
+  EXPECT_FALSE(lm.Holds(2, 6, LockMode::kShared));
+  EXPECT_FALSE(lm.Holds(3, 5, LockMode::kShared));
+  // The only holder of key 6 is txn 3's shared lock: an exclusive request
+  // queues behind it alone and is granted when it goes.
+  sim::Spawn(AcquireAndHold(sim, lm, 4, 6, LockMode::kExclusive, x4));
+  EXPECT_FALSE(x4.done);
+  EXPECT_EQ(lm.queue_length(6), 1u);
+  lm.ReleaseAll(3);
+  EXPECT_TRUE(x4.done && x4.granted);
+  // Key 5 again: free, so granted at once.
+  LockProbe x5;
+  sim::Spawn(AcquireAndHold(sim, lm, 5, 5, LockMode::kExclusive, x5));
+  EXPECT_TRUE(x5.done && x5.granted);
+  sim.Run();
+  EXPECT_EQ(lm.stats().lock_timeouts, 0u);
+}
+
+TEST(LockManagerRecyclingTest, HandedOverLatchIsFreeOnceRecycled) {
+  sim::Simulator sim;
+  LockManager lm(sim, FastCc());
+  std::vector<double> acquired_at;
+  sim::Spawn(LatchHold(sim, lm, 77, 1.0, acquired_at));
+  sim::Spawn(LatchHold(sim, lm, 77, 1.0, acquired_at));
+  sim.Run();  // handed over at t=1, released at t=2: entry recycled
+  EXPECT_EQ(acquired_at, (std::vector<double>{0.0, 1.0}));
+  // Another page takes the recycled entry, which must not be held: the
+  // latch is granted without queueing, and so is page 77 again.
+  sim::Spawn(LatchHold(sim, lm, 88, 1.0, acquired_at));
+  sim::Spawn(LatchHold(sim, lm, 77, 1.0, acquired_at));
+  EXPECT_EQ(acquired_at, (std::vector<double>{0.0, 1.0, 2.0, 2.0}));
+  sim.Run();
+  EXPECT_EQ(lm.stats().latch_grants, 4u);
+  EXPECT_EQ(lm.stats().latch_waits, 1u);
+}
+
+TEST(LockManagerRecyclingTest, StaleTimeoutLeavesReusedEntryAlone) {
+  // Txn 2 waits on key 5 and is granted at t=0.2; its timeout event still
+  // fires at t=1.0. By then key 5's entry has been recycled for key 6,
+  // where txn 4 is queued since t=0.5. The stale event must be a no-op,
+  // and txn 4 must time out at its own deadline, t=1.5.
+  sim::Simulator sim;
+  LockManager lm(sim, FastCc());
+  LockProbe x1, x2, x3, x4;
+  sim::Spawn(HoldFor(sim, lm, 1, 5, LockMode::kExclusive, 0.2, x1));
+  sim::Spawn(HoldFor(sim, lm, 2, 5, LockMode::kExclusive, 0.1, x2));
+  sim.RunUntil(0.4);
+  ASSERT_TRUE(x2.done && x2.granted);
+  EXPECT_DOUBLE_EQ(x2.at, 0.2);
+  EXPECT_EQ(lm.queue_length(5), 0u);
+  sim::Spawn(HoldFor(sim, lm, 3, 6, LockMode::kExclusive, 5.0, x3));
+  ASSERT_TRUE(x3.granted);
+  sim.RunUntil(0.5);
+  sim::Spawn(AcquireAndHold(sim, lm, 4, 6, LockMode::kExclusive, x4));
+  EXPECT_EQ(lm.queue_length(6), 1u);
+  sim.RunUntil(1.2);
+  EXPECT_FALSE(x4.done);  // txn 2's stale timeout did not touch it
+  EXPECT_EQ(lm.queue_length(6), 1u);
+  EXPECT_EQ(lm.stats().lock_timeouts, 0u);
+  sim.Run();
+  EXPECT_TRUE(x4.done);
+  EXPECT_FALSE(x4.granted);
+  EXPECT_DOUBLE_EQ(x4.at, 1.5);
+  EXPECT_EQ(lm.stats().lock_timeouts, 1u);
+  EXPECT_EQ(lm.queue_length(6), 0u);
+}
+
 // ------------------------------------------------------------------ model
 //
 // End-to-end contract on the engineering-database model: the cc layer off

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <coroutine>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -338,6 +339,81 @@ TEST(ProcessTest, ZeroDelayDoesNotSuspend) {
   // Spawn runs eagerly to the first real suspension; zero delay is ready.
   ASSERT_EQ(log.size(), 1u);
   EXPECT_DOUBLE_EQ(log[0], 0.0);
+}
+
+// -------------------------------------------------------------- frame pool
+
+using internal::FramePool;
+
+TEST(FramePoolTest, ReusesFramesLifoWithinASizeClass) {
+  // Frames of 100 and 120 bytes share the 128-byte class.
+  void* a = FramePool::Allocate(100);
+  void* b = FramePool::Allocate(120);
+  const size_t cached = FramePool::CachedFrames();
+  FramePool::Deallocate(a, 100);
+  FramePool::Deallocate(b, 120);
+  EXPECT_EQ(FramePool::CachedFrames(), cached + 2);
+  EXPECT_EQ(FramePool::Allocate(110), b);  // last freed, first reused
+  EXPECT_EQ(FramePool::Allocate(70), a);
+  EXPECT_EQ(FramePool::CachedFrames(), cached);
+  // Another class does not take them.
+  void* small = FramePool::Allocate(40);
+  EXPECT_NE(small, a);
+  EXPECT_NE(small, b);
+  FramePool::Deallocate(small, 40);
+  FramePool::Deallocate(a, 70);
+  FramePool::Deallocate(b, 110);
+}
+
+TEST(FramePoolTest, FramesAboveTheCapBypassThePool) {
+  const size_t big = FramePool::kMaxPooledBytes + 1;
+  const size_t cached = FramePool::CachedFrames();
+  void* frame = FramePool::Allocate(big);
+  FramePool::Deallocate(frame, big);
+  EXPECT_EQ(FramePool::CachedFrames(), cached);
+  void* at_cap = FramePool::Allocate(FramePool::kMaxPooledBytes);
+  FramePool::Deallocate(at_cap, FramePool::kMaxPooledBytes);
+  EXPECT_EQ(FramePool::CachedFrames(), cached + 1);
+}
+
+TEST(FramePoolTest, TaskFramesComeBackToThePool) {
+  Simulator sim;
+  std::vector<double> log;
+  Spawn(RecordAfterDelay(sim, 1.0, log));
+  sim.Run();
+  const size_t cached = FramePool::CachedFrames();
+  // The same call shape again reuses the frames the first run freed.
+  Spawn(RecordAfterDelay(sim, 1.0, log));
+  EXPECT_LT(FramePool::CachedFrames(), cached);
+  sim.Run();
+  EXPECT_EQ(FramePool::CachedFrames(), cached);
+  EXPECT_EQ(log.size(), 2u);
+}
+
+/// Awaitable that reports the awaiting coroutine's frame address and
+/// continues without suspending.
+struct FrameAddress {
+  void** out;
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) const noexcept {
+    *out = h.address();
+    return false;
+  }
+  void await_resume() const noexcept {}
+};
+
+Task RecordFrame(void** out) { co_await FrameAddress{out}; }
+
+TEST(FramePoolDeathTest, TouchingADestroyedTaskFrameIsReported) {
+  void* frame = nullptr;
+  Spawn(RecordFrame(&frame));  // runs to completion; the frame is pooled
+  ASSERT_NE(frame, nullptr);
+#if defined(__SANITIZE_ADDRESS__)
+  EXPECT_DEATH(*static_cast<volatile char*>(frame) = 1, "use-after-poison");
+#else
+  GTEST_SKIP() << "needs AddressSanitizer; elsewhere pooled frames are "
+                  "not poisoned";
+#endif
 }
 
 // ---------------------------------------------------------------- resource

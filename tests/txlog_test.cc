@@ -1,3 +1,5 @@
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "txlog/log_manager.h"
 
@@ -123,6 +125,35 @@ TEST(LogManagerTest, ResetCountersPreservesActiveTransactions) {
   log.LogWrite(1, 10, 100);  // same txn, same page: still no before-image
   EXPECT_EQ(log.before_images(), 0u);
   log.Commit(1);
+}
+
+TEST(LogManagerTest, TouchedPagesStaySortedAndUniqueBeyondSixteen) {
+  LogManager log(1024 * 1024, kPage, kHeader);
+  log.Begin(1);
+  std::vector<store::PageId> want;
+  // 40 distinct pages in a scrambled order, each written three times.
+  for (int round = 0; round < 3; ++round) {
+    for (uint32_t i = 0; i < 40; ++i) {
+      log.LogWrite(1, (i * 17) % 40 + 100, 64);
+    }
+  }
+  for (store::PageId p = 100; p < 140; ++p) want.push_back(p);
+  EXPECT_EQ(log.TouchedPages(1), want);
+  EXPECT_EQ(log.before_images(), 40u);
+  log.Commit(1);
+}
+
+TEST(LogManagerTest, RecycledPageSetStartsEmpty) {
+  LogManager log(1024 * 1024, kPage, kHeader);
+  log.Begin(1);
+  for (store::PageId p = 0; p < 20; ++p) log.LogWrite(1, p, 64);
+  log.Abort(1);
+  log.Begin(2);  // takes txn 1's recycled entry
+  EXPECT_TRUE(log.TouchedPages(2).empty());
+  log.LogWrite(2, 5, 64);  // page 5 was txn 1's: a new before-image
+  EXPECT_EQ(log.before_images(), 21u);
+  EXPECT_EQ(log.TouchedPages(2), (std::vector<store::PageId>{5}));
+  log.Commit(2);
 }
 
 // Property sweep: for any update pattern, flush count is monotone in the

@@ -3,10 +3,15 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <unordered_set>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "util/epoch_set.h"
 #include "util/json_writer.h"
 #include "util/random.h"
+#include "util/recycling_map.h"
+#include "util/ring_queue.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/table_printer.h"
@@ -384,6 +389,79 @@ TEST(JsonWriterTest, DeterministicDoubleRendering) {
   const double v = 0.1 + 0.2;
   EXPECT_EQ(JsonNumber(v), JsonNumber(0.30000000000000004));
   EXPECT_NE(JsonNumber(v), JsonNumber(0.3));
+}
+
+// ------------------------------------------------- hot-path containers
+
+TEST(RingQueueTest, FifoAcrossWrapAndGrowth) {
+  RingQueue<int> q;
+  int next_in = 0;
+  int next_out = 0;
+  // Interleave pushes and pops so the head wraps before each growth.
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 3; ++i) q.push_back(next_in++);
+    for (int i = 0; i < 2; ++i) EXPECT_EQ(q.pop_front(), next_out++);
+  }
+  EXPECT_EQ(q.size(), 50u);
+  for (size_t i = 0; i < q.size(); ++i) {
+    EXPECT_EQ(q[i], next_out + static_cast<int>(i));
+  }
+  while (!q.empty()) EXPECT_EQ(q.pop_front(), next_out++);
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(RingQueueTest, EraseKeepsOrder) {
+  RingQueue<int> q;
+  for (int i = 0; i < 6; ++i) q.push_back(i);
+  q.pop_front();
+  q.pop_front();
+  for (int i = 6; i < 10; ++i) q.push_back(i);  // wraps the 8-slot ring
+  q.erase(3);                                   // drops 5
+  std::vector<int> rest;
+  while (!q.empty()) rest.push_back(q.pop_front());
+  EXPECT_EQ(rest, (std::vector<int>{2, 3, 4, 6, 7, 8, 9}));
+}
+
+TEST(EpochSetTest, MatchesUnorderedSetThroughClearsAndGrowth) {
+  EpochSet set;
+  std::unordered_set<uint32_t> ref;
+  Rng rng(5);
+  for (int round = 0; round < 20; ++round) {
+    set.Clear();
+    ref.clear();
+    const int n = 1 + static_cast<int>(rng.NextBelow(400));
+    for (int i = 0; i < n; ++i) {
+      const auto id = static_cast<uint32_t>(rng.NextBelow(600));
+      EXPECT_EQ(set.Insert(id), ref.insert(id).second);
+    }
+    EXPECT_EQ(set.size(), ref.size());
+    for (uint32_t id = 0; id < 600; ++id) {
+      EXPECT_EQ(set.Contains(id), ref.count(id) == 1) << id;
+    }
+  }
+}
+
+TEST(RecyclingMapTest, RecycledNodeKeepsCapacityUnderItsNewKey) {
+  RecyclingMap<uint64_t, std::vector<int>> map;
+  bool inserted = false;
+  std::vector<int>& a = map.FindOrInsert(1, &inserted);
+  EXPECT_TRUE(inserted);
+  a.assign(100, 7);
+  a.clear();  // callers empty an entry before recycling it
+  map.Erase(1);
+  EXPECT_EQ(map.Find(1), nullptr);
+  std::vector<int>& b = map.FindOrInsert(2, &inserted);
+  EXPECT_TRUE(inserted);
+  EXPECT_TRUE(b.empty());
+  EXPECT_GE(b.capacity(), 100u);  // the recycled value came along
+  EXPECT_EQ(map.Find(2), &b);
+  map.FindOrInsert(2, &inserted);
+  EXPECT_FALSE(inserted);
+  auto node = map.Take(2);
+  EXPECT_FALSE(node.empty());
+  EXPECT_EQ(map.Find(2), nullptr);
+  EXPECT_TRUE(map.Take(3).empty());
+  map.Recycle(std::move(node));
 }
 
 }  // namespace
