@@ -251,19 +251,25 @@ BENCHMARK(BM_ScoreCandidates);
 
 // ------------------------------------------------------- placement audit
 
-// One full PlacementAuditor::Sample over a built database. Arg 0 is an
-// OCT database (acyclic configurations, a few objects per root); args 1
-// and 2 are 6000-instance OCB graphs whose random references form one
-// giant configuration cycle — under zipf locality every root's closure
-// stays under the walk cap, under uniform locality every root hits it.
+// One full PlacementAuditor::Sample over a built database. Args 0 and 3
+// are OCT databases (acyclic configurations, a few objects per root): 2 MB,
+// and 48 MB, the default database_bytes with the object count of an
+// oct_dyn cell (about 187k objects, here on 13k pages), whose object/edge
+// pass does not fit in L2. Args 1 and 2 are 6000-instance OCB graphs whose random references
+// form one giant configuration cycle — under zipf locality every root's
+// closure stays under the walk cap, under uniform locality every root hits
+// it.
 void BM_PlacementAuditorSample(benchmark::State& state) {
+  constexpr const char* kLabels[] = {"oct", "ocb_zipf", "ocb_uniform",
+                                     "oct_48mb"};
+  const int64_t arg = state.range(0);
   obj::TypeLattice lattice;
   ocb::OcbConfig ocb;
-  ocb.enabled = state.range(0) != 0;
+  ocb.enabled = arg == 1 || arg == 2;
   ocb.instances = 6000;
   ocb.classes = 16;
-  ocb.locality = state.range(0) == 1 ? ocb::RefLocality::kZipf
-                                      : ocb::RefLocality::kUniform;
+  ocb.locality = arg == 1 ? ocb::RefLocality::kZipf
+                          : ocb::RefLocality::kUniform;
   ocb::OcbSchema schema;
   workload::CadTypes types{};
   if (ocb.enabled) {
@@ -279,7 +285,7 @@ void BM_PlacementAuditorSample(benchmark::State& state) {
     ocb::OcbBuilder(&graph, &mgr, nullptr, ocb).Build(schema, 43);
   } else {
     workload::DatabaseSpec spec;
-    spec.target_bytes = 2 << 20;
+    spec.target_bytes = arg == 3 ? 48 << 20 : 2 << 20;
     workload::DbBuilder(&graph, &mgr, nullptr, spec).Build(types);
   }
 
@@ -287,14 +293,13 @@ void BM_PlacementAuditorSample(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(auditor.Sample());
   }
-  state.SetLabel(state.range(0) == 0   ? "oct"
-                 : state.range(0) == 1 ? "ocb_zipf"
-                                       : "ocb_uniform");
+  state.SetLabel(kLabels[arg]);
 }
 BENCHMARK(BM_PlacementAuditorSample)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
+    ->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------- static clustering

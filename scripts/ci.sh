@@ -22,25 +22,10 @@ J1="${BUILD}/bench_jobs1.json"
 J4="${BUILD}/bench_jobs4.json"
 rm -f "${J1}" "${J4}"
 
-# Wall-clock is recorded per job count into a BENCH_experiment_runner.json
-# shaped artifact so perf regressions leave a paper trail next to the
-# determinism gates (the committed copy holds the curated trajectory).
-now_ms() { echo $(( $(date +%s%N) / 1000000 )); }
-t0=$(now_ms)
 SEMCLUST_BENCH_FAST=1 SEMCLUST_BENCH_JOBS=1 SEMCLUST_BENCH_JSON="${J1}" \
   "${BENCH}" > "${BUILD}/bench_jobs1.out"
-t1=$(now_ms)
 SEMCLUST_BENCH_FAST=1 SEMCLUST_BENCH_JOBS=4 SEMCLUST_BENCH_JSON="${J4}" \
   "${BENCH}" > "${BUILD}/bench_jobs4.out"
-t2=$(now_ms)
-wall_j1_ms=$(( t1 - t0 ))
-wall_j4_ms=$(( t2 - t1 ))
-printf '{\n  "bench": "bench_fig5_1_clustering_effects",\n  "mode": "SEMCLUST_BENCH_FAST=1",\n  "grid_cells": 45,\n  "host_cores": %s,\n  "measurements": [\n    {"jobs": 1, "wall_s": %d.%03d},\n    {"jobs": 4, "wall_s": %d.%03d}\n  ]\n}\n' \
-  "$(nproc)" \
-  $(( wall_j1_ms / 1000 )) $(( wall_j1_ms % 1000 )) \
-  $(( wall_j4_ms / 1000 )) $(( wall_j4_ms % 1000 )) \
-  > "${BUILD}/bench_wall.json"
-echo "ci: fig5.1 wall-clock jobs=1 ${wall_j1_ms}ms, jobs=4 ${wall_j4_ms}ms"
 
 strip_wall() { sed -E 's/"elapsed_wall_s":[^,}]+//' "$1"; }
 if ! diff <(strip_wall "${J1}") <(strip_wall "${J4}"); then
@@ -397,12 +382,14 @@ cmake --build "${RELBUILD}" -j "$(nproc)"
 ctest --test-dir "${RELBUILD}" --output-on-failure -j "$(nproc)"
 
 # Sanitizer job: AddressSanitizer + UndefinedBehaviorSanitizer over the
-# test suite and the fig5.1 and contention scenarios at jobs=4 (thread pool
-# included). Any UB report halts the run, and the instrumented output must
-# still match the committed baselines byte for byte. The contention
+# test suite and the fig5.1, contention and OCB scenarios at jobs=4 (thread
+# pool included). Any UB report halts the run, and the instrumented output
+# must still match the committed baselines byte for byte. The contention
 # scenario is the only committed one with strict 2PL on, so it runs the
 # recycled lock and latch entries and the pooled coroutine frames
-# (poisoned while pooled) under the sanitizers.
+# (poisoned while pooled) under the sanitizers. The OCB scenario's cyclic
+# configuration graphs run the placement audit's raw-array walk stack and
+# its strongly-connected-component condensation.
 SANBUILD="${ROOT}/build-sanitize"
 cmake -S "${ROOT}" -B "${SANBUILD}" -DSEMCLUST_SANITIZE="address|undefined"
 cmake --build "${SANBUILD}" -j "$(nproc)"
@@ -422,6 +409,14 @@ rm -f "${SANCC}"
   > "${SANBUILD}/cc_jobs4.out"
 if ! diff <(strip_wall "${SANCC}") <(strip_wall "${CC_BASELINE}"); then
   echo "FAIL: sanitized contention scenario differs from the baseline" >&2
+  exit 1
+fi
+SANOCB="${SANBUILD}/ocb_jobs4.json"
+rm -f "${SANOCB}"
+"${SANBUILD}/tools/semclust_run" --jobs 4 --json "${SANOCB}" \
+  "${OCB_SCENARIO}" > "${SANBUILD}/ocb_jobs4.out"
+if ! diff <(strip_wall "${SANOCB}") <(strip_wall "${OCB_BASELINE}"); then
+  echo "FAIL: sanitized OCB scenario differs from the baseline" >&2
   exit 1
 fi
 

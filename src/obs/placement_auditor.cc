@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -24,6 +25,7 @@ struct ConfigurationGraph {
   std::vector<uint32_t> offsets;  ///< row o is [offsets[o], offsets[o + 1])
   std::vector<obj::ObjectId> targets;
   std::vector<store::PageId> page_of;
+  size_t widest_row = 0;  ///< most children of any one object
 
   std::span<const obj::ObjectId> children(obj::ObjectId o) const {
     return {targets.data() + offsets[o], targets.data() + offsets[o + 1]};
@@ -41,37 +43,56 @@ struct ConfigurationGraph {
 /// component (size and deduplicated pages) in one step, and gives up once
 /// the reached size hits the cap, where only the DFS order decides which
 /// objects are popped.
+///
+/// Pages are marked in page_mark_ slots: a placed page is its own slot and
+/// kInvalidPage (an unplaced live object) is the sentinel slot page_count,
+/// so marking never branches; a walk that marked the sentinel subtracts it
+/// once at the end.
 class ConfigurationWalker {
  public:
   ConfigurationWalker(const ConfigurationGraph& graph, size_t page_count)
       : graph_(graph),
+        // See ExactWalk for why the cap plus the widest row is enough.
+        stack_(std::make_unique_for_overwrite<obj::ObjectId[]>(
+            kMaxConfigurationWalk + graph.widest_row + 1)),
         object_mark_(graph.page_of.size(), 0),
-        page_mark_(page_count, 0) {}
+        page_mark_(page_count + 1, 0),
+        sentinel_(static_cast<store::PageId>(page_count)) {}
 
   bool condensed() const { return condensed_; }
 
   /// Distinct pages of the objects the capped DFS from `root` pops. Adds
   /// the number of objects pushed to `*pushed`.
+  ///
+  /// The children's stamps depend on random references, so the child loop
+  /// does not branch on them: it stores every child at the stack top and
+  /// advances `sp` and `visited` only for a fresh one. The stack holds
+  /// sp <= visited entries, since every push counts as visited; an object
+  /// is popped only while visited < kMaxConfigurationWalk, so its children
+  /// are stored at indices below kMaxConfigurationWalk + widest_row.
   size_t ExactWalk(obj::ObjectId root, size_t* pushed) {
-    ++walk_;
-    object_mark_[root] = walk_;
+    const uint32_t walk = ++walk_;
+    obj::ObjectId* const stack = stack_.get();
+    object_mark_[root] = walk;
+    stack[0] = root;
+    size_t sp = 1;
     size_t visited = 1;
-    size_t distinct_pages = 0;
-    stack_.assign(1, root);
-    while (!stack_.empty() && visited < kMaxConfigurationWalk) {
-      const obj::ObjectId o = stack_.back();
-      stack_.pop_back();
-      distinct_pages += MarkPage(graph_.page_of[o]);
+    size_t marked = 0;
+    while (sp != 0 && visited < kMaxConfigurationWalk) {
+      const obj::ObjectId o = stack[--sp];
+      marked += Stamp(page_mark_[SlotOf(graph_.page_of[o])], walk);
       for (const obj::ObjectId c : graph_.children(o)) {
-        if (object_mark_[c] != walk_) {
-          object_mark_[c] = walk_;
-          ++visited;
-          stack_.push_back(c);
-        }
+        const bool fresh = Stamp(object_mark_[c], walk);
+        // The last fresh child is popped next: fetching its row now takes
+        // that load off the chain from one pop to the next.
+        __builtin_prefetch(graph_.targets.data() + graph_.offsets[c]);
+        stack[sp] = c;
+        sp += fresh;
+        visited += fresh;
       }
     }
     *pushed += visited;
-    return distinct_pages;
+    return PlacedPages(marked);
   }
 
   /// Finds the non-trivial strongly connected components reachable from
@@ -135,8 +156,10 @@ class ConfigurationWalker {
   std::optional<size_t> CondensedWalk(obj::ObjectId root) {
     ++walk_;
     size_t reached = 0;
-    size_t distinct_pages = 0;
-    stack_.clear();
+    size_t marked = 0;
+    // A component's external children may outnumber any one CSR row, so
+    // this walk keeps its own growable stack.
+    condensed_stack_.clear();
     // A member of a non-trivial component stands for the whole component.
     const auto reach = [&](obj::ObjectId o) {
       const uint32_t c = component_of_[o];
@@ -149,19 +172,19 @@ class ConfigurationWalker {
         component_mark_[c] = walk_;
         reached += components_[c].size;
       }
-      stack_.push_back(o);
+      condensed_stack_.push_back(o);
     };
     reach(root);
-    while (!stack_.empty() && reached < kMaxConfigurationWalk) {
-      const obj::ObjectId o = stack_.back();
-      stack_.pop_back();
+    while (!condensed_stack_.empty() && reached < kMaxConfigurationWalk) {
+      const obj::ObjectId o = condensed_stack_.back();
+      condensed_stack_.pop_back();
       const uint32_t c = component_of_[o];
       if (c == kTrivial) {
-        distinct_pages += MarkPage(graph_.page_of[o]);
+        marked += Stamp(page_mark_[SlotOf(graph_.page_of[o])], walk_);
         for (const obj::ObjectId child : graph_.children(o)) reach(child);
       } else {
-        for (const store::PageId p : components_[c].pages) {
-          distinct_pages += MarkPage(p);
+        for (const store::PageId slot : components_[c].slots) {
+          marked += Stamp(page_mark_[slot], walk_);
         }
         for (const obj::ObjectId child : components_[c].children) {
           reach(child);
@@ -169,7 +192,7 @@ class ConfigurationWalker {
       }
     }
     if (reached >= kMaxConfigurationWalk) return std::nullopt;
-    return distinct_pages;
+    return PlacedPages(marked);
   }
 
  private:
@@ -177,15 +200,26 @@ class ConfigurationWalker {
 
   struct Component {
     size_t size = 0;
-    std::vector<store::PageId> pages;     ///< sorted, distinct, placed
+    std::vector<store::PageId> slots;     ///< sorted, distinct page slots
     std::vector<obj::ObjectId> children;  ///< sorted, distinct, external
   };
 
-  /// 1 if `p` is a page not yet counted by the current walk, else 0.
-  size_t MarkPage(store::PageId p) {
-    if (p == store::kInvalidPage || page_mark_[p] == walk_) return 0;
-    page_mark_[p] = walk_;
-    return 1;
+  /// The page_mark_ slot of page `p`: kInvalidPage, the largest PageId,
+  /// maps to the sentinel and every placed page to itself.
+  store::PageId SlotOf(store::PageId p) const { return std::min(p, sentinel_); }
+  static_assert(store::kInvalidPage ==
+                std::numeric_limits<store::PageId>::max());
+
+  /// Stamps `mark` with `walk`; true if it held an earlier walk.
+  static bool Stamp(uint32_t& mark, uint32_t walk) {
+    const bool fresh = mark != walk;
+    mark = walk;
+    return fresh;
+  }
+
+  /// The placed pages among the `marked` slots of the current walk.
+  size_t PlacedPages(size_t marked) const {
+    return marked - (page_mark_[sentinel_] == walk_);
   }
 
   void AddComponent(std::span<const obj::ObjectId> members) {
@@ -194,8 +228,7 @@ class ConfigurationWalker {
     comp.size = members.size();
     for (const obj::ObjectId m : members) component_of_[m] = id;
     for (const obj::ObjectId m : members) {
-      const store::PageId p = graph_.page_of[m];
-      if (p != store::kInvalidPage) comp.pages.push_back(p);
+      comp.slots.push_back(SlotOf(graph_.page_of[m]));
       for (const obj::ObjectId c : graph_.children(m)) {
         if (component_of_[c] != id) comp.children.push_back(c);
       }
@@ -204,17 +237,19 @@ class ConfigurationWalker {
       std::sort(list.begin(), list.end());
       list.erase(std::unique(list.begin(), list.end()), list.end());
     };
-    sort_unique(comp.pages);
+    sort_unique(comp.slots);
     sort_unique(comp.children);
   }
 
   const ConfigurationGraph& graph_;
-  std::vector<obj::ObjectId> stack_;
+  std::unique_ptr<obj::ObjectId[]> stack_;  ///< ExactWalk's DFS stack
+  std::vector<obj::ObjectId> condensed_stack_;
   // Stamped membership: a mark equal to walk_ means "seen by the current
   // walk", so nothing is cleared between roots.
   std::vector<uint32_t> object_mark_;
-  std::vector<uint32_t> page_mark_;
+  std::vector<uint32_t> page_mark_;  ///< page slots, sentinel last
   std::vector<uint32_t> component_mark_;
+  store::PageId sentinel_;
   uint32_t walk_ = 0;
   bool condensed_ = false;
   std::vector<uint32_t> component_of_;  ///< kTrivial or a components_ index
@@ -347,6 +382,8 @@ PlacementSample PlacementAuditor::Sample() const {
       }
     }
     if (has_down_config && !has_up_config) config_roots.push_back(id);
+    config.widest_row = std::max<size_t>(
+        config.widest_row, config.targets.size() - config.offsets.back());
   }
   config.offsets.push_back(static_cast<uint32_t>(config.targets.size()));
 

@@ -691,6 +691,107 @@ TEST(PlacementAuditorOracleTest, ComponentMembersSharePages) {
   EXPECT_EQ(s.configurations, 40u);
 }
 
+TEST(PlacementAuditorOracleTest, WideRowPoppedJustUnderTheCap) {
+  // The root has 4094 children, so the last of them is popped at visited
+  // == 4095 and stores its whole row above the cap: 70 fresh children
+  // interleaved with 50 already-pushed siblings. The walk stack has to
+  // hold the cap plus the widest row.
+  AuditWorld w(8);
+  const obj::ObjectId root = w.Create(1)[0];
+  const std::vector<obj::ObjectId> children = w.Create(4094);
+  const std::vector<obj::ObjectId> grandchildren = w.Create(70);
+  for (const obj::ObjectId c : children) w.Configure(root, c);
+  for (size_t i = 0; i < grandchildren.size(); ++i) {
+    w.Configure(children.back(), grandchildren[i]);
+    if (i < 50) w.Configure(children.back(), children[i * 80]);
+  }
+  std::vector<obj::ObjectId> all = children;
+  all.insert(all.end(), grandchildren.begin(), grandchildren.end());
+  all.push_back(root);
+  w.Place(all, /*per_page=*/1, /*unplaced=*/0.0);
+  const obs::PlacementSample s = w.SampleMatchingOracle();
+  EXPECT_EQ(s.configurations, 1u);
+  // Only the root and the last child are popped.
+  EXPECT_DOUBLE_EQ(s.mean_pages_per_configuration, 2.0);
+}
+
+TEST(PlacementAuditorOracleTest, UnplacedObjectsAreNeverCountedAsPages) {
+  // Capped walks: every root reaches a 5000-object cycle with chords.
+  {
+    AuditWorld w(9);
+    const std::vector<obj::ObjectId> cycle = w.Create(5000);
+    for (size_t i = 0; i < cycle.size(); ++i) {
+      w.Configure(cycle[i], cycle[(i + 1) % cycle.size()]);
+      const obj::ObjectId chord = cycle[w.rng().NextBelow(cycle.size())];
+      if (chord != cycle[i]) w.Configure(cycle[i], chord);
+    }
+    std::vector<obj::ObjectId> all = cycle;
+    for (const obj::ObjectId root : w.Create(30)) {
+      w.Configure(root, cycle[w.rng().NextBelow(cycle.size())]);
+      all.push_back(root);
+    }
+    w.Place(all, /*per_page=*/2, /*unplaced=*/0.3);
+    EXPECT_EQ(w.SampleMatchingOracle().configurations, 30u);
+  }
+  // Uncapped walks over a forest whose leaves and roots are often unplaced;
+  // a root with only unplaced objects below it spans no page at all.
+  {
+    AuditWorld w(10);
+    const std::vector<obj::ObjectId> ids = w.Create(3000);
+    for (size_t i = 1; i < ids.size(); ++i) {
+      const size_t lo = i > 20 ? i - 20 : 0;
+      w.Configure(ids[lo + w.rng().NextBelow(i - lo)], ids[i]);
+    }
+    w.Place(ids, /*per_page=*/3, /*unplaced=*/0.5);
+    const std::vector<obj::ObjectId> bare = w.Create(2);
+    w.Configure(bare[0], bare[1]);
+    const obs::PlacementSample s = w.SampleMatchingOracle();
+    EXPECT_EQ(s.configurations, 2u);
+    EXPECT_LT(s.mean_pages_per_configuration,
+              static_cast<double>(s.placed_objects));
+  }
+  // Condensed walks: chained cycles whose members are half unplaced, under
+  // enough roots that the walker condenses them.
+  {
+    AuditWorld w(11);
+    std::vector<std::vector<obj::ObjectId>> cycles;
+    for (int k = 0; k < 80; ++k) {
+      cycles.push_back(w.Create(5 + w.rng().NextBelow(40)));
+      const std::vector<obj::ObjectId>& c = cycles.back();
+      for (size_t i = 0; i < c.size(); ++i) {
+        w.Configure(c[i], c[(i + 1) % c.size()]);
+      }
+      if (k > 0) w.Configure(cycles[k - 1][0], c[0]);
+    }
+    std::vector<obj::ObjectId> all;
+    for (const auto& c : cycles) all.insert(all.end(), c.begin(), c.end());
+    const std::vector<obj::ObjectId> roots = w.Create(300);
+    for (const obj::ObjectId root : roots) {
+      const auto& c = cycles[w.rng().NextBelow(cycles.size())];
+      w.Configure(root, c[w.rng().NextBelow(c.size())]);
+    }
+    all.insert(all.end(), roots.begin(), roots.end());
+    w.Place(all, /*per_page=*/3, /*unplaced=*/0.5);
+    EXPECT_EQ(w.SampleMatchingOracle().configurations, 300u);
+  }
+}
+
+TEST(PlacementAuditorOracleTest, NothingPlaced) {
+  // Capped, uncapped and condensed walks over a store with no page: each
+  // configuration spans zero pages.
+  for (const size_t window : {0u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << "window=" << window);
+    AuditWorld w(12);
+    BuildOcbLike(w, 6000, window, /*extra_roots=*/60);
+    const obs::PlacementSample s = w.SampleMatchingOracle();
+    EXPECT_EQ(s.placed_objects, 0u);
+    EXPECT_EQ(s.pages, 0u);
+    EXPECT_EQ(s.edges, 0u);
+    EXPECT_GE(s.configurations, 60u);
+    EXPECT_EQ(s.mean_pages_per_configuration, 0.0);
+  }
+}
+
 // ------------------------------------------------- model-level sampling
 
 core::ModelConfig SmallConfig() {
