@@ -302,30 +302,58 @@ BENCHMARK(BM_PlacementAuditorSample)
     ->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
-// ---------------------------------------------------- static clustering
+// ------------------------------------------------------- database build
 
-// One StaticClusterer::Reorganize (visit order plus repack) of a
-// fixed-seed 48 MB OCT database built in arrival order, the size and
-// policy of an oct_dyn cell. Each iteration rebuilds the database with the
-// timer paused, so only the reorganisation is timed.
-void BM_StaticReorganize(benchmark::State& state) {
-  struct OctDatabase {
-    obj::TypeLattice lattice;
-    workload::CadTypes types = workload::RegisterCadTypes(lattice);
-    obj::ObjectGraph graph{&lattice};
-    store::StorageManager storage{4096};
-    cluster::AffinityModel affinity{&lattice};
-    cluster::ClusterManager mgr{&graph, &storage, &affinity, nullptr, {}};
-    OctDatabase() {
-      workload::DatabaseSpec spec;
-      spec.target_bytes = 48 << 20;
-      workload::DbBuilder(&graph, &mgr, nullptr, spec).Build(types);
-    }
-  };
+// A fixed-seed 48 MB OCT database, the size of an oct_dyn cell, built
+// without buffer mirroring and placed under `pool`.
+struct OctDatabase {
+  obj::TypeLattice lattice;
+  workload::CadTypes types = workload::RegisterCadTypes(lattice);
+  obj::ObjectGraph graph{&lattice};
+  store::StorageManager storage{4096};
+  cluster::AffinityModel affinity{&lattice};
+  cluster::ClusterManager mgr;
+  explicit OctDatabase(cluster::CandidatePool pool)
+      : mgr(&graph, &storage, &affinity, nullptr, {.pool = pool}) {
+    workload::DatabaseSpec spec;
+    spec.target_bytes = 48 << 20;
+    workload::DbBuilder(&graph, &mgr, nullptr, spec).Build(types);
+  }
+};
+
+// One DbBuilder::Build of an OctDatabase. Arg 0 places in arrival order
+// (No_Clustering), Arg 1 scores candidates over the whole database
+// (No_limit). The previous iteration's database is freed with the timer
+// paused.
+void BM_DbBuild(benchmark::State& state) {
+  const cluster::CandidatePool pool =
+      state.range(0) == 0 ? cluster::CandidatePool::kNoClustering
+                          : cluster::CandidatePool::kWithinDb;
   std::unique_ptr<OctDatabase> db;
   for (auto _ : state) {
     state.PauseTiming();
-    db = std::make_unique<OctDatabase>();  // frees the previous one too
+    db.reset();
+    state.ResumeTiming();
+    db = std::make_unique<OctDatabase>(pool);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(db->graph.size()));
+  state.SetLabel(cluster::CandidatePoolName(pool));
+}
+BENCHMARK(BM_DbBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------- static clustering
+
+// One StaticClusterer::Reorganize (visit order plus repack) of an
+// OctDatabase built in arrival order, the policy of an oct_dyn cell. Each
+// iteration rebuilds the database with the timer paused, so only the
+// reorganisation is timed.
+void BM_StaticReorganize(benchmark::State& state) {
+  std::unique_ptr<OctDatabase> db;
+  for (auto _ : state) {
+    state.PauseTiming();
+    // Frees the previous database too.
+    db = std::make_unique<OctDatabase>(cluster::CandidatePool::kNoClustering);
     cluster::StaticClusterer reorg(&db->graph, &db->storage, &db->affinity);
     state.ResumeTiming();
     benchmark::DoNotOptimize(reorg.Reorganize());

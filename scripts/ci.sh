@@ -382,14 +382,18 @@ cmake --build "${RELBUILD}" -j "$(nproc)"
 ctest --test-dir "${RELBUILD}" --output-on-failure -j "$(nproc)"
 
 # Sanitizer job: AddressSanitizer + UndefinedBehaviorSanitizer over the
-# test suite and the fig5.1, contention and OCB scenarios at jobs=4 (thread
-# pool included). Any UB report halts the run, and the instrumented output
-# must still match the committed baselines byte for byte. The contention
-# scenario is the only committed one with strict 2PL on, so it runs the
-# recycled lock and latch entries and the pooled coroutine frames
-# (poisoned while pooled) under the sanitizers. The OCB scenario's cyclic
-# configuration graphs run the placement audit's raw-array walk stack and
-# its strongly-connected-component condensation.
+# test suite and the fig5.1, contention, OCB and OCT dynamic scenarios at
+# jobs=4 (thread pool included). Any UB report halts the run, and the
+# instrumented output must still match the committed baselines byte for
+# byte. The contention scenario is the only committed one with strict 2PL
+# on, so it runs the recycled lock and latch entries and the pooled
+# coroutine frames (poisoned while pooled) under the sanitizers. The OCB
+# scenario's cyclic configuration graphs run the placement audit's
+# raw-array walk stack and its strongly-connected-component condensation.
+# The OCT dynamic scenario builds 48 MB databases into plan-sized edge runs
+# carved back to back at the arena tail, where an off-by-one would write
+# into the next object's run, and runs the static reorganisation and the
+# DSTC/OPCF re-clustering paths.
 SANBUILD="${ROOT}/build-sanitize"
 cmake -S "${ROOT}" -B "${SANBUILD}" -DSEMCLUST_SANITIZE="address|undefined"
 cmake --build "${SANBUILD}" -j "$(nproc)"
@@ -417,6 +421,14 @@ rm -f "${SANOCB}"
   "${OCB_SCENARIO}" > "${SANBUILD}/ocb_jobs4.out"
 if ! diff <(strip_wall "${SANOCB}") <(strip_wall "${OCB_BASELINE}"); then
   echo "FAIL: sanitized OCB scenario differs from the baseline" >&2
+  exit 1
+fi
+SANDYN="${SANBUILD}/oct_dyn_jobs4.json"
+rm -f "${SANDYN}"
+"${SANBUILD}/tools/semclust_run" --jobs 4 --json "${SANDYN}" \
+  "${OCT_DYN_SCENARIO}" > "${SANBUILD}/oct_dyn_jobs4.out"
+if ! diff <(strip_wall "${SANDYN}") <(strip_wall "${OCT_DYN_BASELINE}"); then
+  echo "FAIL: sanitized OCT dynamic scenario differs from the baseline" >&2
   exit 1
 fi
 

@@ -21,46 +21,58 @@ ImplChoice ChooseImplementation(const AttributeDef& attr,
              : ImplChoice::kByReference;
 }
 
+HeirLayout LayoutHeir(const TypeLattice& lattice, TypeId type,
+                      const InheritanceCostModel& model) {
+  HeirLayout layout;
+  layout.size_bytes = lattice.info(type).base_size_bytes;
+  for (const AttributeDef& attr : lattice.ResolveAttributes(type)) {
+    if (attr.instance_inheritable &&
+        ChooseImplementation(attr, model) == ImplChoice::kByReference) {
+      layout.size_bytes += model.reference_size_bytes;
+      ++layout.attributes_by_reference;
+    } else {
+      layout.size_bytes += attr.size_bytes;
+      ++layout.attributes_by_copy;
+    }
+  }
+  if (layout.size_bytes == 0) layout.size_bytes = lattice.InstanceSize(type);
+  return layout;
+}
+
 DerivationResult DeriveVersion(ObjectGraph& graph, ObjectId parent,
-                               const InheritanceCostModel& model) {
+                               const InheritanceCostModel& model,
+                               uint32_t edge_capacity) {
   OODB_CHECK(graph.IsLive(parent));
   // Copy the fields we need: Create() below may reallocate object storage.
   const FamilyId family = graph.object(parent).family;
   const uint16_t parent_version = graph.object(parent).version;
   const TypeId type = graph.object(parent).type;
-  const TypeLattice& lattice = graph.lattice();
+  const HeirLayout layout = LayoutHeir(graph.lattice(), type, model);
 
   DerivationResult result;
+  result.attributes_by_copy = layout.attributes_by_copy;
+  result.attributes_by_reference = layout.attributes_by_reference;
 
-  // Size the heir according to the per-attribute implementation choices.
-  uint32_t size = lattice.info(type).base_size_bytes;
-  bool any_by_reference = false;
-  for (const AttributeDef& attr : lattice.ResolveAttributes(type)) {
-    if (attr.instance_inheritable &&
-        ChooseImplementation(attr, model) == ImplChoice::kByReference) {
-      size += model.reference_size_bytes;
-      ++result.attributes_by_reference;
-      any_by_reference = true;
-    } else {
-      size += attr.size_bytes;
-      ++result.attributes_by_copy;
-    }
-  }
-  if (size == 0) size = lattice.InstanceSize(type);
-
-  const ObjectId heir = graph.Create(
-      family, static_cast<uint16_t>(parent_version + 1), type, size);
+  const ObjectId heir =
+      graph.Create(family, static_cast<uint16_t>(parent_version + 1), type,
+                   layout.size_bytes, edge_capacity);
   graph.Relate(parent, heir, RelKind::kVersionHistory);
-  if (any_by_reference) {
+  if (layout.LinksInstanceInheritance()) {
     graph.Relate(parent, heir, RelKind::kInstanceInheritance);
   }
 
   // Default inheritance of correspondence relationships: the heir
-  // corresponds to everything its parent corresponded to. The materialised
-  // snapshot is required: Relate() below mutates the edge arenas, which
-  // would invalidate a live EdgeView over the parent's edges.
-  for (ObjectId other : graph.Correspondents(parent)) {
-    graph.Relate(heir, other, RelKind::kCorrespondence);
+  // corresponds to everything its parent corresponded to, in the order of
+  // the parent's edges. Relate(heir, other) touches only the heir's and
+  // the other object's runs, so the parent's run keeps its length and
+  // order while the loop walks it by index; the view is fetched again at
+  // each step because a relocating run may reallocate the arenas.
+  for (size_t i = 0; i < graph.EdgeCount(parent); ++i) {
+    const Edge e = graph.edges(parent)[i];
+    if (e.kind != RelKind::kCorrespondence || e.dir != Direction::kDown) {
+      continue;
+    }
+    graph.Relate(heir, e.target, RelKind::kCorrespondence);
     ++result.correspondences_inherited;
   }
 

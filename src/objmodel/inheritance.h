@@ -47,6 +47,25 @@ double ReferenceCost(const AttributeDef& attr,
 ImplChoice ChooseImplementation(const AttributeDef& attr,
                                 const InheritanceCostModel& model);
 
+/// Storage layout of a derived version of `type`: its size and how its
+/// attributes are implemented. It depends only on the type and the cost
+/// model, so a builder can know it before deriving.
+struct HeirLayout {
+  uint32_t size_bytes = 0;
+  int attributes_by_copy = 0;
+  int attributes_by_reference = 0;
+
+  /// True if derivation links parent -> heir along instance inheritance
+  /// (some attribute is implemented by reference).
+  bool LinksInstanceInheritance() const {
+    return attributes_by_reference > 0;
+  }
+};
+
+/// Layout of a heir of `type` under `model` (what DeriveVersion creates).
+HeirLayout LayoutHeir(const TypeLattice& lattice, TypeId type,
+                      const InheritanceCostModel& model);
+
 /// Outcome of deriving a new version.
 struct DerivationResult {
   ObjectId heir = kInvalidObject;
@@ -56,15 +75,16 @@ struct DerivationResult {
 };
 
 /// Derives a new version of `parent` in `graph`:
-///  * creates `family[parent.version + 1].type`,
+///  * creates `family[parent.version + 1].type`, laid out by LayoutHeir,
 ///  * links parent -> heir along version history,
-///  * decides copy-vs-reference for each instance-inheritable attribute of
-///    the type (by-reference adds an instance-inheritance link parent ->
-///    heir and shrinks the heir),
+///  * adds an instance-inheritance link parent -> heir if some attribute
+///    is implemented by reference,
 ///  * inherits the parent's correspondence relationships by default (the
 ///    paper's ALU[2].layout / ALU[3].netlist example).
+/// `edge_capacity` is passed to ObjectGraph::Create for the heir.
 DerivationResult DeriveVersion(ObjectGraph& graph, ObjectId parent,
-                               const InheritanceCostModel& model);
+                               const InheritanceCostModel& model,
+                               uint32_t edge_capacity = 0);
 
 }  // namespace oodb::obj
 

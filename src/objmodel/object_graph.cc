@@ -11,7 +11,7 @@ FamilyId ObjectGraph::NewFamily(std::string name, size_t expected_members) {
 }
 
 ObjectId ObjectGraph::Create(FamilyId family, uint16_t version, TypeId type,
-                             uint32_t size_bytes) {
+                             uint32_t size_bytes, uint32_t edge_capacity) {
   OODB_CHECK_LT(family, family_names_.size());
   OODB_CHECK_LT(type, lattice_->size());
   OODB_CHECK_GT(size_bytes, 0u);
@@ -21,29 +21,34 @@ ObjectId ObjectGraph::Create(FamilyId family, uint16_t version, TypeId type,
   o.type = type;
   o.size_bytes = size_bytes;
   objects_.push_back(o);
-  runs_.push_back(EdgeRun{});
+  const auto offset = static_cast<uint32_t>(edge_target_.size());
+  runs_.push_back(EdgeRun{offset, 0, edge_capacity});
+  edge_target_.resize(offset + edge_capacity);
+  edge_meta_.resize(offset + edge_capacity);
   const auto id = static_cast<ObjectId>(objects_.size() - 1);
   family_members_[family].push_back(id);
   ++live_count_;
   return id;
 }
 
+void ObjectGraph::GrowRun(EdgeRun& r) {
+  const uint32_t new_cap = r.capacity == 0 ? 4 : 2 * r.capacity;
+  const auto new_offset = static_cast<uint32_t>(edge_target_.size());
+  edge_target_.resize(edge_target_.size() + new_cap);
+  edge_meta_.resize(edge_meta_.size() + new_cap);
+  std::copy_n(edge_target_.begin() + r.offset, r.count,
+              edge_target_.begin() + new_offset);
+  std::copy_n(edge_meta_.begin() + r.offset, r.count,
+              edge_meta_.begin() + new_offset);
+  r.offset = new_offset;
+  r.capacity = new_cap;
+}
+
 void ObjectGraph::AddEdge(ObjectId obj, ObjectId target, RelKind kind,
                           Direction dir) {
   EdgeRun& r = runs_[obj];
-  if (r.count == r.capacity) {
-    // Grow by relocating the run to the arena tail (doubling capacity).
-    const uint32_t new_cap = r.capacity == 0 ? 4 : 2 * r.capacity;
-    const auto new_offset = static_cast<uint32_t>(edge_target_.size());
-    edge_target_.resize(edge_target_.size() + new_cap);
-    edge_meta_.resize(edge_meta_.size() + new_cap);
-    std::copy_n(edge_target_.begin() + r.offset, r.count,
-                edge_target_.begin() + new_offset);
-    std::copy_n(edge_meta_.begin() + r.offset, r.count,
-                edge_meta_.begin() + new_offset);
-    r.offset = new_offset;
-    r.capacity = new_cap;
-  }
+  // A run sized from a plan has room; any other grows by doubling.
+  if (r.count == r.capacity) GrowRun(r);
   edge_target_[r.offset + r.count] = target;
   edge_meta_[r.offset + r.count] = PackMeta(kind, dir);
   ++r.count;

@@ -113,9 +113,12 @@ class ObjectGraph {
   /// `expected_members`, so the member list is sized once.
   FamilyId NewFamily(std::string name, size_t expected_members = 0);
 
-  /// Creates an object `family[version].type` of the given size.
+  /// Creates an object `family[version].type` of the given size. A
+  /// builder that knows the object's final degree passes it as
+  /// `edge_capacity`: the run is carved at the arena tail with exactly that
+  /// room, so the object's edges never relocate while it stays within it.
   ObjectId Create(FamilyId family, uint16_t version, TypeId type,
-                  uint32_t size_bytes);
+                  uint32_t size_bytes, uint32_t edge_capacity = 0);
 
   /// Adds a structural relationship. Both endpoints must be live.
   void Relate(ObjectId from, ObjectId to, RelKind kind);
@@ -152,6 +155,12 @@ class ObjectGraph {
   size_t EdgeCount(ObjectId id) const {
     OODB_CHECK_LT(id, runs_.size());
     return runs_[id].count;
+  }
+
+  /// Edges `id` can hold before its run relocates.
+  size_t EdgeCapacity(ObjectId id) const {
+    OODB_CHECK_LT(id, runs_.size());
+    return runs_[id].capacity;
   }
 
   /// External name triple, e.g. "ALU[2].layout".
@@ -253,14 +262,18 @@ class ObjectGraph {
   }
 
   void AddEdge(ObjectId obj, ObjectId target, RelKind kind, Direction dir);
+  /// Doubles a full run's capacity, relocating it to the arena tail.
+  void GrowRun(EdgeRun& r);
   void RemoveEdge(ObjectId obj, ObjectId target, RelKind kind,
                   Direction dir);
 
   const TypeLattice* lattice_;
   std::vector<DesignObject> objects_;
-  /// Columnar edge storage: runs_[id] slices the parallel arenas. Runs
-  /// grow by doubling, relocating to the arena tail; abandoned slices are
-  /// bounded by the usual geometric-growth constant factor.
+  /// Columnar edge storage: runs_[id] slices the parallel arenas. A run
+  /// created with an edge capacity starts at the arena tail; a run that
+  /// fills up grows by doubling, relocating to the arena tail, and its
+  /// abandoned slices are bounded by the usual geometric-growth constant
+  /// factor.
   std::vector<EdgeRun> runs_;
   std::vector<ObjectId> edge_target_;
   std::vector<uint8_t> edge_meta_;

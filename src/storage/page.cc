@@ -4,14 +4,6 @@
 
 namespace oodb::store {
 
-bool Page::Insert(obj::ObjectId id, uint32_t size_bytes) {
-  OODB_CHECK_GT(size_bytes, 0u);
-  if (!Fits(size_bytes)) return false;
-  slots_.push_back(Slot{id, size_bytes});
-  used_ += size_bytes;
-  return true;
-}
-
 bool Page::Remove(obj::ObjectId id) {
   auto it = std::find_if(slots_.begin(), slots_.end(),
                          [id](const Slot& s) { return s.object == id; });

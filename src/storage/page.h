@@ -41,7 +41,13 @@ class Page {
   }
 
   /// Adds a record. Returns false (without modification) if it doesn't fit.
-  bool Insert(obj::ObjectId id, uint32_t size_bytes);
+  bool Insert(obj::ObjectId id, uint32_t size_bytes) {
+    OODB_CHECK_GT(size_bytes, 0u);
+    if (!Fits(size_bytes)) return false;
+    slots_.push_back(Slot{id, size_bytes});
+    used_ += size_bytes;
+    return true;
+  }
 
   /// Removes the record for `id`. Returns false if not present.
   bool Remove(obj::ObjectId id);

@@ -60,7 +60,14 @@ StatusOr<PageId> StorageManager::PlaceAppend(obj::ObjectId id,
       size_bytes <= append_fill_limit_;  // oversized objects bypass reserve
   if (append_page_ == kInvalidPage || over_fill_limit ||
       !pages_[append_page_].Fits(size_bytes)) {
-    append_page_ = AllocatePage();
+    // Arrival-order pages fill to about the same record count, so the new
+    // page's slot directory is sized to the count the previous one closed
+    // with instead of growing by doubling.
+    const size_t reserve_slots = append_page_ == kInvalidPage
+                                     ? 0
+                                     : pages_[append_page_].object_count();
+    pages_.emplace_back(page_size_, reserve_slots);
+    append_page_ = static_cast<PageId>(pages_.size() - 1);
   }
   OODB_RETURN_IF_ERROR(Place(id, size_bytes, append_page_));
   return append_page_;
@@ -73,7 +80,6 @@ Status StorageManager::Relocate(obj::ObjectId id, PageId to) {
     return Status::NotFound("object not placed");
   }
   if (from == to) return Status::Ok();
-  // Find the size from the source page.
   const uint32_t size = SizeOf(id);
   if (!pages_[to].Insert(id, size)) {
     return Status::ResourceExhausted("destination page full");
@@ -154,17 +160,6 @@ Status StorageManager::ResizeInPlace(obj::ObjectId id,
   used_bytes_ += new_size_bytes;
   used_bytes_ -= old_size;
   return Status::Ok();
-}
-
-PageId StorageManager::PageOf(obj::ObjectId id) const {
-  if (id >= object_page_.size()) return kInvalidPage;
-  return object_page_[id];
-}
-
-uint32_t StorageManager::SizeOf(obj::ObjectId id) const {
-  const PageId p = PageOf(id);
-  OODB_CHECK_NE(p, kInvalidPage);
-  return object_size_[id];
 }
 
 double StorageManager::MeanOccupancy() const {

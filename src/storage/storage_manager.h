@@ -66,7 +66,10 @@ class StorageManager {
   Status ResizeInPlace(obj::ObjectId id, uint32_t new_size_bytes);
 
   /// Page holding `id`, or kInvalidPage if unplaced.
-  PageId PageOf(obj::ObjectId id) const;
+  PageId PageOf(obj::ObjectId id) const {
+    if (id >= object_page_.size()) return kInvalidPage;
+    return object_page_[id];
+  }
 
   /// True if the object currently resides on some page.
   bool IsPlaced(obj::ObjectId id) const {
@@ -88,7 +91,10 @@ class StorageManager {
   double MeanOccupancy() const;
 
   /// Recorded size of a placed object (as known to storage).
-  uint32_t SizeOf(obj::ObjectId id) const;
+  uint32_t SizeOf(obj::ObjectId id) const {
+    OODB_CHECK_NE(PageOf(id), kInvalidPage);
+    return object_size_[id];
+  }
 
  private:
   void EnsureDirectory(obj::ObjectId id);

@@ -44,17 +44,23 @@ struct PlanStep {
   int corresponds = -1;
   /// kDerive: local index of the object to derive a version of.
   int derive_of = -1;
+  /// Edges of the step's object once the whole plan has executed: the
+  /// exact capacity of its edge run.
+  uint32_t degree = 0;
+  /// The step's correspondence-group side (PlanDegrees), or -1.
+  int corr_side = -1;
 };
 
 }  // namespace internal
 
 using internal::PlanStep;
 
-/// A stream's in-progress module: its plan and execution cursor.
+/// A stream's in-progress module: its plan and execution cursor. The plan
+/// keeps its capacity from module to module. Every step creates one object,
+/// so `module.objects` maps plan index -> ObjectId.
 struct DbBuilder::StreamState {
   std::vector<PlanStep> plan;
   size_t cursor = 0;
-  std::vector<obj::ObjectId> local_ids;  // plan index -> ObjectId
   DesignDatabase::Module module;
   obj::FamilyId family = obj::kInvalidFamily;
   bool Done() const { return cursor >= plan.size(); }
@@ -96,19 +102,19 @@ void DbBuilder::Place(obj::ObjectId id) {
   }
 }
 
-std::vector<PlanStep> DbBuilder::PlanModule() {
-  std::vector<PlanStep> plan;
+void DbBuilder::PlanModule(std::vector<PlanStep>& plan) {
+  plan.clear();
   const FanoutRange fanout = FanoutFor(spec_.density);
 
   // --- Primary representation: depth-first configuration tree. ---
   plan.push_back(PlanStep{PlanStep::Kind::kCreate, types_.composite,
                           SampleObjectSize(true), true, -1, -1, -1});
-  std::vector<int> root_components;
+  root_components_.clear();
   // Depth-first expansion over planned composites: (plan index, depth).
-  std::vector<std::pair<int, int>> stack{{0, 0}};
-  while (!stack.empty()) {
-    const auto [parent, depth] = stack.back();
-    stack.pop_back();
+  plan_stack_.assign(1, {0, 0});
+  while (!plan_stack_.empty()) {
+    const auto [parent, depth] = plan_stack_.back();
+    plan_stack_.pop_back();
     const int children = static_cast<int>(
         rng_.UniformInt(fanout.min_fanout, fanout.max_fanout));
     for (int c = 0; c < children; ++c) {
@@ -119,8 +125,8 @@ std::vector<PlanStep> DbBuilder::PlanModule() {
                               SampleObjectSize(composite), composite,
                               parent, -1, -1});
       const int idx = static_cast<int>(plan.size() - 1);
-      if (parent == 0) root_components.push_back(idx);
-      if (composite) stack.push_back({idx, depth + 1});
+      if (parent == 0) root_components_.push_back(idx);
+      if (composite) plan_stack_.push_back({idx, depth + 1});
     }
   }
 
@@ -130,7 +136,7 @@ std::vector<PlanStep> DbBuilder::PlanModule() {
                             SampleObjectSize(true), true, -1, /*root=*/0,
                             -1});
     const int alt_root = static_cast<int>(plan.size() - 1);
-    for (int counterpart : root_components) {
+    for (int counterpart : root_components_) {
       plan.push_back(PlanStep{PlanStep::Kind::kCreate, types_.alt,
                               SampleObjectSize(false), false, alt_root,
                               counterpart, -1});
@@ -138,18 +144,66 @@ std::vector<PlanStep> DbBuilder::PlanModule() {
   }
 
   // --- Version chains (instance-to-instance inheritance). ---
+  // Every derive step follows every create step (PlanDegrees relies on it).
   const int base_count = static_cast<int>(plan.size());
   for (int i = 0; i < base_count; ++i) {
     if (!rng_.Bernoulli(spec_.version_fraction)) continue;
     int head = i;
     const double p_stop = 1.0 / (1.0 + spec_.version_chain_mean);
     do {
-      plan.push_back(PlanStep{PlanStep::Kind::kDerive, obj::kInvalidType, 0,
-                              false, -1, -1, head});
+      // A heir has its parent's type.
+      plan.push_back(PlanStep{PlanStep::Kind::kDerive,
+                              plan[static_cast<size_t>(head)].type, 0, false,
+                              -1, -1, head});
       head = static_cast<int>(plan.size() - 1);
     } while (!rng_.Bernoulli(p_stop));
   }
-  return plan;
+  PlanDegrees(plan);
+}
+
+void DbBuilder::PlanDegrees(std::vector<PlanStep>& plan) {
+  // Configuration, version history and instance inheritance each add one
+  // edge at both ends. Correspondence is counted per group: the objects a
+  // chain of correspondences connects. A create step joins its
+  // counterpart's group on the other side, and the counterpart is the only
+  // object on its own side (no derive step has run yet), so every group is
+  // complete bipartite. A derive step joins its parent's group on the
+  // parent's side and, inheriting the parent's correspondences, links to
+  // the whole other side, so the group stays complete bipartite. Each
+  // object therefore ends with one correspondence per member of the other
+  // side of its group.
+  corr_side_size_.clear();
+  for (PlanStep& step : plan) {
+    if (step.parent >= 0) {
+      ++step.degree;
+      ++plan[static_cast<size_t>(step.parent)].degree;
+    }
+    if (step.corresponds >= 0) {
+      int& counterpart = plan[static_cast<size_t>(step.corresponds)].corr_side;
+      if (counterpart < 0) {
+        counterpart = static_cast<int>(corr_side_size_.size());
+        corr_side_size_.push_back(1);
+        corr_side_size_.push_back(0);
+      }
+      OODB_CHECK_EQ(corr_side_size_[static_cast<size_t>(counterpart)], 1u);
+      step.corr_side = counterpart ^ 1;
+    } else if (step.kind == PlanStep::Kind::kDerive) {
+      // Version history, plus instance inheritance if the type links it.
+      PlanStep& of = plan[static_cast<size_t>(step.derive_of)];
+      const uint32_t links = 1u + heir_links_[step.type];
+      step.degree += links;
+      of.degree += links;
+      step.corr_side = of.corr_side;
+    }
+    if (step.corr_side >= 0) {
+      ++corr_side_size_[static_cast<size_t>(step.corr_side)];
+    }
+  }
+  for (PlanStep& step : plan) {
+    if (step.corr_side >= 0) {
+      step.degree += corr_side_size_[static_cast<size_t>(step.corr_side ^ 1)];
+    }
+  }
 }
 
 void DbBuilder::ExecuteStep(StreamState& stream) {
@@ -158,14 +212,15 @@ void DbBuilder::ExecuteStep(StreamState& stream) {
   obj::ObjectId id = obj::kInvalidObject;
 
   if (step.kind == PlanStep::Kind::kCreate) {
-    id = graph_->Create(stream.family, 1, step.type, step.size_bytes);
+    id = graph_->Create(stream.family, 1, step.type, step.size_bytes,
+                        step.degree);
     if (step.parent >= 0) {
-      graph_->Relate(stream.local_ids[static_cast<size_t>(step.parent)], id,
+      graph_->Relate(module.objects[static_cast<size_t>(step.parent)], id,
                      obj::RelKind::kConfiguration);
     }
     if (step.corresponds >= 0) {
       const obj::ObjectId other =
-          stream.local_ids[static_cast<size_t>(step.corresponds)];
+          module.objects[static_cast<size_t>(step.corresponds)];
       graph_->Relate(id, other, obj::RelKind::kCorrespondence);
       module.corresponding.push_back(id);
       module.corresponding.push_back(other);
@@ -175,15 +230,15 @@ void DbBuilder::ExecuteStep(StreamState& stream) {
     if (module.root == obj::kInvalidObject) module.root = id;
   } else {
     const obj::ObjectId of =
-        stream.local_ids[static_cast<size_t>(step.derive_of)];
-    const auto derived = obj::DeriveVersion(*graph_, of, inherit_model_);
+        module.objects[static_cast<size_t>(step.derive_of)];
+    const auto derived =
+        obj::DeriveVersion(*graph_, of, inherit_model_, step.degree);
     id = derived.heir;
     Place(id);
     module.versioned.push_back(of);
     module.versioned.push_back(id);
   }
 
-  stream.local_ids.push_back(id);
   module.objects.push_back(id);
   ++stream.cursor;
 
@@ -202,6 +257,12 @@ void DbBuilder::ExecuteStep(StreamState& stream) {
 
 DesignDatabase DbBuilder::Build(CadTypes types) {
   types_ = types;
+  const obj::TypeLattice& lattice = graph_->lattice();
+  heir_links_.resize(lattice.size());
+  for (obj::TypeId t = 0; t < lattice.size(); ++t) {
+    heir_links_[t] =
+        obj::LayoutHeir(lattice, t, inherit_model_).LinksInstanceInheritance();
+  }
   DesignDatabase db;
   db.composite_type = types.composite;
   db.leaf_type = types.leaf;
@@ -213,16 +274,25 @@ DesignDatabase DbBuilder::Build(CadTypes types) {
       static_cast<size_t>(spec_.concurrent_streams));
   int module_index = 0;
   auto start_module = [&](StreamState& s) {
-    s = StreamState{};
-    s.plan = PlanModule();
+    PlanModule(s.plan);
+    s.cursor = 0;
     // Build "M<n>" via append: `"M" + std::to_string(n)` trips GCC 12's
     // -Werror=restrict false positive (PR105651) at -O3.
     std::string module_name("M");
     module_name += std::to_string(module_index++);
-    // Every plan step creates exactly one object of the module.
+    // Every plan step creates exactly one object of the module, and the
+    // catalogue lists are sized exactly from the plan.
     s.family = graph_->NewFamily(module_name, s.plan.size());
-    s.local_ids.reserve(s.plan.size());
+    size_t composites = 0, corresponding = 0, versioned = 0;
+    for (const PlanStep& step : s.plan) {
+      composites += step.is_composite ? 1 : 0;
+      corresponding += step.corresponds >= 0 ? 2 : 0;
+      versioned += step.kind == PlanStep::Kind::kDerive ? 2 : 0;
+    }
     s.module.objects.reserve(s.plan.size());
+    s.module.composites.reserve(composites);
+    s.module.corresponding.reserve(corresponding);
+    s.module.versioned.reserve(versioned);
   };
   for (auto& s : streams) start_module(s);
 

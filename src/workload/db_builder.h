@@ -2,6 +2,7 @@
 #define SEMCLUST_WORKLOAD_DB_BUILDER_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
@@ -118,8 +119,12 @@ class DbBuilder {
 
   uint32_t SampleObjectSize(bool composite);
   void Place(obj::ObjectId id);
-  /// Plans one module as a step script (no side effects on the graph).
-  std::vector<internal::PlanStep> PlanModule();
+  /// Plans one module into `plan` as a step script (no side effects on the
+  /// graph), then sizes every step's edge run (PlanDegrees).
+  void PlanModule(std::vector<internal::PlanStep>& plan);
+  /// Sets each step's `degree` to the number of edges its object has once
+  /// the whole plan has executed.
+  void PlanDegrees(std::vector<internal::PlanStep>& plan);
   /// Executes the next step of a stream's plan.
   void ExecuteStep(StreamState& stream);
 
@@ -131,6 +136,18 @@ class DbBuilder {
   uint64_t bytes_created_ = 0;
   obj::InheritanceCostModel inherit_model_;
   CadTypes types_{};
+
+  // Planning scratch, cleared per module instead of reallocated.
+  /// Depth-first expansion stack: (plan index, depth).
+  std::vector<std::pair<int, int>> plan_stack_;
+  /// Plan indices of the primary root's direct components.
+  std::vector<int> root_components_;
+  /// Member count of each side of each correspondence group: group g's
+  /// sides are entries 2g and 2g + 1.
+  std::vector<uint32_t> corr_side_size_;
+  /// Per type: 1 if deriving a version of it links the heir along
+  /// instance inheritance (obj::LayoutHeir), filled once per Build.
+  std::vector<uint8_t> heir_links_;
 };
 
 }  // namespace oodb::workload

@@ -210,6 +210,57 @@ TEST_F(DbBuilderTest, ClusteringKeepsModulesDense) {
   EXPECT_LT(clustered, unclustered * 0.55);
 }
 
+// Oracle for the plan-sized edge runs: the builder carves each object's run
+// with the degree its module plan predicts, so after the build every run is
+// exactly full. A degree rule that misses an edge leaves a run that grew by
+// doubling (capacity above count); one that overcounts leaves slack.
+TEST_F(DbBuilderTest, PlannedDegreesMatchBuiltEdgeCounts) {
+  for (const StructureDensity density : kAllStructureDensities) {
+    for (const int alts : {0, 1, 2}) {
+      for (const double versions : {0.0, 0.12, 0.9}) {
+        for (const cluster::CandidatePool pool :
+             {cluster::CandidatePool::kNoClustering,
+              cluster::CandidatePool::kWithinDb}) {
+          SCOPED_TRACE(testing::Message()
+                       << StructureDensityName(density) << " alts=" << alts
+                       << " versions=" << versions << " "
+                       << cluster::CandidatePoolName(pool));
+          obj::ObjectGraph graph(&lattice_);
+          store::StorageManager storage(4096);
+          cluster::ClusterConfig config;
+          config.pool = pool;
+          cluster::ClusterManager mgr(&graph, &storage, &affinity_, nullptr,
+                                      config);
+          DatabaseSpec spec;
+          spec.target_bytes = 256 << 10;
+          spec.density = density;
+          spec.alt_representations = alts;
+          spec.version_fraction = versions;
+          DbBuilder(&graph, &mgr, nullptr, spec).Build(types_);
+
+          size_t mismatched = 0, inherited = 0;
+          obj::ObjectId first = obj::kInvalidObject;
+          for (obj::ObjectId id = 0; id < graph.size(); ++id) {
+            if (graph.EdgeCount(id) != graph.EdgeCapacity(id)) {
+              if (mismatched++ == 0) first = id;
+            }
+            inherited += graph.object(id).version > 1 &&
+                         graph.HasNeighbor(id, obj::RelKind::kCorrespondence,
+                                           obj::Direction::kDown);
+          }
+          EXPECT_EQ(mismatched, 0u)
+              << "first: object " << first << " has "
+              << graph.EdgeCount(first) << " edges in a run of "
+              << graph.EdgeCapacity(first);
+          // The inherited-correspondence term is exercised wherever both
+          // alternates and versions are built.
+          EXPECT_EQ(inherited > 0, alts > 0 && versions > 0);
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------ generator
 
 class WorkloadGenTest : public ::testing::Test {
