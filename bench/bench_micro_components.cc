@@ -249,20 +249,56 @@ void BM_ScoreCandidates(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreCandidates);
 
+// ---------------------------------------------------------- OCT database
+
+// A fixed-seed 48 MB OCT database, the size of an oct_dyn cell, built
+// without buffer mirroring and placed under `pool`.
+struct OctDatabase {
+  obj::TypeLattice lattice;
+  workload::CadTypes types = workload::RegisterCadTypes(lattice);
+  obj::ObjectGraph graph{&lattice};
+  store::StorageManager storage{4096};
+  cluster::AffinityModel affinity{&lattice};
+  cluster::ClusterManager mgr;
+  explicit OctDatabase(cluster::CandidatePool pool)
+      : mgr(&graph, &storage, &affinity, nullptr, {.pool = pool}) {
+    workload::DatabaseSpec spec;
+    spec.target_bytes = 48 << 20;
+    workload::DbBuilder(&graph, &mgr, nullptr, spec).Build(types);
+  }
+};
+
 // ------------------------------------------------------- placement audit
 
 // One full PlacementAuditor::Sample over a built database. Args 0 and 3
 // are OCT databases (acyclic configurations, a few objects per root): 2 MB,
 // and 48 MB, the default database_bytes with the object count of an
 // oct_dyn cell (about 187k objects, here on 13k pages), whose object/edge
-// pass does not fit in L2. Args 1 and 2 are 6000-instance OCB graphs whose random references
+// pass does not fit in L2. Arg 4 is the 48 MB OctDatabase after
+// StaticClusterer::Reorganize, the state an oct_dyn cell audits (about 27k
+// pages). Args 1 and 2 are 6000-instance OCB graphs whose random references
 // form one giant configuration cycle — under zipf locality every root's
 // closure stays under the walk cap, under uniform locality every root hits
 // it.
 void BM_PlacementAuditorSample(benchmark::State& state) {
   constexpr const char* kLabels[] = {"oct", "ocb_zipf", "ocb_uniform",
-                                     "oct_48mb"};
+                                     "oct_48mb", "oct_48mb_reorganized"};
   const int64_t arg = state.range(0);
+  state.SetLabel(kLabels[arg]);
+  const auto time_samples = [&state](const obj::ObjectGraph& graph,
+                                     const store::StorageManager& storage) {
+    const obs::PlacementAuditor auditor(&graph, &storage);
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(auditor.Sample());
+    }
+  };
+  if (arg == 4) {
+    OctDatabase db(cluster::CandidatePool::kNoClustering);
+    cluster::StaticClusterer(&db.graph, &db.storage, &db.affinity)
+        .Reorganize();
+    time_samples(db.graph, db.storage);
+    return;
+  }
   obj::TypeLattice lattice;
   ocb::OcbConfig ocb;
   ocb.enabled = arg == 1 || arg == 2;
@@ -288,38 +324,17 @@ void BM_PlacementAuditorSample(benchmark::State& state) {
     spec.target_bytes = arg == 3 ? 48 << 20 : 2 << 20;
     workload::DbBuilder(&graph, &mgr, nullptr, spec).Build(types);
   }
-
-  const obs::PlacementAuditor auditor(&graph, &storage);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(auditor.Sample());
-  }
-  state.SetLabel(kLabels[arg]);
+  time_samples(graph, storage);
 }
 BENCHMARK(BM_PlacementAuditorSample)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
     ->Arg(3)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------- database build
-
-// A fixed-seed 48 MB OCT database, the size of an oct_dyn cell, built
-// without buffer mirroring and placed under `pool`.
-struct OctDatabase {
-  obj::TypeLattice lattice;
-  workload::CadTypes types = workload::RegisterCadTypes(lattice);
-  obj::ObjectGraph graph{&lattice};
-  store::StorageManager storage{4096};
-  cluster::AffinityModel affinity{&lattice};
-  cluster::ClusterManager mgr;
-  explicit OctDatabase(cluster::CandidatePool pool)
-      : mgr(&graph, &storage, &affinity, nullptr, {.pool = pool}) {
-    workload::DatabaseSpec spec;
-    spec.target_bytes = 48 << 20;
-    workload::DbBuilder(&graph, &mgr, nullptr, spec).Build(types);
-  }
-};
 
 // One DbBuilder::Build of an OctDatabase. Arg 0 places in arrival order
 // (No_Clustering), Arg 1 scores candidates over the whole database

@@ -115,6 +115,19 @@ for f in "${ROOT}"/bench/scenarios/*.json \
     exit 1
   fi
 done
+# The CLI's own flag values parse whole, as the scenario's integers do: a
+# zero, trailing text, an overflow, a sign on the seed, or a following
+# option in place of the value exits 2 instead of running a default.
+for flags in "--jobs 0" "--jobs 4x" "--jobs 99999999999999999999" \
+    "--jobs 2147483648" "--seed abc" "--seed -1" "--jobs --dry-run"; do
+  rc=0
+  # shellcheck disable=SC2086  # split the flag from its value
+  "${RUN}" ${flags} --dry-run "${SCENARIO}" > /dev/null 2>&1 || rc=$?
+  if [ "${rc}" -ne 2 ]; then
+    echo "FAIL: semclust_run ${flags} exited ${rc}, want 2" >&2
+    exit 1
+  fi
+done
 
 # Span-profiler gates (DESIGN.md §14). With profiling on, the same
 # scenario must (a) stay byte-identical across job counts (only
@@ -375,14 +388,19 @@ fi
 
 # Release (-O3) job: GCC 12's -Werror=restrict false positive (upstream
 # PR105651) is worked around in objmodel/validator.cc, so the optimised
-# configuration must configure, build, and pass the test suite clean.
+# configuration must configure, build, and pass the test suite clean. Every
+# component micro-benchmark runs once, briefly, so a broken fixture fails
+# here rather than only when someone times it.
 RELBUILD="${ROOT}/build-release"
 cmake -S "${ROOT}" -B "${RELBUILD}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${RELBUILD}" -j "$(nproc)"
 ctest --test-dir "${RELBUILD}" --output-on-failure -j "$(nproc)"
+"${RELBUILD}/bench/bench_micro_components" --benchmark_min_time=0.01 \
+  > "${RELBUILD}/bench_micro_components.out"
 
 # Sanitizer job: AddressSanitizer + UndefinedBehaviorSanitizer over the
-# test suite and the fig5.1, contention, OCB and OCT dynamic scenarios at
+# test suite, one brief run of every component micro-benchmark, and the
+# fig5.1, contention, OCB and OCT dynamic scenarios at
 # jobs=4 (thread pool included). Any UB report halts the run, and the
 # instrumented output must still match the committed baselines byte for
 # byte. The contention scenario is the only committed one with strict 2PL
@@ -399,6 +417,8 @@ cmake -S "${ROOT}" -B "${SANBUILD}" -DSEMCLUST_SANITIZE="address|undefined"
 cmake --build "${SANBUILD}" -j "$(nproc)"
 export UBSAN_OPTIONS=halt_on_error=1
 ctest --test-dir "${SANBUILD}" --output-on-failure -j "$(nproc)"
+"${SANBUILD}/bench/bench_micro_components" --benchmark_min_time=0.01 \
+  > "${SANBUILD}/bench_micro_components.out"
 SAN1="${SANBUILD}/scenario_jobs4.json"
 rm -f "${SAN1}"
 "${SANBUILD}/tools/semclust_run" --jobs 4 --json "${SAN1}" "${SCENARIO}" \

@@ -6,6 +6,9 @@
 
 #include "gtest/gtest.h"
 
+#include "cluster/affinity.h"
+#include "cluster/cluster_manager.h"
+#include "cluster/static_clusterer.h"
 #include "core/bench_report.h"
 #include "core/engineering_db.h"
 #include "core/experiment.h"
@@ -20,6 +23,7 @@
 #include "objmodel/type_system.h"
 #include "storage/storage_manager.h"
 #include "util/random.h"
+#include "workload/db_builder.h"
 
 namespace oodb {
 namespace {
@@ -789,6 +793,62 @@ TEST(PlacementAuditorOracleTest, NothingPlaced) {
     EXPECT_EQ(s.edges, 0u);
     EXPECT_GE(s.configurations, 60u);
     EXPECT_EQ(s.mean_pages_per_configuration, 0.0);
+  }
+}
+
+TEST(PlacementAuditorOracleTest, BuiltOctDatabase) {
+  // DbBuilder databases carry what AuditWorld does not: instance
+  // inheritance, correspondences, version chains and plan-sized edge runs.
+  // Each is audited as built, after the static reorganisation an oct_dyn
+  // cell runs, and after churn has deleted objects and edges.
+  for (const cluster::CandidatePool pool :
+       {cluster::CandidatePool::kNoClustering,
+        cluster::CandidatePool::kWithinDb}) {
+    SCOPED_TRACE(cluster::CandidatePoolName(pool));
+    obj::TypeLattice lattice;
+    const workload::CadTypes types = workload::RegisterCadTypes(lattice);
+    obj::ObjectGraph graph(&lattice);
+    store::StorageManager storage(4096);
+    cluster::AffinityModel affinity(&lattice);
+    cluster::ClusterManager mgr(&graph, &storage, &affinity, nullptr,
+                                {.pool = pool});
+    workload::DatabaseSpec spec;
+    spec.target_bytes = 2 << 20;
+    workload::DbBuilder(&graph, &mgr, nullptr, spec).Build(types);
+    const auto expect_oracle = [&] {
+      const obs::PlacementSample s =
+          obs::PlacementAuditor(&graph, &storage).Sample();
+      EXPECT_EQ(s.ToJson(), ReferenceSample(graph, storage).ToJson());
+      return s;
+    };
+    const obs::PlacementSample built = expect_oracle();
+    for (const obj::RelKind kind : obj::kAllRelKinds) {
+      EXPECT_GT(built.by_kind[static_cast<size_t>(kind)].edges, 0u)
+          << obj::RelKindName(kind);
+    }
+    cluster::StaticClusterer(&graph, &storage, &affinity).Reorganize();
+    expect_oracle();
+
+    Rng rng(pool == cluster::CandidatePool::kNoClustering ? 13 : 14);
+    const auto num_objects = static_cast<obj::ObjectId>(graph.size());
+    for (obj::ObjectId id = 0; id < num_objects; ++id) {
+      if (!rng.Bernoulli(0.1)) continue;
+      graph.Remove(id);
+      if (storage.IsPlaced(id)) {
+        ASSERT_TRUE(storage.Erase(id).ok());
+      }
+    }
+    for (obj::ObjectId id = 0; id < num_objects; ++id) {
+      if (!graph.IsLive(id) || graph.EdgeCount(id) == 0 ||
+          !rng.Bernoulli(0.1)) {
+        continue;
+      }
+      const obj::Edge e = graph.edges(id)[0];
+      if (e.dir == obj::Direction::kDown) graph.Unrelate(id, e.target, e.kind);
+    }
+    const obs::PlacementSample churned = expect_oracle();
+    EXPECT_LT(churned.live_objects, built.live_objects);
+    EXPECT_LT(churned.edges, built.edges);
   }
 }
 

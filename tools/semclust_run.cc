@@ -6,11 +6,12 @@
 //
 // Usage:
 //   semclust_run [options] <scenario.json>...
-//     --jobs N     worker threads (same as SEMCLUST_BENCH_JOBS=N)
+//     --jobs N     worker threads, a positive int (same as
+//                  SEMCLUST_BENCH_JOBS=N)
 //     --json PATH  append one JSONL record per cell to PATH
 //                  (same as SEMCLUST_BENCH_JSON=PATH)
-//     --seed N     override the scenario's base seed
-//                  (same as SEMCLUST_BENCH_SEED=N)
+//     --seed N     override the scenario's base seed, an unsigned 64-bit
+//                  integer (same as SEMCLUST_BENCH_SEED=N)
 //     --metrics-out PATH
 //                  write the final merged MetricsSnapshot of each
 //                  scenario as a standalone JSON file (truncating;
@@ -25,13 +26,18 @@
 // are honoured exactly as the bench binaries honour them, and
 // SEMCLUST_SPANS=1 turns on the per-transaction span profiler
 // (config.profile_spans) without editing the committed scenario. Exit
-// status: 0 on success, 2 on usage/parse errors.
+// status: 0 on success, 2 on usage/parse errors, including a flag value
+// that does not parse whole or a value-taking flag followed by another
+// option.
 
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -59,6 +65,18 @@ void PrintUsage(std::FILE* to) {
                "usage: semclust_run [--jobs N] [--json PATH] [--seed N] "
                "[--metrics-out PATH] [--dry-run] [--policies] "
                "[--list-policies] <scenario.json>...\n");
+}
+
+// Parses the whole of `text` as a T with std::from_chars, the rule
+// core/scenario.cc applies to JSON integers: no sign on an unsigned type,
+// no leading '+', no trailing characters, no overflow.
+template <typename T>
+std::optional<T> ParseWhole(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || stop != end) return std::nullopt;
+  return value;
 }
 
 void PrintPolicies() {
@@ -194,17 +212,33 @@ int main(int argc, char** argv) {
       dry_run = true;
       continue;
     }
-    if (arg == "--metrics-out") {
-      if (i + 1 >= argc) {
+    if (arg == "--metrics-out" || arg == "--jobs" || arg == "--json" ||
+        arg == "--seed") {
+      // A following option is a missing value, not the value.
+      if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
         std::fprintf(stderr, "semclust_run: %s needs a value\n", arg.c_str());
         return 2;
       }
-      metrics_out = argv[++i];
-      continue;
-    }
-    if (arg == "--jobs" || arg == "--json" || arg == "--seed") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "semclust_run: %s needs a value\n", arg.c_str());
+      const std::string value = argv[++i];
+      if (arg == "--metrics-out") {
+        metrics_out = value;
+        continue;
+      }
+      if (arg == "--jobs") {
+        const std::optional<int> jobs = ParseWhole<int>(value);
+        if (!jobs || *jobs <= 0) {
+          std::fprintf(stderr,
+                       "semclust_run: --jobs must be a positive integer, "
+                       "not '%s'\n",
+                       value.c_str());
+          return 2;
+        }
+      }
+      if (arg == "--seed" && !ParseWhole<uint64_t>(value)) {
+        std::fprintf(stderr,
+                     "semclust_run: --seed must be an unsigned 64-bit "
+                     "integer, not '%s'\n",
+                     value.c_str());
         return 2;
       }
       // BenchReport and ExperimentRunner read their configuration from the
@@ -212,7 +246,7 @@ int main(int argc, char** argv) {
       const char* var = arg == "--jobs"   ? "SEMCLUST_BENCH_JOBS"
                         : arg == "--json" ? "SEMCLUST_BENCH_JSON"
                                           : "SEMCLUST_BENCH_SEED";
-      ::setenv(var, argv[++i], 1);
+      ::setenv(var, value.c_str(), 1);
       continue;
     }
     if (!arg.empty() && arg[0] == '-') {
