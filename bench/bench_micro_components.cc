@@ -1,8 +1,9 @@
 // Component micro-benchmarks on google-benchmark: the cost of the core
 // mechanisms — buffer-pool fixes per replacement policy, page splitting at
 // several graph sizes, the event kernel, coroutine tasks, lock and latch
-// requests, candidate scoring, the placement audit, and the workload RNG. These are engineering baselines, not paper
-// figures.
+// requests, candidate scoring, the OCT and OCB database builds, the
+// placement audit, and the workload RNG. These are engineering baselines,
+// not paper figures.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +19,7 @@
 #include "cluster/cluster_manager.h"
 #include "cluster/page_splitter.h"
 #include "cluster/static_clusterer.h"
+#include "core/model_config.h"
 #include "obs/placement_auditor.h"
 #include "ocb/ocb_builder.h"
 #include "sim/process.h"
@@ -357,6 +359,65 @@ void BM_DbBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_DbBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+// One OcbBuilder::Build of an ocb_small cell's database (6000 instances,
+// 16 classes, 3 references each) placed under No_limit with buffer
+// mirroring, as ServerContext assembles it. Arg 0 uniform, 1 gaussian,
+// 2 zipf reference locality. The previous iteration's database is freed
+// with the timer paused.
+struct OcbDatabase {
+  core::ModelConfig cfg;
+  obj::TypeLattice lattice;
+  ocb::OcbSchema schema;
+  obj::ObjectGraph graph{&lattice};
+  std::unique_ptr<store::StorageManager> storage;
+  std::unique_ptr<buffer::BufferPool> buffer;
+  std::unique_ptr<cluster::AffinityModel> affinity;
+  std::unique_ptr<cluster::ClusterManager> mgr;
+  explicit OcbDatabase(ocb::RefLocality locality) {
+    cfg.ocb.enabled = true;
+    cfg.ocb.classes = 16;
+    cfg.ocb.hierarchy_depth = 4;
+    cfg.ocb.instances = 6000;
+    cfg.ocb.refs_per_object = 3;
+    cfg.ocb.partitions = 16;
+    cfg.ocb.locality = locality;
+    cfg.clustering.pool = cluster::CandidatePool::kWithinDb;
+    cfg.buffer_pages = cfg.BufferMedium();
+    // The affinity model sizes its per-type table from the lattice, so
+    // the schema comes first.
+    schema = ocb::RegisterOcbClasses(lattice, cfg.ocb, cfg.seed ^ 0x0CB0CB);
+    storage = std::make_unique<store::StorageManager>(
+        cfg.page_size_bytes, cfg.append_fill_fraction);
+    buffer = std::make_unique<buffer::BufferPool>(
+        cfg.buffer_pages, cfg.replacement, cfg.seed ^ 0xB0FFEB0FF);
+    affinity = std::make_unique<cluster::AffinityModel>(&lattice);
+    mgr = std::make_unique<cluster::ClusterManager>(
+        &graph, storage.get(), affinity.get(), buffer.get(), cfg.clustering);
+  }
+  void Build() {
+    ocb::OcbBuilder(&graph, mgr.get(), buffer.get(), cfg.ocb)
+        .Build(schema, cfg.seed ^ 0xDBDBDB);
+  }
+};
+
+void BM_OcbBuild(benchmark::State& state) {
+  constexpr ocb::RefLocality kLocalities[] = {ocb::RefLocality::kUniform,
+                                              ocb::RefLocality::kGaussian,
+                                              ocb::RefLocality::kZipf};
+  const ocb::RefLocality locality = kLocalities[state.range(0)];
+  std::unique_ptr<OcbDatabase> db;
+  for (auto _ : state) {
+    state.PauseTiming();
+    db = std::make_unique<OcbDatabase>(locality);  // frees the previous one
+    state.ResumeTiming();
+    db->Build();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(db->graph.size()));
+  state.SetLabel(ocb::RefLocalityName(locality));
+}
+BENCHMARK(BM_OcbBuild)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+
 // ---------------------------------------------------- static clustering
 
 // One StaticClusterer::Reorganize (visit order plus repack) of an
@@ -387,6 +448,17 @@ void BM_ZipfSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZipfSample);
+
+// The same draws through a ZipfTransform held across them, as the OCB
+// builder and the workload generators draw.
+void BM_ZipfTransformSample(benchmark::State& state) {
+  Rng rng(29);
+  const ZipfTransform zipf(100000, 0.6);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(zipf.Sample(rng));
+  }
+}
+BENCHMARK(BM_ZipfTransformSample);
 
 }  // namespace
 }  // namespace oodb

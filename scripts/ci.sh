@@ -400,7 +400,7 @@ ctest --test-dir "${RELBUILD}" --output-on-failure -j "$(nproc)"
 
 # Sanitizer job: AddressSanitizer + UndefinedBehaviorSanitizer over the
 # test suite, one brief run of every component micro-benchmark, and the
-# fig5.1, contention, OCB and OCT dynamic scenarios at
+# fig5.1, contention, OCB, OCT dynamic and OCB churn scenarios at
 # jobs=4 (thread pool included). Any UB report halts the run, and the
 # instrumented output must still match the committed baselines byte for
 # byte. The contention scenario is the only committed one with strict 2PL
@@ -411,7 +411,10 @@ ctest --test-dir "${RELBUILD}" --output-on-failure -j "$(nproc)"
 # The OCT dynamic scenario builds 48 MB databases into plan-sized edge runs
 # carved back to back at the arena tail, where an off-by-one would write
 # into the next object's run, and runs the static reorganisation and the
-# DSTC/OPCF re-clustering paths.
+# DSTC/OPCF re-clustering paths. The OCB churn scenario deletes objects
+# while DSTC/OPCF re-cluster them: candidate scoring reads edge targets
+# without a liveness probe, so an edge left dangling by a delete would show
+# there first.
 SANBUILD="${ROOT}/build-sanitize"
 cmake -S "${ROOT}" -B "${SANBUILD}" -DSEMCLUST_SANITIZE="address|undefined"
 cmake --build "${SANBUILD}" -j "$(nproc)"
@@ -449,6 +452,14 @@ rm -f "${SANDYN}"
   "${OCT_DYN_SCENARIO}" > "${SANBUILD}/oct_dyn_jobs4.out"
 if ! diff <(strip_wall "${SANDYN}") <(strip_wall "${OCT_DYN_BASELINE}"); then
   echo "FAIL: sanitized OCT dynamic scenario differs from the baseline" >&2
+  exit 1
+fi
+SANCHURN="${SANBUILD}/ocb_churn_jobs4.json"
+rm -f "${SANCHURN}"
+"${SANBUILD}/tools/semclust_run" --jobs 4 --json "${SANCHURN}" \
+  "${CHURN_SCENARIO}" > "${SANBUILD}/ocb_churn_jobs4.out"
+if ! diff <(strip_wall "${SANCHURN}") <(strip_wall "${CHURN_BASELINE}"); then
+  echo "FAIL: sanitized OCB churn scenario differs from the baseline" >&2
   exit 1
 fi
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 
 namespace oodb::cluster {
 
@@ -62,8 +61,14 @@ const std::vector<ClusterManager::Candidate>& ClusterManager::ScoreCandidates(
     kind_weight[static_cast<size_t>(kind)] = w;
   }
 
+  // No liveness probe on edge targets or siblings: an edge always joins
+  // two live objects. Relate checks both ends, and Remove -- the only way
+  // an object dies -- detaches the mirror edge from every neighbour
+  // (DESIGN.md §12). StructureValidator::CheckEdges reports any edge to a
+  // dead object as kDanglingEdge; LivenessInvariantTest in
+  // tests/integration_test.cc runs it after deletes under run-time
+  // clustering.
   for (const obj::Edge e : graph_->edges(id)) {
-    if (!graph_->IsLive(e.target)) continue;
     const store::PageId p = storage_->PageOf(e.target);
     double w = kind_weight[static_cast<size_t>(e.kind)];
     if (config_.use_hints && e.kind == config_.hint_kind) {
@@ -81,7 +86,7 @@ const std::vector<ClusterManager::Candidate>& ClusterManager::ScoreCandidates(
       graph_->ForEachNeighbor(
           e.target, obj::RelKind::kConfiguration, obj::Direction::kDown,
           [&](obj::ObjectId sibling) {
-            if (sibling == id || !graph_->IsLive(sibling)) return;
+            if (sibling == id) return;
             const store::PageId sp = storage_->PageOf(sibling);
             if (sp != store::kInvalidPage) add_score(sp, 0.5 * w);
           });

@@ -11,6 +11,7 @@
 #include "cluster/policy.h"
 #include "objmodel/object_graph.h"
 #include "storage/storage_manager.h"
+#include "util/small_vector.h"
 
 /// \file
 /// The run-time (re)clustering algorithm — the paper's primary
@@ -34,8 +35,11 @@ struct PlacementReport {
   store::PageId page = store::kInvalidPage;
   /// Non-resident candidate pages that were examined with a disk read and
   /// NOT chosen (the caller owes one read each; the chosen page's read is
-  /// charged by the caller's own Fix).
-  std::vector<store::PageId> exam_reads;
+  /// charged by the caller's own Fix). A typical placement examines a few
+  /// pages, so the first eight stay inline. The report owns the list: the
+  /// execution model awaits a disk read between entries, during which
+  /// other users place objects through the same manager.
+  SmallVector<store::PageId, 8> exam_reads;
   /// True if placement fell back to arrival-order append.
   bool appended = false;
   /// True if the decision split a page.

@@ -144,6 +144,7 @@ void OcbBuilder::Place(obj::ObjectId id, SplitMix64& load_rng) {
 OcbCatalog OcbBuilder::Build(const OcbSchema& schema, uint64_t seed) {
   const size_t n = static_cast<size_t>(config_.instances);
   const size_t num_classes = schema.classes.size();
+  const size_t refs = static_cast<size_t>(config_.refs_per_object);
   OODB_CHECK_GE(n, num_classes);
   bytes_created_ = 0;
 
@@ -160,27 +161,40 @@ OcbCatalog OcbBuilder::Build(const OcbSchema& schema, uint64_t seed) {
   catalog.schema = schema;
   catalog.extents.resize(num_classes);
 
-  // Phase 1: instances. The first `classes` objects cover each class once
-  // (no class may have an empty extent); the rest draw uniformly.
-  std::vector<obj::ObjectId> ids(n);
+  // The instances get consecutive ids in creation-index order, so the
+  // whole graph is planned in index space before any object exists, and
+  // each object is then created with its final degree as edge capacity.
+  // The generated graph depends on the order of each stream's draws, which
+  // DESIGN.md §11 lists per stream.
+  const obj::ObjectId first = static_cast<obj::ObjectId>(graph_->size());
+  const auto id_of = [first](size_t i) {
+    return static_cast<obj::ObjectId>(first + i);
+  };
+
+  // Plan: classes and sizes. The first `classes` objects cover each
+  // class once (no class may have an empty extent); the rest draw
+  // uniformly.
   std::vector<size_t> class_of(n);
+  std::vector<uint32_t> size_of(n);
   for (size_t i = 0; i < n; ++i) {
     const size_t c =
         i < num_classes ? i : class_rng.NextBelow(num_classes);
-    const obj::FamilyId family = graph_->NewFamily("ocb" + std::to_string(i));
     const uint32_t base = graph_->lattice().info(schema.classes[c]).base_size_bytes;
-    const uint32_t size = static_cast<uint32_t>(std::clamp(
+    size_of[i] = static_cast<uint32_t>(std::clamp(
         static_cast<double>(base) * (0.75 + 0.5 * size_rng.NextDouble()),
         24.0, 1024.0));
-    ids[i] = graph_->Create(family, 0, schema.classes[c], size);
     class_of[i] = c;
-    catalog.extents[c].push_back(ids[i]);
+    catalog.extents[c].push_back(id_of(i));
   }
 
-  // Phase 2: references with the configured locality. Targets are drawn in
+  // Plan: references with the configured locality, target of reference
+  // r of object i at ref_target[i * refs + r]. Targets are drawn in
   // creation-index space; gaussian offsets wrap around the extent.
+  const ZipfTransform ref_zipf(n, config_.zipf_theta);
+  std::vector<uint32_t> ref_target(n * refs);
+  std::vector<uint32_t> degree(n, 0);
   for (size_t i = 0; i < n; ++i) {
-    for (int r = 0; r < config_.refs_per_object; ++r) {
+    for (size_t r = 0; r < refs; ++r) {
       size_t j = 0;
       switch (config_.locality) {
         case RefLocality::kUniform:
@@ -196,17 +210,21 @@ OcbCatalog OcbBuilder::Build(const OcbSchema& schema, uint64_t seed) {
           break;
         }
         case RefLocality::kZipf:
-          j = ref_rng.Zipf(n, config_.zipf_theta);
+          j = ref_zipf.Sample(ref_rng);
           break;
       }
       if (j == i) j = (j + 1) % n;
-      graph_->Relate(ids[i], ids[j], obj::RelKind::kConfiguration);
+      ref_target[i * refs + r] = static_cast<uint32_t>(j);
+      ++degree[i];
+      ++degree[j];
     }
   }
 
-  // Phase 2b: instance-inheritance links from an earlier superclass
-  // instance to each (sampled) subclass instance. One draw per instance
-  // regardless of outcome keeps the stream stable.
+  // Plan: instance-inheritance links from an earlier superclass instance
+  // to each (sampled) subclass instance. One draw per instance regardless
+  // of outcome keeps the stream stable.
+  constexpr uint32_t kNoSource = UINT32_MAX;
+  std::vector<uint32_t> inherit_source(n, kNoSource);
   std::vector<bool> has_heirs(n, false);
   for (size_t i = 0; i < n; ++i) {
     const double p = inherit_rng.NextDouble();
@@ -215,23 +233,47 @@ OcbCatalog OcbBuilder::Build(const OcbSchema& schema, uint64_t seed) {
     const std::vector<obj::ObjectId>& extent =
         catalog.extents[static_cast<size_t>(super)];
     // Extents are in creation order, so ids are ascending: candidates are
-    // the prefix of instances created before ids[i].
+    // the prefix of instances created before i.
     const size_t count = static_cast<size_t>(
-        std::lower_bound(extent.begin(), extent.end(), ids[i]) -
+        std::lower_bound(extent.begin(), extent.end(), id_of(i)) -
         extent.begin());
     if (count == 0) continue;
-    const obj::ObjectId source = extent[inherit_rng.NextBelow(count)];
-    graph_->Relate(source, ids[i], obj::RelKind::kInstanceInheritance);
-    // `source` is an earlier instance, so its creation index is < i.
-    has_heirs[source - ids[0]] = true;
+    // The source is an earlier instance, so its creation index is < i.
+    const size_t source = extent[inherit_rng.NextBelow(count)] - first;
+    inherit_source[i] = static_cast<uint32_t>(source);
+    has_heirs[source] = true;
+    ++degree[source];
+    ++degree[i];
   }
 
-  // Phase 3: bulk-load through the clustering policy under test, in
+  // Create every instance with exactly its planned degree, then relate in
+  // the planned order -- references by (i, r), then inheritance by i -- so
+  // every run ends exactly full and each object's edge order is its
+  // relate order.
+  for (size_t i = 0; i < n; ++i) {
+    const obj::FamilyId family = graph_->NewFamily("ocb" + std::to_string(i));
+    const obj::ObjectId id = graph_->Create(
+        family, 0, schema.classes[class_of[i]], size_of[i], degree[i]);
+    OODB_CHECK_EQ(id, id_of(i));
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t r = 0; r < refs; ++r) {
+      graph_->Relate(id_of(i), id_of(ref_target[i * refs + r]),
+                     obj::RelKind::kConfiguration);
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (inherit_source[i] == kNoSource) continue;
+    graph_->Relate(id_of(inherit_source[i]), id_of(i),
+                   obj::RelKind::kInstanceInheritance);
+  }
+
+  // Place: bulk-load through the clustering policy under test, in
   // creation order (the full reference graph is visible to placement, as
   // it is when installing a pre-existing benchmark database).
-  for (size_t i = 0; i < n; ++i) Place(ids[i], load_rng);
+  for (size_t i = 0; i < n; ++i) Place(id_of(i), load_rng);
 
-  // Phase 4: partition catalogue (partition = "module" to the execution
+  // Catalogue: partitions (partition = "module" to the execution
   // model's write path) and traversal entry points.
   catalog.db.composite_type = schema.cad.composite;
   catalog.db.leaf_type = schema.cad.leaf;
@@ -242,16 +284,17 @@ OcbCatalog OcbBuilder::Build(const OcbSchema& schema, uint64_t seed) {
     const size_t begin = p * n / parts;
     const size_t end = (p + 1) * n / parts;
     workload::DesignDatabase::Module& m = catalog.db.modules[p];
-    m.root = ids[begin];
+    m.root = id_of(begin);
+    m.objects.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
-      m.objects.push_back(ids[i]);
+      m.objects.push_back(id_of(i));
       const bool composite = graph_->HasNeighbor(
-          ids[i], obj::RelKind::kConfiguration, obj::Direction::kDown);
-      if (composite) m.composites.push_back(ids[i]);
+          id_of(i), obj::RelKind::kConfiguration, obj::Direction::kDown);
+      if (composite) m.composites.push_back(id_of(i));
     }
   }
   for (size_t i = 0; i < n; ++i) {
-    if (has_heirs[i]) catalog.inheritance_roots.push_back(ids[i]);
+    if (has_heirs[i]) catalog.inheritance_roots.push_back(id_of(i));
   }
   return catalog;
 }

@@ -22,10 +22,11 @@
 /// stage evolves, and regardless of SEMCLUST_BENCH_JOBS.
 ///
 /// Unlike the engineering-design DbBuilder — which accretes objects the
-/// way concurrent checkin streams would — the OCB builder materialises the
-/// full logical graph first and then bulk-loads it through the
-/// ClusterManager under test in creation order, the way a generic
-/// benchmark database is installed into a DBMS.
+/// way concurrent checkin streams would — the OCB builder plans the full
+/// logical graph first (every draw, before any object exists), creates
+/// each object with its final degree as edge capacity, relates, and then
+/// bulk-loads it through the ClusterManager under test in creation order,
+/// the way a generic benchmark database is installed into a DBMS.
 
 namespace oodb::ocb {
 

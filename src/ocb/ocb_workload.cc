@@ -15,6 +15,12 @@ constexpr double kPartitionSkew = 0.6;
 constexpr double kPrimaryPartitionProbability = 0.5;
 constexpr double kCrossPartitionWriteProbability = 0.2;
 
+ZipfTransform PartitionPopularity(const workload::DesignDatabase* db) {
+  OODB_CHECK(db != nullptr);
+  OODB_CHECK(!db->modules.empty());
+  return ZipfTransform(db->modules.size(), kPartitionSkew);
+}
+
 // Write mix in WriteKind order {simple update, structure write, insert,
 // derive version, delete}. OCB has no version semantics, so
 // derive-version is off.
@@ -35,21 +41,19 @@ OcbGenerator::OcbGenerator(const obj::ObjectGraph* graph,
       config_(config),
       target_ratio_(read_write_ratio),
       rng_(seed),
+      partition_zipf_(PartitionPopularity(db)),
       read_mix_(std::vector<double>(config.read_mix.begin(),
                                     config.read_mix.end())),
       write_mix_(OcbWriteMix()) {
   OODB_CHECK(graph != nullptr);
-  OODB_CHECK(db != nullptr);
   OODB_CHECK(catalog != nullptr);
-  OODB_CHECK(!db->modules.empty());
   OODB_CHECK_GT(read_write_ratio, 0.0);
 }
 
 int OcbGenerator::BeginSession() {
   partitions_.clear();
   for (int i = 0; i < kSessionPartitions; ++i) {
-    partitions_.push_back(
-        rng_.Zipf(db_->modules.size(), kPartitionSkew));
+    partitions_.push_back(partition_zipf_.Sample(rng_));
   }
   partition_ = partitions_[0];
   return static_cast<int>(rng_.UniformInt(kSessionMinTxns, kSessionMaxTxns));

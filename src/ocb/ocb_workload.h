@@ -52,6 +52,9 @@ class OcbGenerator : public workload::TransactionSource {
   OcbConfig config_;
   double target_ratio_;
   Rng rng_;
+  // Partition popularity; the partition count is fixed once the build
+  // ends.
+  ZipfTransform partition_zipf_;
   DiscreteDistribution read_mix_;
   DiscreteDistribution write_mix_;
   std::vector<size_t> partitions_;  // session working set; [0] is primary

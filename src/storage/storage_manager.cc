@@ -15,7 +15,15 @@ StorageManager::StorageManager(uint32_t page_size_bytes,
 }
 
 PageId StorageManager::AllocatePage() {
-  pages_.emplace_back(page_size_);
+  // Pages opened for clustered placements and splits fill from many
+  // placements, one record at a time; sizing the directory from the mean
+  // placed object replaces its growth by doubling with one allocation.
+  const uint64_t reserve_slots =
+      used_bytes_ == 0 ? 0
+                       : (uint64_t{page_size_} * placed_objects_ +
+                          used_bytes_ - 1) /
+                             used_bytes_;
+  pages_.emplace_back(page_size_, static_cast<size_t>(reserve_slots));
   return static_cast<PageId>(pages_.size() - 1);
 }
 
@@ -46,6 +54,7 @@ Status StorageManager::Place(obj::ObjectId id, uint32_t size_bytes,
   object_page_[id] = page;
   object_size_[id] = size_bytes;
   used_bytes_ += size_bytes;
+  ++placed_objects_;
   return Status::Ok();
 }
 
@@ -143,6 +152,7 @@ Status StorageManager::Erase(obj::ObjectId id) {
   object_page_[id] = kInvalidPage;
   object_size_[id] = 0;
   used_bytes_ -= size;
+  --placed_objects_;
   return Status::Ok();
 }
 

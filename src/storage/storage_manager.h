@@ -30,7 +30,8 @@ class StorageManager {
   StorageManager(const StorageManager&) = delete;
   StorageManager& operator=(const StorageManager&) = delete;
 
-  /// Allocates a fresh empty page.
+  /// Allocates a fresh empty page. Its slot directory is sized once for
+  /// the records a full page of mean-sized placed objects holds.
   PageId AllocatePage();
 
   /// Places an unplaced object on `page`. Fails with kResourceExhausted if
@@ -110,6 +111,7 @@ class StorageManager {
   std::vector<uint32_t> object_size_;
   PageId append_page_ = kInvalidPage;
   uint64_t used_bytes_ = 0;
+  uint64_t placed_objects_ = 0;
 };
 
 }  // namespace oodb::store

@@ -36,27 +36,33 @@ uint64_t LemireBelow(NextU64Fn&& next, uint64_t n) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-// Gray et al.'s inverse-CDF Zipf mapping for one uniform draw u in [0, 1)
-// ("Quickly generating billion-record synthetic databases"). Pure in
-// (u, n, theta), so every generator shares the same transform.
-uint64_t ZipfFromUniform(double u, uint64_t n, double theta) {
-  const double alpha = 1.0 / (1.0 - theta);
-  const double zetan = (std::pow(static_cast<double>(n), 1.0 - theta) - 1.0) /
-                           (1.0 - theta) +
-                       0.5;  // approximate zeta(n, theta)
-  const double eta =
-      (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
-      (1.0 - (std::pow(2.0, 1.0 - theta) - 1.0) / (1.0 - theta) / zetan);
-  const double uz = u * zetan;
-  if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta)) return 1;
-  uint64_t v = static_cast<uint64_t>(
-      static_cast<double>(n) * std::pow(eta * u - eta + 1.0, alpha));
-  if (v >= n) v = n - 1;
-  return v;
+}  // namespace
+
+ZipfTransform::ZipfTransform(uint64_t n, double theta)
+    : n_(n), theta_(theta) {
+  OODB_CHECK_GT(n, 0u);
+  OODB_CHECK_GE(theta, 0.0);
+  OODB_CHECK_LT(theta, 1.0);
+  if (theta == 0.0) return;
+  alpha_ = 1.0 / (1.0 - theta);
+  zetan_ = (std::pow(static_cast<double>(n), 1.0 - theta) - 1.0) /
+               (1.0 - theta) +
+           0.5;  // approximate zeta(n, theta)
+  eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
+         (1.0 - (std::pow(2.0, 1.0 - theta) - 1.0) / (1.0 - theta) / zetan_);
+  one_bound_ = 1.0 + std::pow(0.5, theta);
 }
 
-}  // namespace
+uint64_t ZipfTransform::operator()(double u) const {
+  OODB_CHECK_GT(theta_, 0.0);
+  const double uz = u * zetan_;
+  if (uz < 1.0) return 0;
+  if (uz < one_bound_) return 1;
+  uint64_t v = static_cast<uint64_t>(
+      static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
+  if (v >= n_) v = n_ - 1;
+  return v;
+}
 
 Rng::Rng(uint64_t seed) {
   uint64_t x = seed;
@@ -106,11 +112,7 @@ double Rng::Exponential(double mean) {
 }
 
 uint64_t Rng::Zipf(uint64_t n, double theta) {
-  OODB_CHECK_GT(n, 0u);
-  OODB_CHECK_GE(theta, 0.0);
-  OODB_CHECK_LT(theta, 1.0);
-  if (theta == 0.0) return NextBelow(n);
-  return ZipfFromUniform(NextDouble(), n, theta);
+  return ZipfTransform(n, theta).Sample(*this);
 }
 
 Rng Rng::Fork() { return Rng(NextU64()); }
@@ -153,11 +155,7 @@ double SplitMix64::Gaussian(double mean, double stddev) {
 }
 
 uint64_t SplitMix64::Zipf(uint64_t n, double theta) {
-  OODB_CHECK_GT(n, 0u);
-  OODB_CHECK_GE(theta, 0.0);
-  OODB_CHECK_LT(theta, 1.0);
-  if (theta == 0.0) return NextBelow(n);
-  return ZipfFromUniform(NextDouble(), n, theta);
+  return ZipfTransform(n, theta).Sample(*this);
 }
 
 DiscreteDistribution::DiscreteDistribution(

@@ -45,7 +45,8 @@ class Rng {
 
   /// Zipf-distributed integer in [0, n) with skew theta in [0, 1).
   /// theta = 0 is uniform; larger theta is more skewed. Uses the standard
-  /// rejection-free inverse-CDF approximation of Gray et al.
+  /// rejection-free inverse-CDF approximation of Gray et al. A caller that
+  /// draws many values for one (n, theta) holds a ZipfTransform instead.
   uint64_t Zipf(uint64_t n, double theta);
 
   /// Splits off an independent generator (for per-user streams).
@@ -97,6 +98,43 @@ class SplitMix64 {
   uint64_t state_;
   double spare_ = 0;
   bool has_spare_ = false;
+};
+
+/// Gray et al.'s inverse-CDF Zipf mapping ("Quickly generating
+/// billion-record synthetic databases") for one fixed (n, theta). The
+/// constants that depend only on (n, theta) -- alpha, the approximate
+/// zeta(n, theta), eta and the bound of index 1 -- are computed once here,
+/// so one draw costs two compares and one pow. Rng::Zipf and
+/// SplitMix64::Zipf build one per call; a generator that draws many values
+/// for the same (n, theta) keeps its own and gets the identical values.
+class ZipfTransform {
+ public:
+  /// Requires n > 0 and theta in [0, 1).
+  ZipfTransform(uint64_t n, double theta);
+
+  /// Index in [0, n) for one uniform draw u in [0, 1). Requires theta > 0:
+  /// theta = 0 is uniform and draws NextBelow(n) instead (see Sample).
+  uint64_t operator()(double u) const;
+
+  /// One draw from `rng` (an Rng or a SplitMix64): NextBelow(n) when
+  /// theta = 0, else the mapping of one NextDouble.
+  template <typename Generator>
+  uint64_t Sample(Generator& rng) const {
+    if (theta_ == 0.0) return rng.NextBelow(n_);
+    return (*this)(rng.NextDouble());
+  }
+
+  uint64_t n() const { return n_; }
+  double theta() const { return theta_; }
+
+ private:
+  uint64_t n_;
+  double theta_;
+  // Unused (zero) when theta = 0.
+  double alpha_ = 0;
+  double zetan_ = 0;
+  double eta_ = 0;
+  double one_bound_ = 0;  // u * zetan below this (and >= 1) maps to 1
 };
 
 /// Samples indices 0..n-1 with the given non-negative weights, in O(1) per

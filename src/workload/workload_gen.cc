@@ -4,6 +4,16 @@
 
 namespace oodb::workload {
 
+namespace {
+
+ZipfTransform ModulePopularity(const DesignDatabase* db, double skew) {
+  OODB_CHECK(db != nullptr);
+  OODB_CHECK(!db->modules.empty());
+  return ZipfTransform(db->modules.size(), skew);
+}
+
+}  // namespace
+
 WorkloadGenerator::WorkloadGenerator(const obj::ObjectGraph* graph,
                                      DesignDatabase* db,
                                      WorkloadConfig config, uint64_t seed)
@@ -11,13 +21,12 @@ WorkloadGenerator::WorkloadGenerator(const obj::ObjectGraph* graph,
       db_(db),
       config_(config),
       rng_(seed),
+      module_zipf_(ModulePopularity(db, config.module_skew)),
       read_mix_(std::vector<double>(config.read_mix.begin(),
                                     config.read_mix.end())),
       write_mix_(std::vector<double>(config.write_mix.begin(),
                                      config.write_mix.end())) {
   OODB_CHECK(graph != nullptr);
-  OODB_CHECK(db != nullptr);
-  OODB_CHECK(!db->modules.empty());
   OODB_CHECK_GT(config.read_write_ratio, 0.0);
 }
 
@@ -25,7 +34,7 @@ int WorkloadGenerator::BeginSession() {
   modules_.clear();
   const int count = std::max(1, config_.session_module_count);
   for (int i = 0; i < count; ++i) {
-    modules_.push_back(rng_.Zipf(db_->modules.size(), config_.module_skew));
+    modules_.push_back(module_zipf_.Sample(rng_));
   }
   module_ = modules_[0];
   return static_cast<int>(rng_.UniformInt(config_.session_min_txns,
@@ -36,7 +45,7 @@ void WorkloadGenerator::PickTransactionModule() {
   if (config_.session_module_count <= 0) {
     // No session-level locality: every transaction samples the module
     // popularity distribution independently.
-    module_ = rng_.Zipf(db_->modules.size(), config_.module_skew);
+    module_ = module_zipf_.Sample(rng_);
     return;
   }
   if (modules_.empty()) {

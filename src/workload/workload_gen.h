@@ -72,6 +72,8 @@ class WorkloadGenerator : public TransactionSource {
   DesignDatabase* db_;
   WorkloadConfig config_;
   Rng rng_;
+  // Module popularity; the module count is fixed once the build ends.
+  ZipfTransform module_zipf_;
   DiscreteDistribution read_mix_;
   DiscreteDistribution write_mix_;
   std::vector<size_t> modules_;  // session working set; [0] is primary

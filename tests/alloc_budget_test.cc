@@ -7,8 +7,11 @@
 // same in both runs, so the difference is what the extra transactions
 // allocate.
 //
-// Database build: a 48 MB OCT database built in arrival order must cost at
-// most 0.75 heap allocations per created object.
+// Database build: a 48 MB OCT database costs at most 0.75 heap
+// allocations per created object built in arrival order, and at most 0.5
+// placed by run-time clustering; an OCB database of the ocb_small shape
+// placed by run-time clustering, with buffer mirroring, at most 1.5 under
+// each reference locality.
 
 #include <atomic>
 #include <cstdio>
@@ -16,12 +19,14 @@
 #include <new>
 #include <string>
 
+#include "buffer/buffer_pool.h"
 #include "cluster/affinity.h"
 #include "cluster/cluster_manager.h"
 #include "core/engineering_db.h"
 #include "core/scenario.h"
 #include "gtest/gtest.h"
 #include "objmodel/object_graph.h"
+#include "ocb/ocb_builder.h"
 #include "storage/storage_manager.h"
 #include "workload/db_builder.h"
 
@@ -135,8 +140,61 @@ double BuildAllocationsPerObject(cluster::CandidatePool pool) {
 TEST(AllocBudgetTest, DatabaseBuildAllocatesUnderBudget) {
   EXPECT_LE(BuildAllocationsPerObject(cluster::CandidatePool::kNoClustering),
             0.75);
-  // Run-time clustering is printed for the record, not bounded.
-  BuildAllocationsPerObject(cluster::CandidatePool::kWithinDb);
+  EXPECT_LE(BuildAllocationsPerObject(cluster::CandidatePool::kWithinDb),
+            0.5);
+}
+
+// Allocations per created object of one OCB build of an ocb_small cell
+// (bench/scenarios/ocb_small.scenario.json) under No_limit, assembled as
+// ServerContext assembles it, buffer mirroring included.
+double OcbBuildAllocationsPerObject(const char* locality) {
+  const auto spec = core::ParseScenario(std::string(R"json({
+    "name": "alloc_budget_ocb",
+    "config": {
+      "buffer_level": "medium",
+      "seed": 1,
+      "clustering": {"pool": "No_limit"},
+      "workload": {
+        "kind": "ocb", "rw_ratio": 10, "classes": 16, "hierarchy_depth": 4,
+        "instances": 6000, "refs_per_object": 3, "locality": ")json") +
+                                        locality + R"json(",
+        "partitions": 16, "set_lookup_size": 4, "traversal_depth": 2
+      }
+    }
+  })json");
+  OODB_CHECK(spec.ok());
+  const core::ModelConfig cfg = spec->Expand().front().config;
+  obj::TypeLattice lattice;
+  const ocb::OcbSchema schema =
+      ocb::RegisterOcbClasses(lattice, cfg.ocb, cfg.seed ^ 0x0CB0CB);
+  obj::ObjectGraph graph(&lattice);
+  store::StorageManager storage(cfg.page_size_bytes,
+                                cfg.append_fill_fraction);
+  buffer::BufferPool buffer(cfg.buffer_pages, cfg.replacement,
+                            cfg.seed ^ 0xB0FFEB0FF);
+  cluster::AffinityModel affinity(&lattice);
+  cluster::ClusterManager mgr(&graph, &storage, &affinity, &buffer,
+                              cfg.clustering);
+  ocb::OcbBuilder builder(&graph, &mgr, &buffer, cfg.ocb);
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  builder.Build(schema, cfg.seed ^ 0xDBDBDB);
+  const uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(graph.size(), static_cast<size_t>(cfg.ocb.instances));
+  EXPECT_GT(mgr.stats().exam_reads, 0u);  // candidates were scored
+  const double per_object =
+      static_cast<double>(allocations) / static_cast<double>(graph.size());
+  std::printf("OCB %s No_limit build: %llu allocations for %zu objects: "
+              "%.3f per object\n",
+              locality, static_cast<unsigned long long>(allocations),
+              graph.size(), per_object);
+  return per_object;
+}
+
+TEST(AllocBudgetTest, OcbBuildAllocatesUnderBudget) {
+  for (const char* locality : {"uniform", "gaussian", "zipf"}) {
+    EXPECT_LE(OcbBuildAllocationsPerObject(locality), 1.5) << locality;
+  }
 }
 
 }  // namespace

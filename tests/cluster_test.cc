@@ -331,6 +331,61 @@ TEST_F(ClusterManagerTest, ScoresRankPagesByAffinity) {
   EXPECT_GT(cands[0].score, cands[1].score);
 }
 
+// ScoreCandidates reads edge targets and siblings without a liveness
+// probe, relying on Remove detaching every mirror edge. The removed
+// objects' records stay on their pages here, so only the detached edges
+// keep those pages out of the candidate list.
+TEST_F(ClusterManagerTest, RemovedNeighbourLeavesCandidatesAndOtherScores) {
+  auto mgr = MakeManager({.pool = CandidatePool::kWithinDb});
+  const auto on_new_page = [this](obj::ObjectId id) {
+    const PageId p = storage_.AllocatePage();
+    OODB_CHECK(storage_.Place(id, 100, p).ok());
+    return p;
+  };
+  // x has direct relatives a and b, and through its composite c the
+  // configuration siblings s1 and s2; b and s2 are alone on their pages.
+  const obj::ObjectId a = NewObject();
+  const obj::ObjectId b = NewObject();
+  const obj::ObjectId c = NewObject();
+  const obj::ObjectId s1 = NewObject();
+  const obj::ObjectId s2 = NewObject();
+  const obj::ObjectId x = NewObject();
+  const PageId pa = on_new_page(a);
+  const PageId pb = on_new_page(b);
+  const PageId pc = on_new_page(c);
+  const PageId ps1 = on_new_page(s1);
+  const PageId ps2 = on_new_page(s2);
+  graph_.Relate(a, x, RelKind::kVersionHistory);
+  graph_.Relate(x, b, RelKind::kVersionHistory);
+  graph_.Relate(c, s1, RelKind::kConfiguration);
+  graph_.Relate(c, x, RelKind::kConfiguration);
+  graph_.Relate(c, s2, RelKind::kConfiguration);
+
+  const auto score_of = [](const std::vector<ClusterManager::Candidate>& cs,
+                           PageId page) {
+    for (const ClusterManager::Candidate& cand : cs) {
+      if (cand.page == page) return cand.score;
+    }
+    return -1.0;
+  };
+  const std::vector<ClusterManager::Candidate> before =
+      mgr.ScoreCandidates(x);
+  ASSERT_EQ(before.size(), 5u);
+  for (const PageId p : {pa, pb, pc, ps1, ps2}) {
+    EXPECT_GT(score_of(before, p), 0.0) << p;
+  }
+
+  graph_.Remove(b);
+  graph_.Remove(s2);
+  const std::vector<ClusterManager::Candidate> after = mgr.ScoreCandidates(x);
+  ASSERT_EQ(after.size(), 3u);
+  EXPECT_EQ(score_of(after, pb), -1.0);
+  EXPECT_EQ(score_of(after, ps2), -1.0);
+  for (const PageId p : {pa, pc, ps1}) {
+    EXPECT_EQ(score_of(after, p), score_of(before, p)) << p;
+  }
+}
+
 TEST_F(ClusterManagerTest, WithinBufferNeedsResidency) {
   buffer::BufferPool pool(4, buffer::ReplacementPolicy::kLru);
   auto mgr = MakeManager({.pool = CandidatePool::kWithinBuffer}, &pool);

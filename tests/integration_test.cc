@@ -8,6 +8,7 @@
 
 #include "core/engineering_db.h"
 #include "core/experiment.h"
+#include "core/scenario.h"
 #include "objmodel/validator.h"
 
 namespace oodb {
@@ -93,6 +94,58 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(cluster::CandidatePoolName(param_info.param))
           .substr(0, 20);
     });
+
+// ClusterManager::ScoreCandidates scores edge targets and configuration
+// siblings without asking whether they are live: ObjectGraph::Remove
+// detaches the mirror edge from every neighbour, so no edge reaches a dead
+// object. These cells delete objects while run-time clustering places and
+// reclusters them; afterwards no edge may dangle (or lose its mirror).
+void ExpectNoDanglingEdges(const core::ModelConfig& cfg) {
+  core::EngineeringDbModel model(cfg);
+  const core::RunResult r = model.Run();
+  const obj::ObjectGraph& graph = model.graph();
+  EXPECT_LT(graph.live_count(), graph.size());  // objects were deleted
+  EXPECT_GT(r.metrics.counter("cluster.placements").value_or(0), 0u);
+  EXPECT_GT(r.metrics.counter("cluster.reclusterings").value_or(0), 0u);
+  std::vector<obj::Violation> out;
+  obj::StructureValidator(&graph).CheckEdges(out, 8);
+  for (const obj::Violation& v : out) ADD_FAILURE() << v.Describe(graph);
+}
+
+TEST(LivenessInvariantTest, OcbChurnUnderRunTimeClustering) {
+  // One ocb_churn cell (bench/scenarios/ocb_churn.scenario.json) placed
+  // and reclustered by No_limit with DSTC instead of No_Clustering.
+  const auto spec = core::ParseScenario(R"json({
+    "name": "ocb_churn_no_limit",
+    "config": {
+      "buffer_level": "medium",
+      "warmup_transactions": 50,
+      "measured_transactions": 600,
+      "measurement_epochs": 3,
+      "seed": 1,
+      "clustering": {"pool": "No_limit", "dynamic": "DSTC",
+                     "dyn_observation_period": 64,
+                     "dyn_trigger_threshold": 4.0},
+      "workload": {
+        "kind": "ocb", "rw_ratio": 4, "classes": 16, "hierarchy_depth": 4,
+        "instances": 3000, "refs_per_object": 3, "locality": "zipf",
+        "partitions": 16, "set_lookup_size": 4, "traversal_depth": 2,
+        "churn_probability": 0.5, "churn_burst_length": 8
+      }
+    }
+  })json");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  ExpectNoDanglingEdges(spec->Expand().front().config);
+}
+
+TEST(LivenessInvariantTest, OctStructureWritesUnderRunTimeClustering) {
+  // Write-heavy OCT: structure writes recluster, deletes remove leaves.
+  core::ModelConfig cfg = core::TestConfig();
+  cfg.measured_transactions = 600;
+  cfg.workload.read_write_ratio = 2;
+  cfg.clustering.pool = cluster::CandidatePool::kWithinDb;
+  ExpectNoDanglingEdges(cfg);
+}
 
 // The I/O subsystem's accounting must reconcile with the buffer pool's.
 TEST(AccountingTest, MissesAndReadsReconcile) {

@@ -165,6 +165,102 @@ TEST(OcbBuilderTest, LocalityChangesTheGraph) {
   EXPECT_NE(digests[0], digests[1]);
 }
 
+/// A builder stack placing under No_limit, which scores candidates: the
+/// schema is registered first, because the affinity model sizes its
+/// per-type table from the lattice when it is built.
+struct ScoringStack {
+  ScoringStack(const ocb::OcbConfig& cfg, uint64_t seed)
+      : schema(ocb::RegisterOcbClasses(lattice, cfg, seed)),
+        graph(&lattice),
+        storage(4096, 0.8),
+        buffer(64, buffer::ReplacementPolicy::kLru, 1),
+        affinity(&lattice),
+        cluster(&graph, &storage, &affinity, &buffer,
+                {.pool = cluster::CandidatePool::kWithinDb}),
+        builder(&graph, &cluster, &buffer, cfg) {}
+
+  obj::TypeLattice lattice;
+  ocb::OcbSchema schema;
+  obj::ObjectGraph graph;
+  store::StorageManager storage;
+  buffer::BufferPool buffer;
+  cluster::AffinityModel affinity;
+  cluster::ClusterManager cluster;
+  ocb::OcbBuilder builder;
+};
+
+// FNV-1a over every object's page and the page count: where the build
+// placed each object.
+uint64_t PlacementDigest(const obj::ObjectGraph& graph,
+                         const store::StorageManager& storage) {
+  uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (obj::ObjectId id = 0; id < graph.size(); ++id) {
+    mix(storage.PageOf(id));
+  }
+  mix(storage.page_count());
+  return h;
+}
+
+// The graph and its No_limit placement of SmallOcb at seed 3 under each
+// locality, as the builder that created and related objects while drawing
+// produced them. Planning the graph before creating it must not move a
+// single draw, edge or page.
+TEST(OcbBuilderTest, GraphAndPlacementMatchRecordedDigests) {
+  struct Expected {
+    ocb::RefLocality locality;
+    uint64_t graph;
+    uint64_t placement;
+  };
+  const Expected expected[] = {
+      {ocb::RefLocality::kUniform, 11902251869865594099ULL,
+       13195303761127641235ULL},
+      {ocb::RefLocality::kGaussian, 8170372101731568357ULL,
+       15567907522161187538ULL},
+      {ocb::RefLocality::kZipf, 16440412422412371009ULL,
+       13094934674157704867ULL},
+  };
+  for (const Expected& e : expected) {
+    ocb::OcbConfig cfg = SmallOcb();
+    cfg.locality = e.locality;
+    ScoringStack stack(cfg, 3);
+    stack.builder.Build(stack.schema, 3);
+    EXPECT_EQ(ocb::GraphDigest(stack.graph), e.graph)
+        << ocb::RefLocalityName(e.locality);
+    EXPECT_EQ(PlacementDigest(stack.graph, stack.storage), e.placement)
+        << ocb::RefLocalityName(e.locality);
+  }
+}
+
+// The build sizes every edge run from its plan: each object ends with
+// exactly as many edges as it was created with room for.
+TEST(OcbBuilderTest, EveryRunEndsExactlyFull) {
+  for (const ocb::RefLocality locality :
+       {ocb::RefLocality::kUniform, ocb::RefLocality::kGaussian,
+        ocb::RefLocality::kZipf}) {
+    ocb::OcbConfig cfg = SmallOcb();
+    cfg.locality = locality;
+    BuilderStack stack(cfg);
+    const ocb::OcbSchema schema =
+        ocb::RegisterOcbClasses(stack.lattice, cfg, 3);
+    stack.builder.Build(schema, 3);
+    size_t edges = 0;
+    for (obj::ObjectId id = 0; id < stack.graph.size(); ++id) {
+      ASSERT_EQ(stack.graph.EdgeCount(id), stack.graph.EdgeCapacity(id))
+          << ocb::RefLocalityName(locality) << " object " << id;
+      edges += stack.graph.EdgeCount(id);
+    }
+    // Two ends per reference, plus the inheritance links.
+    EXPECT_GE(edges, 2u * static_cast<size_t>(cfg.instances) *
+                         static_cast<size_t>(cfg.refs_per_object));
+  }
+}
+
 // ------------------------------------------------------------ full model
 
 core::ModelConfig OcbModelConfig() {

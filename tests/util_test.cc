@@ -12,6 +12,7 @@
 #include "util/random.h"
 #include "util/recycling_map.h"
 #include "util/ring_queue.h"
+#include "util/small_vector.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/table_printer.h"
@@ -206,6 +207,99 @@ TEST(SplitMix64Test, ZipfSkewFavoursLowIndices) {
   for (int i = 0; i < 100000; ++i) ++counts[s.Zipf(100, 0.8)];
   EXPECT_GT(counts[0], counts[50] * 5);
   EXPECT_GT(counts[0], counts[99] * 5);
+}
+
+// Gray et al.'s mapping as Rng::Zipf and SplitMix64::Zipf computed it
+// when every draw recomputed the (n, theta) constants: the reference
+// ZipfTransform must reproduce bit for bit. `branch` reports which return
+// the draw took (0, 1, or 2 for the pow branch).
+uint64_t ReferenceZipf(double u, uint64_t n, double theta, int* branch) {
+  const double alpha = 1.0 / (1.0 - theta);
+  const double zetan = (std::pow(static_cast<double>(n), 1.0 - theta) - 1.0) /
+                           (1.0 - theta) +
+                       0.5;  // approximate zeta(n, theta)
+  const double eta =
+      (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
+      (1.0 - (std::pow(2.0, 1.0 - theta) - 1.0) / (1.0 - theta) / zetan);
+  const double uz = u * zetan;
+  *branch = 0;
+  if (uz < 1.0) return 0;
+  *branch = 1;
+  if (uz < 1.0 + std::pow(0.5, theta)) return 1;
+  *branch = 2;
+  uint64_t v = static_cast<uint64_t>(
+      static_cast<double>(n) * std::pow(eta * u - eta + 1.0, alpha));
+  if (v >= n) v = n - 1;
+  return v;
+}
+
+// The u values at which the reference mapping changes branch, with their
+// neighbours, plus the ends of [0, 1).
+std::vector<double> ZipfBranchPoints(uint64_t n, double theta) {
+  const double zetan = (std::pow(static_cast<double>(n), 1.0 - theta) - 1.0) /
+                           (1.0 - theta) +
+                       0.5;
+  std::vector<double> points = {0.0, std::nextafter(1.0, 0.0)};
+  for (const double edge : {1.0 / zetan, (1.0 + std::pow(0.5, theta)) / zetan}) {
+    if (edge >= 1.0) continue;
+    points.push_back(std::nextafter(edge, 0.0));
+    points.push_back(edge);
+    points.push_back(std::nextafter(edge, 1.0));
+  }
+  return points;
+}
+
+TEST(ZipfTransformTest, MatchesPerDrawFormulaBitForBit) {
+  const uint64_t ns[] = {1, 2, 3, 100, 6000, 1000000};
+  const double thetas[] = {0.05, 0.5, 0.6, 0.8, 0.99};
+  for (const uint64_t n : ns) {
+    for (const double theta : thetas) {
+      const ZipfTransform zipf(n, theta);
+      std::vector<double> grid = ZipfBranchPoints(n, theta);
+      for (int k = 0; k < 4096; ++k) grid.push_back(k / 4096.0);
+      int hits[3] = {0, 0, 0};
+      for (const double u : grid) {
+        int branch = 0;
+        const uint64_t want = ReferenceZipf(u, n, theta, &branch);
+        ++hits[branch];
+        ASSERT_EQ(zipf(u), want) << "n=" << n << " theta=" << theta
+                                 << " u=" << u;
+      }
+      EXPECT_GT(hits[0], 0) << "n=" << n << " theta=" << theta;
+      // Index 1 exists only from n = 2 on; for n = 1 every draw is 0.
+      if (n >= 2) {
+        EXPECT_GT(hits[1], 0) << "n=" << n << " theta=" << theta;
+      }
+    }
+  }
+}
+
+TEST(ZipfTransformTest, AlternatingTransformsShareNoState) {
+  // Two transforms drawing alternately from one stream give, draw for
+  // draw, the reference mapping and the one-shot Zipf of the same stream.
+  const ZipfTransform a(6000, 0.6);
+  const ZipfTransform b(100, 0.99);
+  SplitMix64 shared(31);
+  SplitMix64 reference(31);
+  SplitMix64 one_shot(31);
+  for (int i = 0; i < 2000; ++i) {
+    const bool use_a = i % 2 == 0;
+    const ZipfTransform& zipf = use_a ? a : b;
+    int branch = 0;
+    const uint64_t want = ReferenceZipf(reference.NextDouble(), zipf.n(),
+                                        zipf.theta(), &branch);
+    ASSERT_EQ(zipf.Sample(shared), want) << i;
+    ASSERT_EQ(one_shot.Zipf(zipf.n(), zipf.theta()), want) << i;
+  }
+}
+
+TEST(ZipfTransformTest, ZeroThetaDrawsNextBelow) {
+  const ZipfTransform zipf(10, 0.0);
+  Rng rng(13);
+  Rng reference(13);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(zipf.Sample(rng), reference.NextBelow(10));
+  }
 }
 
 TEST(SplitMix64Test, ForkDerivesIndependentDeterministicStream) {
@@ -439,6 +533,34 @@ TEST(EpochSetTest, MatchesUnorderedSetThroughClearsAndGrowth) {
       EXPECT_EQ(set.Contains(id), ref.count(id) == 1) << id;
     }
   }
+}
+
+TEST(SmallVectorTest, SpillsPastInlineCapacityAndErasesInOrder) {
+  SmallVector<uint32_t, 4> v;
+  std::vector<uint32_t> ref;
+  EXPECT_TRUE(v.empty());
+  // Grow past the inline entries, erase back below them, then drain the
+  // spilled list to empty and refill it inline.
+  for (uint32_t i = 0; i < 10; ++i) {
+    v.push_back(i);
+    ref.push_back(i);
+  }
+  EXPECT_EQ(std::vector<uint32_t>(v.begin(), v.end()), ref);
+  for (const size_t at : {3, 0, 5, 1, 4, 0}) {
+    v.erase(v.begin() + at);
+    ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(at));
+    EXPECT_EQ(std::vector<uint32_t>(v.begin(), v.end()), ref);
+  }
+  // A copy owns its entries.
+  const SmallVector<uint32_t, 4> copy = v;
+  while (!v.empty()) v.erase(v.end() - 1);
+  EXPECT_EQ(std::vector<uint32_t>(copy.begin(), copy.end()), ref);
+  for (uint32_t i = 20; i < 23; ++i) v.push_back(i);
+  EXPECT_EQ(std::vector<uint32_t>(v.begin(), v.end()),
+            (std::vector<uint32_t>{20, 21, 22}));
+  v.erase(v.begin() + 1);
+  EXPECT_EQ(std::vector<uint32_t>(v.begin(), v.end()),
+            (std::vector<uint32_t>{20, 22}));
 }
 
 TEST(RecyclingMapTest, RecycledNodeKeepsCapacityUnderItsNewKey) {
