@@ -6,6 +6,8 @@
 #include <sstream>
 #include <utility>
 
+#include "util/env.h"
+
 namespace oodb::bench {
 
 namespace {
@@ -26,27 +28,22 @@ void FillDefaultLabels(CellSpec& cell) {
 
 }  // namespace
 
-bool FastMode() {
-  const char* fast = std::getenv("SEMCLUST_BENCH_FAST");
-  return fast != nullptr && fast[0] != '\0' && fast[0] != '0';
-}
+bool FastMode() { return EnvFlag("SEMCLUST_BENCH_FAST"); }
 
 core::ModelConfig BaseConfig() {
   core::ModelConfig cfg = core::ScaledConfig();
   cfg.buffer_pages = cfg.BufferMedium();  // the paper's 1000-buffer level
   cfg.warmup_transactions = FastMode() ? 100 : 300;
   cfg.measured_transactions = FastMode() ? 500 : 2000;
-  if (const char* seed = std::getenv("SEMCLUST_BENCH_SEED")) {
-    cfg.seed = static_cast<uint64_t>(std::strtoull(seed, nullptr, 10));
-  }
+  if (const auto seed = EnvSeed()) cfg.seed = *seed;
   // Telemetry density: epoch-boundary samples are always on; a positive
   // interval adds simulated-time samples between them (DESIGN.md §9).
-  if (const char* interval = std::getenv("SEMCLUST_BENCH_SERIES_S")) {
-    cfg.telemetry_interval_s = std::strtod(interval, nullptr);
+  if (const auto interval = EnvSeriesS()) {
+    cfg.telemetry_interval_s = *interval;
   }
   // Span profiler (DESIGN.md §14), same knob semclust_run honours.
-  if (const char* spans = std::getenv("SEMCLUST_SPANS")) {
-    cfg.profile_spans = spans[0] != '\0' && spans[0] != '0';
+  if (std::getenv("SEMCLUST_SPANS") != nullptr) {
+    cfg.profile_spans = EnvFlag("SEMCLUST_SPANS");
   }
   return cfg;
 }
@@ -108,40 +105,6 @@ double MeanResponse(const core::ModelConfig& config) {
 }
 
 std::string Sec(double s) { return FormatDouble(s * 1000.0, 1) + " ms"; }
-
-ClusteringGrid RunClusteringGrid(
-    const std::vector<workload::WorkloadConfig>& cells,
-    cluster::SplitPolicy split) {
-  ClusteringGrid grid;
-  const auto policies = core::ClusteringPolicyLevels(split);
-  for (const auto& w : cells) grid.workload_labels.push_back(w.Label());
-  for (const auto& policy : policies) grid.policy_labels.push_back(policy.Label());
-
-  // One flat batch (policy-major, matching the legacy loop order) so the
-  // whole grid parallelises across SEMCLUST_BENCH_JOBS workers.
-  std::vector<CellSpec> batch;
-  batch.reserve(policies.size() * cells.size());
-  for (const auto& policy : policies) {
-    for (const auto& w : cells) {
-      CellSpec cell;
-      cell.config = core::WithWorkload(BaseConfig(), w);
-      cell.config.clustering = policy;
-      batch.push_back(std::move(cell));
-    }
-  }
-  const auto results = RunCells(std::move(batch));
-
-  size_t i = 0;
-  for (size_t p = 0; p < policies.size(); ++p) {
-    std::vector<double> row;
-    row.reserve(cells.size());
-    for (size_t w = 0; w < cells.size(); ++w) {
-      row.push_back(results[i++].response_time.Mean());
-    }
-    grid.response.push_back(std::move(row));
-  }
-  return grid;
-}
 
 void PrintGrid(const ClusteringGrid& grid) {
   std::vector<std::string> headers{"policy \\ workload"};

@@ -11,16 +11,18 @@
 #include "util/table_printer.h"
 
 /// \file
-/// Shared plumbing for the figure-regeneration harness. Every bench binary
-/// prints: a header naming the paper table/figure it reproduces and the
-/// expected shape, the regenerated series as an aligned table, and a short
-/// shape check (PASS/DEVIATION) against the paper's qualitative claims.
+/// Shared plumbing for the figure-regeneration binaries that a scenario
+/// file (bench/scenarios/, run by tools/semclust_run) cannot express. Every
+/// bench binary prints: a header naming the paper table/figure it
+/// reproduces and the expected shape, the regenerated series as an aligned
+/// table, and a short shape check (SHAPE-OK/DEVIATION) against the paper's
+/// qualitative claims.
 ///
 /// Experiment grids run on the exec::ExperimentRunner worker pool; each
 /// cell gets a splitmix64-derived per-cell seed, so the numbers are
 /// bit-identical at any job count.
 ///
-/// Environment:
+/// Environment (a malformed value exits 2, naming the variable):
 ///   SEMCLUST_BENCH_FAST=1      quarter-length runs (smoke mode)
 ///   SEMCLUST_BENCH_SEED=n      override the simulation base seed
 ///   SEMCLUST_BENCH_JOBS=n      worker threads (default: hardware
@@ -73,10 +75,7 @@ double MeanResponse(const core::ModelConfig& config);
 /// Label helper: seconds with ms precision.
 std::string Sec(double s);
 
-/// Response-time matrix of clustering policies x workload cells — the
-/// shared shape behind Figures 5.1-5.4 and 5.6-5.8. Buffering is fixed to
-/// the paper's setting for these figures: no prefetch, medium (=1000)
-/// buffers, LRU replacement.
+/// Response-time matrix of clustering policies x workload cells.
 struct ClusteringGrid {
   std::vector<std::string> policy_labels;    // rows
   std::vector<std::string> workload_labels;  // columns
@@ -87,11 +86,6 @@ struct ClusteringGrid {
     return response[policy][workload];
   }
 };
-
-/// Runs the five clustering policies over `cells` as one parallel batch.
-ClusteringGrid RunClusteringGrid(
-    const std::vector<workload::WorkloadConfig>& cells,
-    cluster::SplitPolicy split = cluster::SplitPolicy::kNoSplit);
 
 /// Prints the grid with policies as rows.
 void PrintGrid(const ClusteringGrid& grid);

@@ -6,16 +6,6 @@
 
 namespace oodb::cc {
 
-const char* LockModeName(LockMode m) {
-  switch (m) {
-    case LockMode::kShared:
-      return "S";
-    case LockMode::kExclusive:
-      return "X";
-  }
-  return "?";
-}
-
 LockManager::LockManager(sim::Simulator& sim, const CcConfig& config)
     : sim_(sim), config_(config) {}
 

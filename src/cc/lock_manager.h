@@ -48,8 +48,6 @@ using LockKey = uint64_t;
 
 enum class LockMode : uint8_t { kShared = 0, kExclusive = 1 };
 
-const char* LockModeName(LockMode m);
-
 /// Cumulative manager-side counters, mirrored into the metrics registry
 /// by the measurement controller (set-semantics, like the buffer/io/log
 /// component counters).

@@ -20,29 +20,6 @@ std::vector<workload::WorkloadConfig> StandardWorkloadGrid() {
   return grid;
 }
 
-std::vector<workload::WorkloadConfig> DensitySweep(double rw_ratio) {
-  std::vector<workload::WorkloadConfig> grid;
-  for (auto density : workload::kAllStructureDensities) {
-    workload::WorkloadConfig w;
-    w.density = density;
-    w.read_write_ratio = rw_ratio;
-    grid.push_back(w);
-  }
-  return grid;
-}
-
-std::vector<workload::WorkloadConfig> RatioSweep(
-    workload::StructureDensity density) {
-  std::vector<workload::WorkloadConfig> grid;
-  for (double ratio : {5.0, 10.0, 100.0}) {
-    workload::WorkloadConfig w;
-    w.density = density;
-    w.read_write_ratio = ratio;
-    grid.push_back(w);
-  }
-  return grid;
-}
-
 std::vector<cluster::ClusterConfig> ClusteringPolicyLevels(
     cluster::SplitPolicy split) {
   std::vector<cluster::ClusterConfig> levels;

@@ -21,13 +21,6 @@ RunResult RunCell(const ModelConfig& config);
 /// x-axis order ("low3-5" ... "hi10-100").
 std::vector<workload::WorkloadConfig> StandardWorkloadGrid();
 
-/// Workload cells for one fixed read/write ratio (density sweep).
-std::vector<workload::WorkloadConfig> DensitySweep(double rw_ratio);
-
-/// Workload cells for one fixed density (read/write-ratio sweep).
-std::vector<workload::WorkloadConfig> RatioSweep(
-    workload::StructureDensity density);
-
 /// The five clustering policies of Figure 5.1: No_Clustering,
 /// Cluster_within_Buffer, 2_IO_limit, 10_IO_limit, No_limit.
 /// `split` applies to every clustering policy (ignored by No_Clustering).

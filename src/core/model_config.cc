@@ -1,5 +1,6 @@
 #include "core/model_config.h"
 
+#include <cmath>
 #include <string>
 
 namespace oodb::core {
@@ -96,6 +97,12 @@ Status ModelConfig::Validate() const {
                    std::to_string(measurement_epochs) +
                    "; the measured phase is split into >= 1 epochs "
                    "(1 disables the per-epoch breakdown)");
+  }
+  if (!(telemetry_interval_s >= 0) || std::isinf(telemetry_interval_s)) {
+    return Invalid("telemetry_interval_s is " +
+                   std::to_string(telemetry_interval_s) +
+                   "; the sampling interval must be a finite number >= 0 "
+                   "(0 samples at epoch boundaries only)");
   }
   if (span_exemplars < 0) {
     return Invalid("span_exemplars is " + std::to_string(span_exemplars) +

@@ -308,13 +308,6 @@ std::optional<obj::RelKind> PolicyRegistry::Relationship(
   return static_cast<obj::RelKind>(*v);
 }
 
-std::optional<ocb::RefLocality> PolicyRegistry::OcbLocality(
-    std::string_view name) const {
-  const auto v = Find(PolicyAxis::kOcbLocality, name);
-  if (!v) return std::nullopt;
-  return static_cast<ocb::RefLocality>(*v);
-}
-
 std::optional<dyn::PolicyKind> PolicyRegistry::Dynamic(
     std::string_view name) const {
   const auto v = Find(PolicyAxis::kDynamic, name);

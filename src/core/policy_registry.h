@@ -71,7 +71,6 @@ class PolicyRegistry {
   std::optional<workload::StructureDensity> Density(
       std::string_view name) const;
   std::optional<obj::RelKind> Relationship(std::string_view name) const;
-  std::optional<ocb::RefLocality> OcbLocality(std::string_view name) const;
   std::optional<dyn::PolicyKind> Dynamic(std::string_view name) const;
   std::optional<ShardPlacement> ShardPlacementOf(std::string_view name) const;
   std::optional<ArrivalProcess> Arrival(std::string_view name) const;

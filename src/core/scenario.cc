@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
 #include <type_traits>
@@ -26,6 +28,7 @@ using Dyn = dyn::DynConfig;
 using W = WorkloadEntry;
 using Ocb = ocb::OcbConfig;
 using Oct = workload::WorkloadConfig;
+using E = Expectation;
 
 const PolicyRegistry& Reg() { return PolicyRegistry::Global(); }
 
@@ -141,11 +144,15 @@ Status ReadBlock(const JsonValue& obj, const std::string& ctx,
   return gates ? CheckGates(obj, ctx, rows, b) : Status::Ok();
 }
 
-/// The open rows in order; an empty value, array or object is left out.
+/// The open rows in order; an empty value, array or object is left out,
+/// and so is a row whose key `keep` rejects.
 template <class B>
-std::string WriteBlock(const Table<B>& rows, const B& b) {
+std::string WriteBlock(
+    const Table<B>& rows, const B& b,
+    const std::function<bool(std::string_view)>& keep = nullptr) {
   JsonObjectWriter out;
   for (const Knob<B>& row : rows) {
+    if (keep && !keep(row.key)) continue;
     if (row.gate != nullptr && !row.gate->open(b)) continue;
     const std::string value = row.json(b);
     if (value.empty() || value == "[]" || value == "{}") continue;
@@ -157,13 +164,19 @@ std::string WriteBlock(const Table<B>& rows, const B& b) {
 const Table<Cc>& RowsOf(const Cc&);
 const Table<Clu>& RowsOf(const Clu&);
 const Table<W>& RowsOf(const W&);
+const Table<E>& RowsOf(const E&);
 
 /// The checked read (and below, the write) of each member type. Integers
 /// parse from the source text: a fraction, an exponent, a sign on an
 /// unsigned field or a value out of range is an error, never truncated.
 template <class T>
 Status Read(const JsonValue& v, const std::string& key, T& out) {
-  if constexpr (std::is_same_v<T, bool>) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    if (!v.is_string()) return TypeErr(key, "a string");
+    out = v.string_value();
+  } else if constexpr (requires(T t) { t.has_value(); }) {
+    return Read(v, key, out.emplace());
+  } else if constexpr (std::is_same_v<T, bool>) {
     if (!v.is_bool()) return TypeErr(key, "a boolean (true/false)");
     out = v.bool_value();
   } else if constexpr (std::is_floating_point_v<T>) {
@@ -213,7 +226,11 @@ Status Read(const JsonValue& v, const std::string& key, T& out) {
 
 template <class T>
 std::string Json(const T& value) {
-  if constexpr (std::is_same_v<T, bool>) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return value.empty() ? "" : '"' + JsonEscape(value) + '"';
+  } else if constexpr (requires(T t) { t.has_value(); }) {
+    return value ? Json(*value) : "";
+  } else if constexpr (std::is_same_v<T, bool>) {
     return value ? "true" : "false";
   } else if constexpr (std::is_floating_point_v<T>) {
     return JsonNumber(value);
@@ -384,6 +401,438 @@ const Table<Cc>& RowsOf(const Cc&) { return kCcRows; }
 const Table<Clu>& RowsOf(const Clu&) { return kClusterRows; }
 const Table<W>& RowsOf(const W&) { return kWorkloadRows; }
 
+// ---- expectations -------------------------------------------------------
+
+/// An entry's outcome: `held` of the `groups` of cells it tested passed.
+struct Tally {
+  size_t held = 0;
+  size_t groups = 0;
+};
+
+Status Fail(std::string what) {
+  return Status::InvalidArgument(std::move(what));
+}
+
+bool Contains(const std::vector<std::string>& names, const std::string& n) {
+  return std::find(names.begin(), names.end(), n) != names.end();
+}
+
+std::string Joined(const std::vector<std::string>& names) {
+  std::string out;
+  for (const std::string& n : names) out += (out.empty() ? "" : ", ") + n;
+  return out;
+}
+
+/// Resolves selectors against the expanded cells and reads their record
+/// fields; without records (`records` null) every field reads 1, which
+/// resolves an entry without judging it.
+class ExpectEval {
+ public:
+  using Records = std::vector<std::map<std::string, JsonValue>>;
+
+  ExpectEval(const std::vector<ScenarioCell>& cells, const Records* records)
+      : cells_(cells), records_(records) {}
+
+  const ScenarioCell& cell(size_t c) const { return cells_[c]; }
+
+  /// The axis's level names in sweep order.
+  std::vector<std::string> LevelNames(const std::string& axis) const {
+    std::vector<std::string> names;
+    for (const ScenarioCell& c : cells_) {
+      const std::string& level = c.levels.at(axis);
+      if (!Contains(names, level)) names.push_back(level);
+    }
+    return names;
+  }
+
+  /// Fails unless `axis` is a sweep axis and each of `levels` is one of
+  /// its levels.
+  Status CheckLevels(const std::string& axis,
+                     const std::vector<std::string>& levels,
+                     const char* key) const {
+    const auto& known = cells_.front().levels;
+    if (known.find(axis) == known.end()) {
+      std::vector<std::string> axes;
+      for (const auto& [name, level] : known) axes.push_back(name);
+      return Fail("\"" + std::string(key) + "\": unknown axis \"" + axis +
+                  "\" (known: " + Joined(axes) + ")");
+    }
+    const std::vector<std::string> names = LevelNames(axis);
+    for (const std::string& level : levels) {
+      if (!Contains(names, level)) {
+        return Fail("\"" + std::string(key) + "\": no cell has " + axis +
+                    " level \"" + level + "\" (levels: " + Joined(names) +
+                    ")");
+      }
+    }
+    return Status::Ok();
+  }
+
+  /// The cells `sel` names (every cell for an empty selector).
+  Status Match(const CellSelector& sel, const char* key,
+               std::vector<size_t>& out) const {
+    for (const auto& [axis, levels] : sel) {
+      if (levels.empty()) return Fail("\"" + std::string(key) + "\": empty");
+      OODB_RETURN_IF_ERROR(CheckLevels(axis, levels, key));
+    }
+    for (size_t c = 0; c < cells_.size(); ++c) {
+      if (Selects(sel, c)) out.push_back(c);
+    }
+    if (out.empty()) {
+      return Fail("\"" + std::string(key) + "\" matches no cell");
+    }
+    return Status::Ok();
+  }
+
+  /// The cell agreeing with `c` off the axes `sel` names, and on them
+  /// having `sel`'s level.
+  Status Partner(size_t c, const CellSelector& sel, const char* key,
+                 size_t& out) const {
+    CellSelector whole;
+    for (const auto& [axis, level] : cells_[c].levels) {
+      whole.push_back({axis, {level}});
+    }
+    for (const auto& [axis, levels] : sel) {
+      if (levels.size() != 1) {
+        return Fail("\"" + std::string(key) +
+                    "\" must name one level per axis");
+      }
+      const auto it = std::find_if(whole.begin(), whole.end(),
+                                   [&](const auto& w) { return w.first == axis; });
+      if (it == whole.end()) {
+        whole.push_back({axis, levels});
+      } else {
+        it->second = levels;
+      }
+    }
+    std::vector<size_t> found;
+    OODB_RETURN_IF_ERROR(Match(whole, key, found));
+    out = found.front();  // one cell: Validate rejects repeated levels
+    return Status::Ok();
+  }
+
+  /// `pool` split by every axis but `axis`, in first-appearance order.
+  std::vector<std::vector<size_t>> Groups(const std::vector<size_t>& pool,
+                                          const std::string& axis) const {
+    std::vector<std::pair<std::string, std::vector<size_t>>> groups;
+    for (const size_t c : pool) {
+      std::string key;
+      for (const auto& [name, level] : cells_[c].levels) {
+        if (name != axis) key += level + '\x1f';
+      }
+      auto it = std::find_if(groups.begin(), groups.end(),
+                             [&](const auto& g) { return g.first == key; });
+      if (it == groups.end()) it = groups.insert(groups.end(), {key, {}});
+      it->second.push_back(c);
+    }
+    std::vector<std::vector<size_t>> out;
+    for (auto& group : groups) out.push_back(std::move(group.second));
+    return out;
+  }
+
+  Status Value(size_t c, const std::string& field, double& out) const {
+    if (records_ == nullptr) {
+      out = 1;
+      return Status::Ok();
+    }
+    const auto& record = (*records_)[c];
+    const auto it = record.find(field);
+    if (it == record.end() || !it->second.is_number()) {
+      return Fail("field \"" + field + "\" of cell " +
+                  cells_[c].cell_label +
+                  (it == record.end() ? " is not in its record"
+                                      : " is not a number"));
+    }
+    out = it->second.number_value();
+    return Status::Ok();
+  }
+
+ private:
+  bool Selects(const CellSelector& sel, size_t c) const {
+    return std::all_of(sel.begin(), sel.end(), [&](const auto& s) {
+      return Contains(s.second, cells_[c].levels.at(s.first));
+    });
+  }
+
+  const std::vector<ScenarioCell>& cells_;
+  const Records* records_;
+};
+
+Status Judge(const E& e, const ExpectEval& x, bool& holds);
+
+Status EvalRatio(const E& e, const ExpectEval& x, Tally& t) {
+  if (e.num.empty() || e.den.empty()) {
+    return Fail("needs \"num\" and \"den\"");
+  }
+  if (!e.min && !e.max) return Fail("needs \"min\" or \"max\"");
+  std::vector<size_t> nums;
+  OODB_RETURN_IF_ERROR(x.Match(e.num, "num", nums));
+  for (const size_t c : nums) {
+    size_t d = 0;
+    double a = 0, b = 0;
+    OODB_RETURN_IF_ERROR(x.Partner(c, e.den, "den", d));
+    OODB_RETURN_IF_ERROR(x.Value(c, e.field, a));
+    OODB_RETURN_IF_ERROR(x.Value(d, e.field, b));
+    const double r = a / b;
+    ++t.groups;
+    t.held += (!e.min || r >= *e.min) && (!e.max || r <= *e.max);
+  }
+  return Status::Ok();
+}
+
+Status EvalBest(const E& e, const ExpectEval& x, Tally& t) {
+  if (e.axis.empty()) return Fail("needs \"axis\"");
+  std::vector<size_t> pool;
+  OODB_RETURN_IF_ERROR(x.Match(e.cell, "cell", pool));
+  OODB_RETURN_IF_ERROR(x.CheckLevels(e.axis, e.levels, "levels"));
+  OODB_RETURN_IF_ERROR(x.CheckLevels(e.axis, e.among, "among"));
+  for (const auto& group : x.Groups(pool, e.axis)) {
+    double best = std::numeric_limits<double>::infinity();
+    std::vector<double> candidates;
+    size_t among = 0;
+    for (const size_t c : group) {
+      const std::string& level = x.cell(c).levels.at(e.axis);
+      double v = 0;
+      OODB_RETURN_IF_ERROR(x.Value(c, e.field, v));
+      if (e.among.empty() || Contains(e.among, level)) {
+        best = std::min(best, v);
+        ++among;
+      }
+      if (e.levels.empty() || Contains(e.levels, level)) {
+        candidates.push_back(v);
+      }
+    }
+    if ((!e.among.empty() && among != e.among.size()) ||
+        (!e.levels.empty() && candidates.size() != e.levels.size())) {
+      return Fail("the group of cell " + x.cell(group.front()).cell_label +
+                  " lacks a listed " + e.axis + " level");
+    }
+    ++t.groups;
+    t.held += std::all_of(candidates.begin(), candidates.end(),
+                          [&](double v) { return v <= e.factor * best; });
+  }
+  return Status::Ok();
+}
+
+Status EvalMonotone(const E& e, const ExpectEval& x, Tally& t) {
+  if (e.axis.empty()) return Fail("needs \"axis\"");
+  std::vector<size_t> pool;
+  OODB_RETURN_IF_ERROR(x.Match(e.cell, "cell", pool));
+  OODB_RETURN_IF_ERROR(x.CheckLevels(e.axis, e.levels, "levels"));
+  const std::vector<std::string> order =
+      e.levels.empty() ? x.LevelNames(e.axis) : e.levels;
+  for (const auto& group : x.Groups(pool, e.axis)) {
+    std::vector<double> seq;
+    for (const std::string& level : order) {
+      const auto it = std::find_if(group.begin(), group.end(), [&](size_t c) {
+        return x.cell(c).levels.at(e.axis) == level;
+      });
+      if (it == group.end()) {
+        return Fail("the group of cell " + x.cell(group.front()).cell_label +
+                    " lacks " + e.axis + " level \"" + level + "\"");
+      }
+      double v = 0;
+      OODB_RETURN_IF_ERROR(x.Value(*it, e.field, v));
+      if (!e.relative_to.empty()) {
+        size_t d = 0;
+        double base = 0;
+        OODB_RETURN_IF_ERROR(x.Partner(*it, e.relative_to, "relative_to", d));
+        OODB_RETURN_IF_ERROR(x.Value(d, e.field, base));
+        v /= base;
+      }
+      seq.push_back(v);
+    }
+    bool rises = true;
+    for (size_t i = 1; i < seq.size(); ++i) {
+      rises = rises && seq[i] > e.factor * seq[i - 1];
+    }
+    ++t.groups;
+    t.held += rises;
+  }
+  return Status::Ok();
+}
+
+Status EvalNonzero(const E& e, const ExpectEval& x, Tally& t) {
+  std::vector<size_t> pool;
+  OODB_RETURN_IF_ERROR(x.Match(e.cell, "cell", pool));
+  double sum = 0;
+  for (const size_t c : pool) {
+    double v = 0;
+    OODB_RETURN_IF_ERROR(x.Value(c, e.field, v));
+    sum += v;
+  }
+  t.groups = 1;
+  t.held = sum != 0;
+  return Status::Ok();
+}
+
+Status EvalAll(const E& e, const ExpectEval& x, Tally& t) {
+  if (e.of.empty()) return Fail("needs a non-empty \"of\"");
+  bool all = true;
+  for (size_t i = 0; i < e.of.size(); ++i) {
+    bool holds = false;
+    const Status st = Judge(e.of[i], x, holds);
+    if (!st.ok()) return Fail(Indexed("of", i) + ": " + st.message());
+    all = all && holds;
+  }
+  t.groups = 1;
+  t.held = all;
+  return Status::Ok();
+}
+
+/// One row per expectation kind: its name and its test.
+struct ExpectKind {
+  const char* name;
+  Status (*eval)(const E&, const ExpectEval&, Tally&);
+};
+
+constexpr ExpectKind kExpectKinds[] = {
+    {"ratio", EvalRatio},     {"best", EvalBest},
+    {"monotone", EvalMonotone}, {"nonzero", EvalNonzero},
+    {"all", EvalAll},
+};
+
+std::string KnownKinds() {
+  std::string out;
+  for (const ExpectKind& k : kExpectKinds) {
+    out += (out.empty() ? "" : ", ") + std::string(k.name);
+  }
+  return out;
+}
+
+Status Judge(const E& e, const ExpectEval& x, bool& holds) {
+  const auto* kind =
+      std::find_if(std::begin(kExpectKinds), std::end(kExpectKinds),
+                   [&](const ExpectKind& k) { return e.kind == k.name; });
+  if (kind == std::end(kExpectKinds)) {
+    return Fail("unknown kind \"" + e.kind + "\"; known: " + KnownKinds());
+  }
+  Tally t;
+  OODB_RETURN_IF_ERROR(kind->eval(e, x, t));
+  if (e.at_least && (*e.at_least < 1 ||
+                     static_cast<size_t>(*e.at_least) > t.groups)) {
+    return Fail("\"at_least\" must be in [1, " + std::to_string(t.groups) +
+                "], the number of groups tested");
+  }
+  holds = t.held >= (e.at_least ? static_cast<size_t>(*e.at_least)
+                                 : t.groups);
+  return Status::Ok();
+}
+
+StatusOr<std::vector<ShapeVerdict>> JudgeAll(
+    const std::vector<E>& expect, const std::vector<ScenarioCell>& cells,
+    const ExpectEval::Records* records) {
+  const ExpectEval x(cells, records);
+  std::vector<ShapeVerdict> verdicts;
+  for (size_t i = 0; i < expect.size(); ++i) {
+    const E& e = expect[i];
+    ShapeVerdict& v = verdicts.emplace_back();
+    v.claim = e.claim;
+    const Status st = e.claim.empty() ? Fail("needs a \"claim\"")
+                                      : Judge(e, x, v.holds);
+    if (!st.ok()) {
+      return Err(Indexed("expect", i) + " (\"" + e.claim + "\"): " +
+                 st.message());
+    }
+  }
+  return verdicts;
+}
+
+Status ReadSelector(const JsonValue& v, const std::string& ctx,
+                    CellSelector& out) {
+  if (!v.is_object()) return TypeErr(ctx, "an object of axis: level(s)");
+  out.clear();
+  for (const auto& [axis, levels] : v.members()) {
+    const std::string key = ctx + "." + axis;
+    auto& names = out.emplace_back(axis, std::vector<std::string>{}).second;
+    for (const JsonValue& level : levels.is_array()
+                                      ? levels.items()
+                                      : std::vector<JsonValue>{levels}) {
+      if (!level.is_string()) {
+        return TypeErr(key, "a level name or an array of level names");
+      }
+      names.push_back(level.string_value());
+    }
+  }
+  return Status::Ok();
+}
+
+std::string SelectorJson(const CellSelector& sel) {
+  JsonObjectWriter out;
+  for (const auto& [axis, levels] : sel) {
+    out.AddRaw(axis, levels.size() == 1 ? Json(levels.front()) : Json(levels));
+  }
+  return out.str();
+}
+
+template <CellSelector E::*Member>
+Knob<E> SelectorRow(const char* key, const Gate<E>* gate) {
+  return {key, gate, nullptr,
+          [](const JsonValue& v, const std::string& ctx, E& e) {
+            return ReadSelector(v, ctx, e.*Member);
+          },
+          [](const E& e) { return SelectorJson(e.*Member); }};
+}
+
+bool KindIs(const E& e, std::initializer_list<std::string_view> kinds) {
+  return std::find(kinds.begin(), kinds.end(), e.kind) != kinds.end();
+}
+
+// Each kind's keys are gated on "kind", so a key of another kind is an
+// error that names the kinds it belongs to.
+const Gate<E> kRatio{[](const E& e) { return KindIs(e, {"ratio"}); },
+                     "a \"ratio\" key", ": \"ratio\"", "kind"};
+const Gate<E> kBest{[](const E& e) { return KindIs(e, {"best"}); },
+                    "a \"best\" key", ": \"best\"", "kind"};
+const Gate<E> kMonotone{[](const E& e) { return KindIs(e, {"monotone"}); },
+                        "a \"monotone\" key", ": \"monotone\"", "kind"};
+const Gate<E> kAxis{
+    [](const E& e) { return KindIs(e, {"best", "monotone"}); },
+    "a \"best\"/\"monotone\" key", ": \"best\" or \"monotone\"", "kind"};
+const Gate<E> kCell{
+    [](const E& e) { return KindIs(e, {"best", "monotone", "nonzero"}); },
+    "a \"best\"/\"monotone\"/\"nonzero\" key",
+    ": \"best\", \"monotone\" or \"nonzero\"", "kind"};
+const Gate<E> kGroups{
+    [](const E& e) { return KindIs(e, {"ratio", "best", "monotone"}); },
+    "a \"ratio\"/\"best\"/\"monotone\" key",
+    ": \"ratio\", \"best\" or \"monotone\"", "kind"};
+const Gate<E> kField{
+    [](const E& e) { return !KindIs(e, {"all"}); }, "a key of the tested kinds",
+    ": \"ratio\", \"best\", \"monotone\" or \"nonzero\"", "kind"};
+const Gate<E> kAll{[](const E& e) { return KindIs(e, {"all"}); },
+                   "an \"all\" key", ": \"all\"", "kind"};
+
+const Table<E> kExpectRows = {
+    Row<E, &E::claim>("claim"),
+    // Hand-written: the kind, which decides the legal rows.
+    {"kind", nullptr, nullptr,
+     [](const JsonValue& v, const std::string& ctx, E& e) -> Status {
+       e.kind = v.is_string() ? v.string_value() : "";
+       if (std::none_of(std::begin(kExpectKinds), std::end(kExpectKinds),
+                        [&](const ExpectKind& k) { return e.kind == k.name; })) {
+         return Unknown(ctx, "expect kind", e.kind, KnownKinds());
+       }
+       return Status::Ok();
+     },
+     [](const E& e) { return Json(e.kind); }},
+    Row<E, &E::field>("field", &kField),
+    SelectorRow<&E::num>("num", &kRatio),
+    SelectorRow<&E::den>("den", &kRatio),
+    Row<E, &E::min>("min", &kRatio),
+    Row<E, &E::max>("max", &kRatio),
+    Row<E, &E::axis>("axis", &kAxis),
+    SelectorRow<&E::cell>("cell", &kCell),
+    Row<E, &E::levels>("levels", &kAxis),
+    Row<E, &E::among>("among", &kBest),
+    Row<E, &E::factor>("factor", &kAxis),
+    SelectorRow<&E::relative_to>("relative_to", &kMonotone),
+    Row<E, &E::at_least>("at_least", &kGroups),
+    Row<E, &E::of>("of", &kAll),
+};
+
+const Table<E>& RowsOf(const E&) { return kExpectRows; }
+
 StatusOr<size_t> BufferLevel(const M& cfg, const JsonValue& v,
                              const std::string& ctx) {
   const std::string level = v.is_string() ? v.string_value() : "";
@@ -429,10 +878,13 @@ Knob<S> Axis(const char* key, int nest, const char* label = nullptr) {
         const auto& levels = s.*Levels;
         const T level = levels.empty() ? BaseLevel(s.base, Target) : levels[i];
         SetLevel(cell, Target, level);
-        if constexpr (std::is_integral_v<T>) return std::to_string(level);
-        if constexpr (std::is_enum_v<T>) return CanonicalName(level);
-        if constexpr (std::is_same_v<T, Clu>) return level.Label();
-        return {};
+        if constexpr (std::is_integral_v<T>) {
+          return std::to_string(level);
+        } else if constexpr (std::is_enum_v<T>) {
+          return CanonicalName(level);
+        } else {
+          return level.Label();  // a clustering level or a workload
+        }
       }};
 }
 
@@ -487,7 +939,7 @@ std::vector<ScenarioCell> ScenarioSpec::Expand() const {
   std::vector<const Knob<S>*> axes(kSweepRows.size());
   for (const Knob<S>& axis : kSweepRows) axes[axis.nest] = &axis;
   // Outermost axis first; each multi-level axis joins the policy label.
-  std::vector<ScenarioCell> cells{{base, "", "", ""}};
+  std::vector<ScenarioCell> cells{{base, "", "", "", {}}};
   for (const Knob<S>* axis : axes) {
     const size_t levels = std::max<size_t>(1, axis->size(*this));
     std::vector<ScenarioCell> next;
@@ -495,6 +947,7 @@ std::vector<ScenarioCell> ScenarioSpec::Expand() const {
       for (size_t i = 0; i < levels; ++i) {
         ScenarioCell& out = next.emplace_back(cell);
         const std::string text = axis->apply(*this, i, out.config);
+        out.levels.insert_or_assign(axis->key, text);
         if (axis->label == nullptr || levels == 1) continue;
         if (!out.policy.empty()) out.policy += "_";
         out.policy += text;
@@ -517,39 +970,100 @@ std::string ScenarioSpec::ToJson() const {
   root.Add("bench", bench.empty() ? name : bench);
   if (!description.empty()) root.Add("description", description);
   root.AddRaw("config", WriteBlock(kConfigRows, *this));
+  if (!fast.empty()) root.AddRaw("fast", fast);
   const std::string sweep = WriteBlock(kSweepRows, *this);
   if (sweep != "{}") root.AddRaw("sweep", sweep);
+  if (!expect.empty()) root.AddRaw("expect", Json(expect));
   return root.str();
 }
 
-StatusOr<ScenarioSpec> ParseScenario(std::string_view json_text) {
+Status ScenarioSpec::Validate() const {
+  const std::vector<ScenarioCell> cells = Expand();
+  for (const ScenarioCell& cell : cells) {
+    const Status st = cell.config.Validate();
+    if (!st.ok()) return Err("cell " + cell.cell_label + ": " + st.message());
+  }
+  // Selectors name cells by level, and a level is a label that can drop a
+  // knob (a clustering level's split, an OCB workload's theta), so claims
+  // need every cell to differ from every other on some axis.
+  std::map<std::map<std::string, std::string>, size_t> seen;
+  for (size_t c = 0; c < cells.size() && !expect.empty(); ++c) {
+    const auto [it, fresh] = seen.emplace(cells[c].levels, c);
+    if (fresh) continue;
+    std::string levels;
+    for (const auto& [axis, level] : cells[c].levels) {
+      levels += (levels.empty() ? "" : ", ") + axis + " " + level;
+    }
+    return Err("expect: cells " + std::to_string(it->second) + " (" +
+               cells[it->second].cell_label + ") and " + std::to_string(c) +
+               " (" + cells[c].cell_label + ") have the same levels (" +
+               levels + "), so no selector can tell them apart");
+  }
+  return JudgeAll(expect, cells, nullptr).status();
+}
+
+StatusOr<std::vector<ShapeVerdict>> ScenarioSpec::Evaluate(
+    const std::vector<std::map<std::string, JsonValue>>& records) const {
+  const std::vector<ScenarioCell> cells = Expand();
+  if (records.size() != cells.size()) {
+    return Err(std::to_string(records.size()) + " records for " +
+               std::to_string(cells.size()) + " cells");
+  }
+  return JudgeAll(expect, cells, &records);
+}
+
+namespace {
+
+/// Reads a "config" block, or the "fast" overlay on top of one, into
+/// `spec.base`. Its gates wait for the sweep: the shard group counts that
+/// axis.
+Status ReadConfig(const JsonValue& obj, const std::string& ctx, S& spec) {
+  OODB_RETURN_IF_ERROR(ReadBlock(obj, ctx, kConfigRows, spec, kBufferLevel,
+                                 /*gates=*/false));
+  spec.base.database.target_bytes = spec.base.database_bytes;
+  spec.base.database.density = spec.base.workload.density;
+  if (const JsonValue* level = obj.Find(kBufferLevel)) {
+    if (obj.Find("buffer_pages") != nullptr) {
+      return Err(ctx + ": set either \"buffer_pages\" or \"" +
+                 std::string(kBufferLevel) + "\", not both");
+    }
+    const auto pages =
+        BufferLevel(spec.base, *level, ctx + "." + kBufferLevel);
+    OODB_RETURN_IF_ERROR(pages.status());
+    spec.base.buffer_pages = *pages;
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+StatusOr<ScenarioSpec> ParseScenario(std::string_view json_text, bool fast) {
   auto doc = JsonValue::Parse(json_text);
   if (!doc.ok()) return doc.status();
   if (!doc->is_object()) return Err("top-level value must be an object");
 
   ScenarioSpec spec;
   spec.base = ScaledConfig();
-  // "config" first regardless of file order: sweep levels derive from the
-  // base. Its gates wait for the sweep: the shard group counts that axis.
+  // "config", then "fast", first regardless of file order: sweep levels
+  // derive from the base.
   const JsonValue* config = doc->Find("config");
   if (config != nullptr) {
-    OODB_RETURN_IF_ERROR(ReadBlock(*config, "config", kConfigRows, spec,
-                                   kBufferLevel, /*gates=*/false));
-    spec.base.database.target_bytes = spec.base.database_bytes;
-    spec.base.database.density = spec.base.workload.density;
-    if (const JsonValue* level = config->Find(kBufferLevel)) {
-      if (config->Find("buffer_pages") != nullptr) {
-        return Err("config: set either \"buffer_pages\" or \"" +
-                   std::string(kBufferLevel) + "\", not both");
-      }
-      const auto pages = BufferLevel(spec.base, *level,
-                                     std::string("config.") + kBufferLevel);
-      OODB_RETURN_IF_ERROR(pages.status());
-      spec.base.buffer_pages = *pages;
-    }
+    OODB_RETURN_IF_ERROR(ReadConfig(*config, "config", spec));
+  }
+  // The overlay is read (and checked) in every mode; fast mode keeps it.
+  const JsonValue* overlay = doc->Find("fast");
+  ScenarioSpec fast_spec = spec;
+  if (overlay != nullptr) {
+    OODB_RETURN_IF_ERROR(ReadConfig(*overlay, "fast", fast_spec));
+    // Written back as the keys it sets; a buffer level as its page count.
+    spec.fast = WriteBlock(kConfigRows, fast_spec, [&](std::string_view key) {
+      return overlay->Find(key) != nullptr ||
+             (key == "buffer_pages" && overlay->Find(kBufferLevel) != nullptr);
+    });
+    if (fast) spec.base = fast_spec.base;
   }
   for (const auto& [key, v] : doc->members()) {
-    if (key == "config") continue;
+    if (key == "config" || key == "fast") continue;
     if (key == "name" || key == "bench" || key == "description") {
       if (!v.is_string()) return TypeErr(key, "a string");
       (key == "name" ? spec.name
@@ -557,13 +1071,21 @@ StatusOr<ScenarioSpec> ParseScenario(std::string_view json_text) {
           v.string_value();
     } else if (key == "sweep") {
       OODB_RETURN_IF_ERROR(ReadBlock(v, "sweep", kSweepRows, spec));
+    } else if (key == "expect") {
+      OODB_RETURN_IF_ERROR(Read(v, "expect", spec.expect));
     } else {
       return Err("unknown top-level key \"" + key +
-                 "\" (known: name, bench, description, config, sweep)");
+                 "\" (known: name, bench, description, config, fast, "
+                 "sweep, expect)");
     }
   }
   if (config != nullptr) {
     OODB_RETURN_IF_ERROR(CheckGates(*config, "config", kConfigRows, spec));
+  }
+  if (overlay != nullptr) {
+    fast_spec.shards = spec.shards;  // the sweep opens the shard gate too
+    OODB_RETURN_IF_ERROR(
+        CheckGates(*overlay, "fast", kConfigRows, fast_spec));
   }
   if (spec.name.empty()) return Err("\"name\" is required");
   if (spec.bench.empty()) spec.bench = spec.name;
@@ -577,20 +1099,16 @@ StatusOr<ScenarioSpec> ParseScenario(std::string_view json_text) {
         "has no effect; add a \"shards\" sweep axis or \"shards\" to "
         "config");
   }
-
-  for (const ScenarioCell& cell : spec.Expand()) {
-    const Status st = cell.config.Validate();
-    if (!st.ok()) return Err("cell " + cell.cell_label + ": " + st.message());
-  }
+  OODB_RETURN_IF_ERROR(spec.Validate());
   return spec;
 }
 
-StatusOr<ScenarioSpec> LoadScenarioFile(const std::string& path) {
+StatusOr<ScenarioSpec> LoadScenarioFile(const std::string& path, bool fast) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("scenario: cannot open " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
-  auto spec = ParseScenario(buf.str());
+  auto spec = ParseScenario(buf.str(), fast);
   if (!spec.ok()) {
     return Status::InvalidArgument(path + ": " + spec.status().message());
   }

@@ -1,26 +1,31 @@
 #ifndef SEMCLUST_CORE_SCENARIO_H_
 #define SEMCLUST_CORE_SCENARIO_H_
 
+#include <map>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/model_config.h"
+#include "util/json_reader.h"
 #include "util/status.h"
 
 /// \file
-/// Declarative experiment scenarios. A `.scenario.json` file names a base
-/// ModelConfig (policies by their registry names — see
-/// core/policy_registry.h) plus sweep axes; the loader expands the axes
-/// into the same cell grid the hand-written bench binaries build, in the
-/// same order, so a scenario run through `tools/semclust_run` regenerates
-/// a bench's JSONL bit-identically.
+/// Declarative experiment scenarios: the one way to define a grid
+/// experiment. A `.scenario.json` file names a base ModelConfig (policies
+/// by their registry names — see core/policy_registry.h), sweep axes, an
+/// optional "fast" overlay, and the qualitative claims its records must
+/// bear out ("expect"). `tools/semclust_run` expands the axes into cells,
+/// runs them, writes the BenchReport JSONL, and prints one verdict per
+/// claim.
 ///
 /// Schema (all sections optional except "name"; unknown keys are errors,
 /// and each error lists the known keys of its section):
 ///
 ///   {
-///     "name": "fig5_1_fast",
+///     "name": "fig5_1",
 ///     "bench": "Figure 5.1",          // BenchReport label (default: name)
 ///     "description": "free text",
 ///     "config": {                     // overrides on ScaledConfig()
@@ -74,6 +79,9 @@
 ///                      "dyn_max_moves": 64, "opcf_watermark": 2,
 ///                      "opcf_batch": 4}
 ///     },
+///     // Applied over "config" (same keys, same rows, same checks) when
+///     // SEMCLUST_BENCH_FAST is set: the smoke-sized run.
+///     "fast": {"warmup_transactions": 100, "measured_transactions": 500},
 ///     "sweep": {                      // each axis: empty/absent = base value
 ///       "clustering": "figure5_1",    // or an array of pool names/objects
 ///       "workload": "standard_grid",  // or [{"density": ..., "rw_ratio": ...}]
@@ -83,8 +91,42 @@
 ///       "shards": [1, 2, 4, 8],
 ///       "shard_placement": ["Hash_Shard", "Structure_Shard"],
 ///       "users": [100, 1000, 2000]
-///     }
+///     },
+///     "expect": [                     // claims over the cell records
+///       {"claim": "clustering wins ~3x at hi10-100", "kind": "ratio",
+///        "num": {"clustering": "No_Clustering", "workload": "hi10-100"},
+///        "den": {"clustering": "No_limit"}, "min": 2}
+///     ]
 ///   }
+///
+/// Expectations. Each entry has a "claim" (the verdict line's text) and a
+/// "kind"; every kind reads one numeric record "field" (a FlattenJson path
+/// such as "cc.abort_rate"; default "mean_response_s"). A cell selector
+/// such as {"clustering": "No_limit", "workload": ["low3-5", "hi10-5"]}
+/// maps sweep-axis keys to the accepted level names (a level is the
+/// label the axis stamps: "No_limit", "hi10-100", "200", "Hash_Shard").
+/// The "partner" of cell c under a selector is the cell that agrees with c
+/// on every axis the selector does not name and has the selector's level
+/// on the axes it names. A kind tests one or more groups; the claim holds
+/// when "at_least" groups pass (default: all of them).
+///   ratio     for each cell of "num": field(num) / field(partner under
+///             "den") is >= "min" and <= "max" (either may be absent).
+///   best      the cells of "cell" grouped by every axis but "axis": in
+///             each group, every "levels" cell (default: all) is <=
+///             "factor" (default 1) times the smallest "among" cell
+///             (default: all). With among = [B] and factor 1 this is
+///             dominance: A never worse than B.
+///   monotone  the cells of "cell" grouped as for best, ordered by
+///             "levels" (default: the sweep order): each value is >
+///             "factor" (default 1) times the one before. With
+///             "relative_to", each value is first divided by its partner
+///             under that selector.
+///   nonzero   the field summed over the cells of "cell" is not zero.
+///   all       every entry of "of" (entries without claims) holds.
+/// A key of another kind, an unknown kind, an axis or level that names no
+/// cell, a partner that does not exist, and (when records are read) a
+/// missing or non-numeric field are errors naming the entry; a claim never
+/// passes vacuously.
 ///
 /// Gates: a knob marked with a gate is legal only while its gate is open,
 /// and is written by ToJson only then. Setting it with the gate shut is an
@@ -111,6 +153,34 @@ struct ScenarioCell {
   std::string cell_label;
   std::string policy;
   std::string workload;
+  /// Sweep-axis key -> this cell's level name, for every axis (an axis
+  /// without levels holds the base value's name).
+  std::map<std::string, std::string> levels;
+};
+
+/// Cells by sweep-axis level: axis key -> the accepted level names.
+using CellSelector =
+    std::vector<std::pair<std::string, std::vector<std::string>>>;
+
+/// One "expect" entry; which keys apply depends on `kind` (see the schema
+/// above).
+struct Expectation {
+  std::string claim;
+  std::string kind;
+  std::string field = "mean_response_s";
+  std::string axis;
+  CellSelector cell, num, den, relative_to;
+  std::vector<std::string> levels, among;
+  std::optional<double> min, max;
+  double factor = 1;  ///< best and monotone: "factor"
+  std::optional<int> at_least;
+  std::vector<Expectation> of;  ///< the "all" kind's entries
+};
+
+/// One claim's outcome.
+struct ShapeVerdict {
+  std::string claim;
+  bool holds = false;
 };
 
 /// One level of the workload sweep axis: the engineering workload's
@@ -144,29 +214,43 @@ struct ScenarioSpec {
   std::vector<ShardPlacement> shard_placement;
   std::vector<int> users;
 
+  /// The "fast" overlay as canonical JSON ("" when there is none). It is
+  /// already applied to `base` when the spec was parsed in fast mode.
+  std::string fast;
+  std::vector<Expectation> expect;
+
   /// Expands the axes into cells, outermost to innermost: users, shards,
   /// shard_placement, replacement, prefetch, buffer_pages, clustering,
-  /// workload. With only the clustering and workload axes populated this
-  /// is exactly the policy-major order of bench_common's
-  /// RunClusteringGrid, and the labels match FillDefaultLabels (policy =
-  /// clustering label, workload = workload label, cell =
-  /// "policy/workload"). Multi-level sharding and buffering axes prefix
-  /// the policy label (e.g. "2shard_Structure_Shard_...") so cell labels
-  /// stay unique.
+  /// workload. Labels: policy = clustering label, workload = workload
+  /// label, cell = "policy/workload"; multi-level users, sharding and
+  /// buffering axes prefix the policy label (e.g.
+  /// "2shard_Structure_Shard_...") so cell labels stay unique.
   std::vector<ScenarioCell> Expand() const;
 
   /// Canonical JSON serialization; ParseScenario(ToJson()) round-trips.
   std::string ToJson() const;
+
+  /// Checks every expanded cell with ModelConfig::Validate and resolves
+  /// every expect entry's axes, levels and partners against the cells.
+  /// ParseScenario runs it; run it again after editing `base`.
+  Status Validate() const;
+
+  /// Tests every expect entry on the cells' records, `records[i]` being
+  /// the FlattenJson of cell i's BenchReport line.
+  StatusOr<std::vector<ShapeVerdict>> Evaluate(
+      const std::vector<std::map<std::string, JsonValue>>& records) const;
 };
 
-/// Parses one scenario document. Unknown keys, unresolvable policy names,
-/// malformed values, gated knobs with their gate shut, and expanded cells
-/// failing ModelConfig::Validate() all return InvalidArgument with an
-/// actionable message.
-StatusOr<ScenarioSpec> ParseScenario(std::string_view json_text);
+/// Parses one scenario document, applying its "fast" overlay when `fast`
+/// is set. Unknown keys, unresolvable policy names, malformed values,
+/// gated knobs with their gate shut, a failing Validate() all return
+/// InvalidArgument with an actionable message.
+StatusOr<ScenarioSpec> ParseScenario(std::string_view json_text,
+                                     bool fast = false);
 
 /// Reads `path` and parses it.
-StatusOr<ScenarioSpec> LoadScenarioFile(const std::string& path);
+StatusOr<ScenarioSpec> LoadScenarioFile(const std::string& path,
+                                        bool fast = false);
 
 /// One row of the loader's knob tables: the section holding the key
 /// ("config", "config.concurrency", "config.workload" or

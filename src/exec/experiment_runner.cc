@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <optional>
 #include <thread>
 
 #if defined(__GLIBC__)
@@ -11,6 +12,7 @@
 
 #include "core/experiment.h"
 #include "exec/thread_pool.h"
+#include "util/env.h"
 
 namespace oodb::exec {
 
@@ -54,9 +56,10 @@ CellOutcome RunOne(core::ModelConfig cfg) {
 ExperimentRunner::ExperimentRunner(int jobs) : jobs_(jobs < 1 ? 1 : jobs) {}
 
 int ExperimentRunner::JobsFromEnv() {
-  if (const char* env = std::getenv("SEMCLUST_BENCH_JOBS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<int>(v);
+  if (const std::optional<int> jobs =
+          EnvNumber<int>("SEMCLUST_BENCH_JOBS", "a positive integer",
+                         [](int v) { return v >= 1; })) {
+    return *jobs;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);

@@ -69,6 +69,7 @@ class ExperimentRunner {
   int jobs() const { return jobs_; }
 
   /// SEMCLUST_BENCH_JOBS, defaulting to std::thread::hardware_concurrency.
+  /// A value that is not a whole positive integer exits with status 2.
   static int JobsFromEnv();
 
   /// splitmix64 over (base_seed, cell_index): statistically independent

@@ -78,24 +78,6 @@ sim::Task IoSubsystem::FlushLog() {
   co_await disks_[disk]->Use(service);
 }
 
-uint64_t IoSubsystem::total_physical() const {
-  uint64_t total = 0;
-  for (uint64_t c : counts_) total += c;
-  return total;
-}
-
-uint64_t IoSubsystem::total_reads() const {
-  return physical_count(IoCategory::kDataRead) +
-         physical_count(IoCategory::kClusterRead) +
-         physical_count(IoCategory::kPrefetchRead);
-}
-
-uint64_t IoSubsystem::total_writes() const {
-  return physical_count(IoCategory::kDataWrite) +
-         physical_count(IoCategory::kDirtyFlush) +
-         physical_count(IoCategory::kLogWrite);
-}
-
 double IoSubsystem::MeanUtilization() const {
   double sum = 0;
   for (const auto& d : disks_) sum += d->Utilization();

@@ -86,9 +86,6 @@ class IoSubsystem {
   uint64_t physical_count(IoCategory c) const {
     return counts_[static_cast<size_t>(c)];
   }
-  uint64_t total_physical() const;
-  uint64_t total_reads() const;
-  uint64_t total_writes() const;
 
   /// Mean utilisation across disks.
   double MeanUtilization() const;

@@ -125,12 +125,6 @@ VersionedName ObjectGraph::NameOf(ObjectId id) const {
                        lattice_->info(o.type).name};
 }
 
-void ObjectGraph::Resize(ObjectId id, uint32_t size_bytes) {
-  OODB_CHECK(IsLive(id));
-  OODB_CHECK_GT(size_bytes, 0u);
-  objects_[id].size_bytes = size_bytes;
-}
-
 std::vector<ObjectId> ObjectGraph::Neighbors(ObjectId id, RelKind kind,
                                              Direction dir) const {
   std::vector<ObjectId> out;

@@ -166,9 +166,6 @@ class ObjectGraph {
   /// External name triple, e.g. "ALU[2].layout".
   VersionedName NameOf(ObjectId id) const;
 
-  /// Grows/shrinks the recorded size of an object (attribute updates).
-  void Resize(ObjectId id, uint32_t size_bytes);
-
   /// Calls `fn(ObjectId)` for each `kind`/`dir` neighbour.
   template <typename Fn>
   void ForEachNeighbor(ObjectId id, RelKind kind, Direction dir,

@@ -80,8 +80,6 @@ const char* SubsystemName(Subsystem s) {
   return "unknown";
 }
 
-const char* TraceEventTypeName(TraceEventType t) { return MetaOf(t).name; }
-
 TraceSink::TraceSink(const sim::Simulator* clock, size_t capacity)
     : clock_(clock), capacity_(capacity) {
   ring_.resize(capacity_);

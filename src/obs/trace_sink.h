@@ -71,7 +71,6 @@ enum class TraceEventType : uint8_t {
   kLatchWait,       ///< a: txn, b: page key, v: wait seconds
   kTxnAbort,        ///< a: txn, b: attempt number, c: gave up (0/1)
 };
-const char* TraceEventTypeName(TraceEventType t);
 
 /// Priority class of an evicted frame (kEviction's `b`).
 enum class EvictionClass : uint8_t {

@@ -4,30 +4,6 @@
 
 namespace oodb::oct {
 
-const char* OctTypeName(OctType t) {
-  switch (t) {
-    case OctType::kFacet:
-      return "facet";
-    case OctType::kInstance:
-      return "instance";
-    case OctType::kNet:
-      return "net";
-    case OctType::kTerm:
-      return "term";
-    case OctType::kPath:
-      return "path";
-    case OctType::kBox:
-      return "box";
-    case OctType::kProp:
-      return "prop";
-    case OctType::kBag:
-      return "bag";
-    case OctType::kLayer:
-      return "layer";
-  }
-  return "unknown";
-}
-
 OctId OctDataManager::Create(OctType type, uint32_t size_bytes) {
   OctObject o;
   o.type = type;

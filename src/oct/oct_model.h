@@ -34,8 +34,6 @@ enum class OctType : uint8_t {
 };
 inline constexpr int kNumOctTypes = 9;
 
-const char* OctTypeName(OctType t);
-
 /// Identifier of an OCT object.
 using OctId = uint32_t;
 inline constexpr OctId kInvalidOct = UINT32_MAX;

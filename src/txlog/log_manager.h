@@ -35,8 +35,6 @@ enum class LogRecordType : uint8_t {
   kCommit = 2,       ///< transaction commit
 };
 
-const char* LogRecordTypeName(LogRecordType type);
-
 /// One journaled record (see LogManager::EnableJournal).
 struct LogRecord {
   Lsn lsn = 0;

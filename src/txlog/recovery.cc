@@ -4,18 +4,6 @@
 
 namespace oodb::txlog {
 
-const char* LogRecordTypeName(LogRecordType type) {
-  switch (type) {
-    case LogRecordType::kBeforeImage:
-      return "before-image";
-    case LogRecordType::kRedo:
-      return "redo";
-    case LogRecordType::kCommit:
-      return "commit";
-  }
-  return "unknown";
-}
-
 RecoveryAnalyzer::RecoveryAnalyzer(const std::vector<LogRecord>* journal)
     : journal_(journal) {
   OODB_CHECK(journal != nullptr);

@@ -199,4 +199,29 @@ StatusOr<JsonValue> JsonValue::Parse(std::string_view text) {
   return value;
 }
 
+namespace {
+
+void FlattenInto(const JsonValue& v, const std::string& path,
+                 std::map<std::string, JsonValue>& out) {
+  if (v.is_object()) {
+    for (const auto& [key, member] : v.members()) {
+      FlattenInto(member, path.empty() ? key : path + "." + key, out);
+    }
+  } else if (v.is_array()) {
+    for (size_t i = 0; i < v.items().size(); ++i) {
+      FlattenInto(v.items()[i], path + "[" + std::to_string(i) + "]", out);
+    }
+  } else {
+    out.insert_or_assign(path, v);
+  }
+}
+
+}  // namespace
+
+std::map<std::string, JsonValue> FlattenJson(const JsonValue& doc) {
+  std::map<std::string, JsonValue> out;
+  FlattenInto(doc, "", out);
+  return out;
+}
+
 }  // namespace oodb

@@ -2,6 +2,7 @@
 #define SEMCLUST_UTIL_JSON_READER_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -68,6 +69,13 @@ class JsonValue {
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
+
+/// One document flattened to path -> scalar: object members join their
+/// keys with '.', array items append "[i]" ("cc.txn_aborts",
+/// "response_epochs[0].mean_s"). Empty objects and arrays contribute no
+/// path, and a repeated key keeps its last value. The record reader behind
+/// `bench_diff` and the scenario expectations.
+std::map<std::string, JsonValue> FlattenJson(const JsonValue& doc);
 
 }  // namespace oodb
 

@@ -127,12 +127,6 @@ uint64_t SplitMix64::NextBelow(uint64_t n) {
   return LemireBelow([this] { return Next(); }, n);
 }
 
-int64_t SplitMix64::UniformInt(int64_t lo, int64_t hi) {
-  OODB_CHECK_LE(lo, hi);
-  return lo + static_cast<int64_t>(
-                  NextBelow(static_cast<uint64_t>(hi - lo) + 1));
-}
-
 double SplitMix64::Gaussian(double mean, double stddev) {
   OODB_CHECK_GE(stddev, 0.0);
   if (has_spare_) {

@@ -78,9 +78,6 @@ class SplitMix64 {
   /// Uniform integer in [0, n). Requires n > 0.
   uint64_t NextBelow(uint64_t n);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t UniformInt(int64_t lo, int64_t hi);
-
   /// Normally distributed value (Marsaglia's polar method; the second
   /// value of each pair is cached). Requires stddev >= 0.
   double Gaussian(double mean, double stddev);

@@ -41,7 +41,6 @@ double StreamingStats::Variance() const {
   return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
 }
 
-double StreamingStats::StdDev() const { return std::sqrt(Variance()); }
 
 Histogram::Histogram(double lo, double hi, size_t buckets) : lo_(lo) {
   OODB_CHECK_LT(lo, hi);

@@ -30,8 +30,6 @@ class StreamingStats {
   double Mean() const;
   /// Sample variance (n-1 denominator), or 0 when count < 2.
   double Variance() const;
-  /// Sample standard deviation.
-  double StdDev() const;
   /// Minimum observation; +inf when empty.
   double min() const { return min_; }
   /// Maximum observation; -inf when empty.

@@ -30,22 +30,4 @@ const char* QueryTypeName(QueryType q) {
   return "unknown";
 }
 
-const char* WriteKindName(WriteKind k) {
-  switch (k) {
-    case WriteKind::kSimpleUpdate:
-      return "simple-update";
-    case WriteKind::kStructureWrite:
-      return "structure-write";
-    case WriteKind::kInsertObject:
-      return "insert-object";
-    case WriteKind::kDeriveVersion:
-      return "derive-version";
-    case WriteKind::kDeleteObject:
-      return "delete-object";
-    case WriteKind::kChurnDelete:
-      return "churn-delete";
-  }
-  return "unknown";
-}
-
 }  // namespace oodb::workload

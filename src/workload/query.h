@@ -55,8 +55,6 @@ enum class WriteKind : uint8_t {
 /// emitted directly by the OCB churn state machine.
 inline constexpr int kNumWriteKinds = 5;
 
-const char* WriteKindName(WriteKind k);
-
 /// One transaction as handed to the execution model.
 struct TransactionSpec {
   QueryType type = QueryType::kSimpleLookup;

@@ -145,8 +145,9 @@ TEST(PolicyRegistryTest, CanonicalNamesAreTheDisplayNames) {
 
 // ----------------------------------------------------------------- scenario
 
-// The committed fig5_1 scenario, inlined (the file itself is exercised by
-// the CI smoke run; this keeps the unit test working-directory-agnostic).
+// The committed fig5_1 scenario's fast form, inlined (the file itself is
+// exercised by the CI run; this keeps the unit test
+// working-directory-agnostic).
 constexpr char kFig51Scenario[] = R"json({
   "name": "fig5_1_fast",
   "bench": "Figure 5.1",
@@ -173,8 +174,8 @@ TEST(ScenarioTest, Fig51ExpandsToTheBenchGridInBenchOrder) {
   const auto grid = StandardWorkloadGrid();
   ASSERT_EQ(cells.size(), policies.size() * grid.size());
 
-  // Clustering-major, workload-minor — exactly RunClusteringGrid's batch
-  // order, with FillDefaultLabels' labels.
+  // Clustering-major, workload-minor: Figure 5.1's policy-major grid,
+  // each cell labelled "<policy>/<workload>".
   size_t i = 0;
   for (const auto& policy : policies) {
     for (const auto& w : grid) {
@@ -654,6 +655,262 @@ TEST(ScenarioTest, LoadScenarioFileReadsAndReportsPath) {
   EXPECT_NE(bad.status().message().find(path), std::string::npos)
       << bad.status().ToString();
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------------- expect and fast
+
+// Four cells, clustering-major: No_Clustering/low3-5, No_Clustering/hi10-5,
+// No_limit/low3-5, No_limit/hi10-5.
+std::string ExpectScenario(const std::string& entries) {
+  return R"json({
+    "name": "expect_probe",
+    "config": {"buffer_pages": 64, "warmup_transactions": 10,
+               "measured_transactions": 60},
+    "fast": {"measured_transactions": 30, "buffer_level": "small"},
+    "sweep": {
+      "clustering": ["No_Clustering", "No_limit"],
+      "workload": [{"density": "low3", "rw_ratio": 5},
+                   {"density": "hi10", "rw_ratio": 5}]
+    },
+    "expect": [)json" +
+         entries + "]}";
+}
+
+// Synthetic records in cell order: response 2, 6 (No_Clustering) and 1, 2
+// (No_limit); "cc.n" is zero everywhere.
+std::vector<std::map<std::string, JsonValue>> SyntheticRecords() {
+  std::vector<std::map<std::string, JsonValue>> records;
+  for (const char* response : {"2", "6", "1", "2"}) {
+    const auto doc = JsonValue::Parse(std::string(R"({"mean_response_s":)") +
+                                      response + R"(,"cc":{"n":0}})");
+    records.push_back(FlattenJson(*doc));
+  }
+  return records;
+}
+
+TEST(ScenarioTest, FlattenJsonJoinsPathsAndKeepsNumberText) {
+  const auto doc = JsonValue::Parse(
+      R"({"a":{"b":1.50,"c":[true,"x"]},"d":null,"e":{},"a2":[]})");
+  ASSERT_TRUE(doc.ok());
+  const auto flat = FlattenJson(*doc);
+  ASSERT_EQ(flat.size(), 4u);
+  EXPECT_EQ(flat.at("a.b").number_text(), "1.50");
+  EXPECT_TRUE(flat.at("a.c[0]").bool_value());
+  EXPECT_EQ(flat.at("a.c[1]").string_value(), "x");
+  EXPECT_TRUE(flat.at("d").is_null());
+}
+
+TEST(ScenarioTest, EachExpectKindHoldsAndDeviates) {
+  const struct {
+    const char* entry;
+    bool holds;
+  } kCases[] = {
+      {R"({"kind": "ratio", "num": {"clustering": "No_Clustering",
+           "workload": "hi10-5"}, "den": {"clustering": "No_limit"},
+           "min": 2})", true},
+      {R"({"kind": "ratio", "num": {"clustering": "No_Clustering",
+           "workload": "hi10-5"}, "den": {"clustering": "No_limit"},
+           "min": 4})", false},
+      {R"({"kind": "ratio", "num": {"clustering": "No_Clustering"},
+           "den": {"clustering": "No_limit"}, "max": 2.5})", false},
+      {R"({"kind": "ratio", "num": {"clustering": "No_Clustering"},
+           "den": {"clustering": "No_limit"}, "max": 2.5,
+           "at_least": 1})", true},
+      {R"({"kind": "best", "axis": "clustering", "levels": ["No_limit"],
+           "among": ["No_Clustering"]})", true},
+      {R"({"kind": "best", "axis": "clustering",
+           "levels": ["No_Clustering"], "among": ["No_limit"]})", false},
+      {R"({"kind": "best", "axis": "clustering",
+           "levels": ["No_Clustering"], "factor": 2.5})", false},
+      {R"({"kind": "best", "axis": "clustering",
+           "levels": ["No_Clustering"], "factor": 2.5, "at_least": 1})",
+       true},
+      {R"({"kind": "best", "axis": "workload",
+           "cell": {"clustering": "No_limit"}, "factor": 2})", true},
+      {R"({"kind": "monotone", "axis": "workload"})", true},
+      {R"({"kind": "monotone", "axis": "workload", "factor": 2.5})", false},
+      {R"({"kind": "monotone", "axis": "clustering",
+           "levels": ["No_limit", "No_Clustering"]})", true},
+      {R"({"kind": "monotone", "axis": "workload",
+           "cell": {"clustering": "No_Clustering"},
+           "relative_to": {"clustering": "No_limit"}})", true},
+      {R"({"kind": "monotone", "axis": "workload",
+           "cell": {"clustering": "No_Clustering"},
+           "relative_to": {"clustering": "No_limit"}, "factor": 2})", false},
+      {R"({"kind": "nonzero"})", true},
+      {R"({"kind": "nonzero", "field": "cc.n"})", false},
+      {R"({"kind": "all", "of": [{"kind": "nonzero"},
+           {"kind": "monotone", "axis": "workload"}]})", true},
+      {R"({"kind": "all", "of": [{"kind": "nonzero"},
+           {"kind": "nonzero", "field": "cc.n"}]})", false},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.entry);
+    std::string entry(c.entry);
+    entry.insert(1, R"("claim": "probe", )");
+    const auto spec = ParseScenario(ExpectScenario(entry));
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    const auto verdicts = spec->Evaluate(SyntheticRecords());
+    ASSERT_TRUE(verdicts.ok()) << verdicts.status().ToString();
+    ASSERT_EQ(verdicts->size(), 1u);
+    EXPECT_EQ((*verdicts)[0].claim, "probe");
+    EXPECT_EQ((*verdicts)[0].holds, c.holds);
+  }
+}
+
+TEST(ScenarioTest, ExpectAndFastSurviveTheRoundTrip) {
+  const std::string entries = R"(
+    {"claim": "r", "kind": "ratio", "field": "cc.n",
+     "num": {"clustering": ["No_Clustering", "No_limit"]},
+     "den": {"workload": "low3-5"}, "min": 0.5, "max": 3, "at_least": 2},
+    {"claim": "b", "kind": "best", "axis": "clustering",
+     "cell": {"workload": "hi10-5"}, "levels": ["No_limit"],
+     "among": ["No_Clustering"], "factor": 1.1},
+    {"claim": "m", "kind": "monotone", "axis": "workload",
+     "levels": ["low3-5", "hi10-5"], "relative_to": {"clustering": "No_limit"},
+     "factor": 1.25},
+    {"claim": "a", "kind": "all", "of": [{"kind": "nonzero",
+     "cell": {"clustering": "No_limit"}}]})";
+  for (const bool fast : {false, true}) {
+    const auto first = ParseScenario(ExpectScenario(entries), fast);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_EQ(first->base.measured_transactions, fast ? 30 : 60);
+    EXPECT_EQ(first->base.buffer_pages,
+              fast ? first->base.BufferSmall() : 64u);
+    EXPECT_EQ(first->fast,
+              "{\"buffer_pages\":" +
+                  std::to_string(first->base.BufferSmall()) +
+                  ",\"measured_transactions\":30}");
+    ASSERT_EQ(first->expect.size(), 4u);
+    const Expectation& r = first->expect[0];
+    EXPECT_EQ(r.field, "cc.n");
+    ASSERT_EQ(r.num.size(), 1u);
+    EXPECT_EQ(r.num[0].second.size(), 2u);
+    EXPECT_EQ(r.min, 0.5);
+    EXPECT_EQ(r.at_least, 2);
+    EXPECT_EQ(first->expect[1].factor, 1.1);
+    EXPECT_EQ(first->expect[2].relative_to[0].first, "clustering");
+    EXPECT_EQ(first->expect[3].of.size(), 1u);
+
+    const std::string json = first->ToJson();
+    const auto second = ParseScenario(json, fast);
+    ASSERT_TRUE(second.ok()) << second.status().ToString() << "\n" << json;
+    EXPECT_EQ(second->ToJson(), json);
+    ExpectSameCells(*first, *second);
+    // The overlay round-trips too: parsed in fast mode, the non-fast
+    // rendering still yields the fast cells.
+    const auto refast = ParseScenario(
+        ParseScenario(ExpectScenario(entries))->ToJson(), true);
+    ASSERT_TRUE(refast.ok());
+    EXPECT_EQ(refast->base.measured_transactions, 30);
+  }
+}
+
+TEST(ScenarioTest, ExpectErrorsNameTheEntryAndNeverPassVacuously) {
+  const struct {
+    const char* entry;
+    const char* needle;
+  } kCases[] = {
+      {R"({"claim": "c", "kind": "rank"})", "unknown expect kind \"rank\""},
+      {R"({"kind": "nonzero"})", "needs a \"claim\""},
+      {R"({"claim": "c", "kind": "best", "axis": "clustering",
+           "levels": ["2_IO_limit"]})", "no cell has clustering level"},
+      {R"({"claim": "c", "kind": "best", "axis": "users",
+           "levels": ["200"]})", "no cell has users level \"200\""},
+      {R"({"claim": "c", "kind": "monotone", "axis": "color"})",
+       "unknown axis \"color\""},
+      {R"({"claim": "c", "kind": "best"})", "needs \"axis\""},
+      {R"({"claim": "c", "kind": "ratio", "num": {"clustering": "No_limit"},
+           "den": {"clustering": "No_Clustering"}})",
+       "needs \"min\" or \"max\""},
+      {R"({"claim": "c", "kind": "ratio", "num": {"clustering": "No_limit"},
+           "den": {"clustering": ["No_Clustering", "No_limit"]}, "min": 1})",
+       "one level per axis"},
+      {R"({"claim": "c", "kind": "nonzero", "axis": "workload"})",
+       "\"axis\" is a \"best\"/\"monotone\" key"},
+      {R"({"claim": "c", "kind": "nonzero", "factor": 2})",
+       "\"factor\" is a \"best\"/\"monotone\" key"},
+      {R"({"claim": "c", "kind": "nonzero", "factor": 2})",
+       "\"factor\" is a \"best\"/\"monotone\" key"},
+      {R"({"claim": "c", "kind": "best", "axis": "workload",
+           "at_least": 3})", "\"at_least\" must be in [1, 2]"},
+      {R"({"claim": "c", "kind": "all", "of": []})", "non-empty \"of\""},
+      {R"({"claim": "c", "kind": "all", "of": [{"kind": "best"}]})",
+       "of[0]: needs \"axis\""},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.entry);
+    const auto spec = ParseScenario(ExpectScenario(
+        std::string(R"({"claim": "ok", "kind": "nonzero"}, )") + c.entry));
+    ASSERT_FALSE(spec.ok());
+    EXPECT_NE(spec.status().message().find("expect[1]"), std::string::npos)
+        << spec.status().ToString();
+    EXPECT_NE(spec.status().message().find(c.needle), std::string::npos)
+        << spec.status().ToString();
+  }
+
+  // A field no record carries, or one that is not a number, is an error
+  // when the records are read.
+  for (const char* field : {"no.such.field", "cc"}) {
+    SCOPED_TRACE(field);
+    const auto spec = ParseScenario(ExpectScenario(
+        std::string(R"({"claim": "f", "kind": "nonzero", "field": ")") +
+        field + "\"}"));
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    auto records = SyntheticRecords();
+    records[0]["cc"] = *JsonValue::Parse("\"text\"");
+    const auto verdicts = spec->Evaluate(records);
+    ASSERT_FALSE(verdicts.ok());
+    EXPECT_NE(verdicts.status().message().find("expect[0] (\"f\")"),
+              std::string::npos)
+        << verdicts.status().ToString();
+    EXPECT_NE(verdicts.status().message().find(field), std::string::npos);
+  }
+}
+
+// Two clustering levels that differ only in split share the level name
+// "No_limit": with claims to judge, that is an error naming both cells
+// (a ratio would read the first and a monotone walk skip the second).
+TEST(ScenarioTest, ExpectRejectsCellsWithTheSameLevels) {
+  const std::string text = R"({"name": "dup",
+    "sweep": {"clustering": [{"pool": "No_limit", "split": "No_Splitting"},
+                             {"pool": "No_limit", "split": "Linear_Split"}]})";
+  ASSERT_TRUE(ParseScenario(text + "}").ok());  // no claims, no ambiguity
+  const auto spec = ParseScenario(
+      text + R"(, "expect": [{"claim": "c", "kind": "nonzero"}]})");
+  ASSERT_FALSE(spec.ok());
+  const std::string message = spec.status().message();
+  EXPECT_NE(message.find("cells 0 (No_limit/"), std::string::npos) << message;
+  EXPECT_NE(message.find("and 1 (No_limit/"), std::string::npos) << message;
+  EXPECT_NE(message.find("clustering No_limit"), std::string::npos) << message;
+}
+
+TEST(ScenarioTest, FastOverlayTakesTheConfigRowsAndChecks) {
+  const auto parse = [](const std::string& fast) {
+    return ParseScenario(R"({"name": "f", "config": {"buffer_pages": 64},
+                             "fast": )" + fast + "}");
+  };
+  const auto unknown = parse(R"({"measured": 5})");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_NE(unknown.status().message().find("fast: unknown key \"measured\""),
+            std::string::npos)
+      << unknown.status().ToString();
+  const auto gated = parse(R"({"span_exemplars": 2})");
+  ASSERT_FALSE(gated.ok());
+  EXPECT_NE(gated.status().message().find("\"span_exemplars\""),
+            std::string::npos)
+      << gated.status().ToString();
+  const auto both = parse(R"({"buffer_pages": 8, "buffer_level": "small"})");
+  ASSERT_FALSE(both.ok());
+  EXPECT_NE(both.status().message().find("fast: set either"),
+            std::string::npos);
+  const auto nested = ParseScenario(
+      R"({"name": "f", "fast": {"workload": {"rw_ratio": 100},
+          "concurrency": {"enabled": true}}})",
+      true);
+  ASSERT_TRUE(nested.ok()) << nested.status().ToString();
+  EXPECT_EQ(nested->base.workload.read_write_ratio, 100);
+  EXPECT_TRUE(nested->base.cc.enabled);
 }
 
 // The tentpole's behaviour-preservation check at unit scale: a scenario

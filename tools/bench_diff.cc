@@ -21,7 +21,8 @@
 //
 // Records are JSON objects, one per line, matched across files by
 // (bench, cell_label, occurrence). Every record is flattened to
-// path -> scalar (objects by ".", arrays by "[i]"), and paths are
+// path -> scalar by oodb::FlattenJson (objects by ".", arrays by "[i]";
+// numbers keep their source text), and paths are
 // compared pairwise. In --baseline mode, fields present only in the
 // current file are allowed (new telemetry never breaks the gate);
 // fields present only in the baseline fail. Outside --baseline mode any
@@ -31,7 +32,6 @@
 // Exit status: 0 = within tolerance, 1 = differences, 2 = usage/IO/parse
 // error.
 
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -42,160 +42,20 @@
 #include <string>
 #include <vector>
 
+#include "util/json_reader.h"
+
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal recursive-descent JSON reader that flattens one document into
-// path -> scalar-as-text. Numbers keep their source text (so exact
-// comparison is byte exact) plus a parsed double for tolerant comparison.
-// ---------------------------------------------------------------------------
+using oodb::JsonValue;
 
-enum class ValueKind { kNumber, kString, kBool, kNull };
-
-struct FlatValue {
-  ValueKind kind = ValueKind::kNull;
-  std::string text;    // source text (number) or decoded string
-  double number = 0;   // valid when kind == kNumber
-};
-
-struct Parser {
-  const std::string& s;
-  size_t at = 0;
-  bool ok = true;
-  std::string error;
-
-  explicit Parser(const std::string& str) : s(str) {}
-
-  void Fail(const std::string& why) {
-    if (ok) {
-      ok = false;
-      error = why + " at offset " + std::to_string(at);
-    }
-  }
-  void SkipWs() {
-    while (at < s.size() && std::isspace(static_cast<unsigned char>(s[at]))) {
-      ++at;
-    }
-  }
-  bool Consume(char c) {
-    SkipWs();
-    if (at < s.size() && s[at] == c) {
-      ++at;
-      return true;
-    }
-    return false;
-  }
-  std::string ParseString() {
-    SkipWs();
-    std::string out;
-    if (at >= s.size() || s[at] != '"') {
-      Fail("expected string");
-      return out;
-    }
-    ++at;
-    while (at < s.size() && s[at] != '"') {
-      char c = s[at++];
-      if (c == '\\' && at < s.size()) {
-        const char esc = s[at++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'u':
-            // Keep \uXXXX escapes verbatim; they only need to compare
-            // equal, not decode.
-            out += "\\u";
-            continue;
-          default: c = esc; break;
-        }
-      }
-      out += c;
-    }
-    if (at >= s.size()) {
-      Fail("unterminated string");
-    } else {
-      ++at;  // closing quote
-    }
-    return out;
-  }
-
-  void ParseValue(const std::string& path,
-                  std::map<std::string, FlatValue>& out) {
-    SkipWs();
-    if (!ok || at >= s.size()) {
-      Fail("unexpected end of input");
-      return;
-    }
-    const char c = s[at];
-    if (c == '{') {
-      ++at;
-      if (Consume('}')) return;
-      do {
-        const std::string key = ParseString();
-        if (!ok) return;
-        if (!Consume(':')) {
-          Fail("expected ':'");
-          return;
-        }
-        ParseValue(path.empty() ? key : path + "." + key, out);
-        if (!ok) return;
-      } while (Consume(','));
-      if (!Consume('}')) Fail("expected '}'");
-      return;
-    }
-    if (c == '[') {
-      ++at;
-      if (Consume(']')) return;
-      size_t index = 0;
-      do {
-        ParseValue(path + "[" + std::to_string(index++) + "]", out);
-        if (!ok) return;
-      } while (Consume(','));
-      if (!Consume(']')) Fail("expected ']'");
-      return;
-    }
-    if (c == '"') {
-      FlatValue v;
-      v.kind = ValueKind::kString;
-      v.text = ParseString();
-      out[path] = std::move(v);
-      return;
-    }
-    if (std::strncmp(s.c_str() + at, "true", 4) == 0) {
-      at += 4;
-      out[path] = FlatValue{ValueKind::kBool, "true", 1};
-      return;
-    }
-    if (std::strncmp(s.c_str() + at, "false", 5) == 0) {
-      at += 5;
-      out[path] = FlatValue{ValueKind::kBool, "false", 0};
-      return;
-    }
-    if (std::strncmp(s.c_str() + at, "null", 4) == 0) {
-      at += 4;
-      out[path] = FlatValue{ValueKind::kNull, "null", 0};
-      return;
-    }
-    // Number.
-    const size_t begin = at;
-    while (at < s.size() &&
-           (std::isdigit(static_cast<unsigned char>(s[at])) || s[at] == '-' ||
-            s[at] == '+' || s[at] == '.' || s[at] == 'e' || s[at] == 'E')) {
-      ++at;
-    }
-    if (at == begin) {
-      Fail("unexpected character");
-      return;
-    }
-    FlatValue v;
-    v.kind = ValueKind::kNumber;
-    v.text = s.substr(begin, at - begin);
-    v.number = std::strtod(v.text.c_str(), nullptr);
-    out[path] = std::move(v);
-  }
-};
+/// A scalar's text: a number's source text (so exact comparison is byte
+/// exact), a decoded string, or the literal.
+std::string Text(const JsonValue& v) {
+  if (v.is_number()) return v.number_text();
+  if (v.is_string()) return v.string_value();
+  if (v.is_bool()) return v.bool_value() ? "true" : "false";
+  return "null";
+}
 
 // ---------------------------------------------------------------------------
 // Tolerance rules
@@ -248,7 +108,7 @@ bool NumbersMatch(double a, double b, double rtol) {
 
 struct Record {
   std::string key;  // bench/cell_label#occurrence
-  std::map<std::string, FlatValue> fields;
+  std::map<std::string, JsonValue> fields;
 };
 
 bool LoadRecords(const char* path, std::vector<Record>& out) {
@@ -263,20 +123,19 @@ bool LoadRecords(const char* path, std::vector<Record>& out) {
   while (std::getline(in, line)) {
     ++lineno;
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    Parser p(line);
-    Record r;
-    p.ParseValue("", r.fields);
-    p.SkipWs();
-    if (!p.ok || p.at != line.size()) {
+    const auto doc = JsonValue::Parse(line);
+    if (!doc.ok()) {
       std::fprintf(stderr, "bench_diff: %s:%zu: %s\n", path, lineno,
-                   p.ok ? "trailing garbage" : p.error.c_str());
+                   doc.status().message().c_str());
       return false;
     }
+    Record r;
+    r.fields = oodb::FlattenJson(*doc);
     const auto bench = r.fields.find("bench");
     const auto cell = r.fields.find("cell_label");
     std::string id =
-        (bench != r.fields.end() ? bench->second.text : "?") + "/" +
-        (cell != r.fields.end() ? cell->second.text : "?");
+        (bench != r.fields.end() ? Text(bench->second) : "?") + "/" +
+        (cell != r.fields.end() ? Text(cell->second) : "?");
     const int n = occurrences[id]++;
     if (n > 0) {
       // Append in two steps: `"#" + std::to_string(n)` trips GCC 12's
@@ -335,27 +194,25 @@ void CompareRecords(const Record& a, const Record& b, const Tolerances& tol,
     if (rtol == kIgnore) continue;
     const auto it = b.fields.find(path);
     if (it == b.fields.end()) {
-      report.Report(a.key, path, va.text, "<missing>");
+      report.Report(a.key, path, Text(va), "<missing>");
       continue;
     }
-    const FlatValue& vb = it->second;
-    if (va.kind != vb.kind) {
-      report.Report(a.key, path, va.text, vb.text);
-      continue;
-    }
-    const bool match = va.kind == ValueKind::kNumber
-                           ? NumbersMatch(va.number, vb.number, rtol)
-                           : va.text == vb.text;
-    if (!match) report.Report(a.key, path, va.text, vb.text);
+    const JsonValue& vb = it->second;
+    const bool match =
+        va.kind() == vb.kind() &&
+        (va.is_number()
+             ? NumbersMatch(va.number_value(), vb.number_value(), rtol)
+             : Text(va) == Text(vb));
+    if (!match) report.Report(a.key, path, Text(va), Text(vb));
   }
   if (baseline_mode) return;  // extra fields in `b` are allowed there
   for (const auto& [path, vb] : b.fields) {
     if (tol.For(path) == kIgnore) continue;
     if (a.fields.find(path) == a.fields.end()) {
       if (allow_new_keys) {
-        report.Note(b.key, path, vb.text);
+        report.Note(b.key, path, Text(vb));
       } else {
-        report.Report(b.key, path, "<missing>", vb.text);
+        report.Report(b.key, path, "<missing>", Text(vb));
       }
     }
   }

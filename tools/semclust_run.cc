@@ -22,21 +22,26 @@
 //                  list every policy axis with canonical names AND the
 //                  registered aliases each level accepts, and exit
 //
-// The SEMCLUST_BENCH_SEED and SEMCLUST_BENCH_SERIES_S environment knobs
-// are honoured exactly as the bench binaries honour them, and
-// SEMCLUST_SPANS=1 turns on the per-transaction span profiler
-// (config.profile_spans) without editing the committed scenario. Exit
-// status: 0 on success, 2 on usage/parse errors, including a flag value
-// that does not parse whole or a value-taking flag followed by another
-// option.
+// Environment: SEMCLUST_BENCH_FAST=1 applies each scenario's "fast"
+// overlay; SEMCLUST_BENCH_SEED and SEMCLUST_BENCH_SERIES_S override the
+// base seed and telemetry interval; SEMCLUST_SPANS=1 turns on the
+// per-transaction span profiler (config.profile_spans) without editing
+// the committed scenario. After the table, each "expect" claim prints as
+// "[SHAPE-OK ] claim" or "[DEVIATION] claim".
+//
+// Exit status: 0 on success, 1 when any claim deviates (every scenario
+// still runs), 2 on usage/parse errors: a flag or environment value that
+// does not parse whole, a value-taking flag followed by another option,
+// or an expectation that names no cell or record field.
 
-#include <charconv>
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -47,6 +52,8 @@
 #include "core/policy_registry.h"
 #include "core/scenario.h"
 #include "exec/experiment_runner.h"
+#include "util/env.h"
+#include "util/json_reader.h"
 #include "util/table_printer.h"
 
 namespace {
@@ -67,17 +74,16 @@ void PrintUsage(std::FILE* to) {
                "[--list-policies] <scenario.json>...\n");
 }
 
-// Parses the whole of `text` as a T with std::from_chars, the rule
-// core/scenario.cc applies to JSON integers: no sign on an unsigned type,
-// no leading '+', no trailing characters, no overflow.
-template <typename T>
-std::optional<T> ParseWhole(const std::string& text) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc() || stop != end) return std::nullopt;
-  return value;
-}
+using oodb::ParseWhole;
+
+/// The environment overrides, read (and checked) once before any scenario
+/// loads, so a malformed value exits 2 even under --dry-run.
+struct EnvOverrides {
+  bool fast = oodb::EnvFlag("SEMCLUST_BENCH_FAST");
+  std::optional<uint64_t> seed = oodb::EnvSeed();
+  std::optional<double> series_s = oodb::EnvSeriesS();
+  int jobs = oodb::exec::ExperimentRunner::JobsFromEnv();
+};
 
 void PrintPolicies() {
   for (const PolicyAxis axis : oodb::core::kAllPolicyAxes) {
@@ -107,9 +113,9 @@ void PrintPolicyCatalog() {
   }
 }
 
-int RunScenario(const std::string& path, bool dry_run,
-                const std::string& metrics_out) {
-  auto spec_or = oodb::core::LoadScenarioFile(path);
+int RunScenario(const std::string& path, const EnvOverrides& env,
+                bool dry_run, const std::string& metrics_out) {
+  auto spec_or = oodb::core::LoadScenarioFile(path, env.fast);
   if (!spec_or.ok()) {
     std::fprintf(stderr, "semclust_run: %s\n",
                  spec_or.status().ToString().c_str());
@@ -117,18 +123,17 @@ int RunScenario(const std::string& path, bool dry_run,
   }
   oodb::core::ScenarioSpec spec = std::move(spec_or).value();
 
-  // The bench binaries read these knobs in BaseConfig(); a scenario run
-  // honours them the same way so CI can vary seed/telemetry without
-  // editing the committed file.
-  if (const char* seed = std::getenv("SEMCLUST_BENCH_SEED")) {
-    spec.base.seed =
-        static_cast<uint64_t>(std::strtoull(seed, nullptr, 10));
+  // Vary seed, telemetry and profiling without editing the committed
+  // file; the overridden cells pass the same validation as parsed ones.
+  if (env.seed) spec.base.seed = *env.seed;
+  if (env.series_s) spec.base.telemetry_interval_s = *env.series_s;
+  if (std::getenv("SEMCLUST_SPANS") != nullptr) {
+    spec.base.profile_spans = oodb::EnvFlag("SEMCLUST_SPANS");
   }
-  if (const char* interval = std::getenv("SEMCLUST_BENCH_SERIES_S")) {
-    spec.base.telemetry_interval_s = std::strtod(interval, nullptr);
-  }
-  if (const char* sp = std::getenv("SEMCLUST_SPANS")) {
-    spec.base.profile_spans = sp[0] != '\0' && sp[0] != '0';
+  if (const oodb::Status st = spec.Validate(); !st.ok()) {
+    std::fprintf(stderr, "semclust_run: %s: %s\n", path.c_str(),
+                 st.ToString().c_str());
+    return 2;
   }
 
   const auto cells = spec.Expand();
@@ -149,7 +154,7 @@ int RunScenario(const std::string& path, bool dry_run,
   configs.reserve(cells.size());
   for (const auto& cell : cells) configs.push_back(cell.config);
 
-  const oodb::exec::ExperimentRunner runner;
+  const oodb::exec::ExperimentRunner runner(env.jobs);
   const double start = Now();
   const auto outcomes = runner.Run(std::move(configs));
   const double wall = Now() - start;
@@ -157,10 +162,17 @@ int RunScenario(const std::string& path, bool dry_run,
                cells.size(), runner.jobs(), wall);
 
   oodb::TablePrinter table({"cell", "mean resp", "physical IOs"});
+  std::vector<std::map<std::string, oodb::JsonValue>> records;
   for (size_t i = 0; i < outcomes.size(); ++i) {
     const auto& result = outcomes[i].result;
-    report.Record(cells[i].cell_label, cells[i].policy, cells[i].workload,
-                  result, outcomes[i].wall_s);
+    const oodb::core::BenchRecord record = oodb::core::BenchReport::FromResult(
+        cells[i].cell_label, cells[i].policy, cells[i].workload, result,
+        outcomes[i].wall_s);
+    report.Record(record);
+    if (!spec.expect.empty()) {
+      records.push_back(oodb::FlattenJson(
+          *oodb::JsonValue::Parse(report.ToJsonLine(record))));
+    }
     table.AddRow({cells[i].cell_label,
                   oodb::FormatDouble(result.response_time.Mean() * 1000.0, 1) +
                       " ms",
@@ -169,6 +181,21 @@ int RunScenario(const std::string& path, bool dry_run,
   std::ostringstream os;
   table.Print(os);
   std::fputs(os.str().c_str(), stdout);
+
+  int rc = 0;
+  if (!spec.expect.empty()) {
+    const auto verdicts = spec.Evaluate(records);
+    if (!verdicts.ok()) {
+      std::fprintf(stderr, "semclust_run: %s: %s\n", path.c_str(),
+                   verdicts.status().ToString().c_str());
+      return 2;
+    }
+    for (const oodb::core::ShapeVerdict& v : *verdicts) {
+      std::printf("[%s] %s\n", v.holds ? "SHAPE-OK " : "DEVIATION",
+                  v.claim.c_str());
+      if (!v.holds) rc = 1;
+    }
+  }
 
   if (!metrics_out.empty()) {
     // The merged snapshot folds cells in submission order, so the file is
@@ -185,7 +212,7 @@ int RunScenario(const std::string& path, bool dry_run,
       return 2;
     }
   }
-  return 0;
+  return rc;
 }
 
 }  // namespace
@@ -260,9 +287,12 @@ int main(int argc, char** argv) {
     PrintUsage(stderr);
     return 2;
   }
+  const EnvOverrides env;
+  int worst = 0;
   for (const auto& path : paths) {
-    const int rc = RunScenario(path, dry_run, metrics_out);
-    if (rc != 0) return rc;
+    const int rc = RunScenario(path, env, dry_run, metrics_out);
+    if (rc == 2) return rc;
+    worst = std::max(worst, rc);
   }
-  return 0;
+  return worst;
 }
