@@ -110,6 +110,14 @@ if "${DIFF}" --baseline "${BASELINE}" --rtol 0 \
     "${BUILD}/bench_perturbed.json" > /dev/null 2>&1; then
   fail "bench_diff did not flag a 10x response-time perturbation"
 fi
+# Its flag values parse whole: a malformed tolerance or report limit
+# exits 2 naming the flag instead of gating at a default.
+for bad in "--rtol abc" "--tol mean_response_s=1x" "--max-report x"; do
+  rc=0
+  # shellcheck disable=SC2086  # split the flag from its value
+  "${DIFF}" ${bad} "${BASELINE}" "${BASELINE}" > /dev/null 2>&1 || rc=$?
+  [ "${rc}" -eq 2 ] || fail "bench_diff with ${bad} exited ${rc}, want 2"
+done
 
 # Scenario input boundary: every committed scenario loads (its expect
 # selectors resolve), and each malformed probe is rejected with exit code

@@ -156,6 +156,25 @@ BufferPool::FixResult BufferPool::Fix(store::PageId page) {
   return result;
 }
 
+BufferPool::FixResult BufferPool::FixRepeated(store::PageId page,
+                                              uint64_t count) {
+  OODB_CHECK_GE(count, 1u);
+  const FixResult result = Fix(page);
+  const uint64_t repeats = count - 1;
+  if (repeats == 0) return result;
+  hits_ += repeats;
+  // Fix left the frame most recently used with plain recency. A repeated
+  // access keeps it there under LRU and is invisible to Random; under
+  // context-sensitive replacement each one advances the clock and
+  // restamps the frame, and only the last stamp stays live in the heap.
+  if (policy_ == ReplacementPolicy::kContextSensitive) {
+    access_clock_ += static_cast<double>(repeats);
+    next_stamp_ += repeats - 1;
+    SetPriority(FrameOf(page), access_clock_);
+  }
+  return result;
+}
+
 BufferPool::FrameId BufferPool::PickVictim() {
   switch (policy_) {
     case ReplacementPolicy::kLru: {

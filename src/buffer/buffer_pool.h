@@ -48,6 +48,11 @@ class BufferPool {
   /// owes one physical read, plus one flush if `evicted_dirty`.
   FixResult Fix(store::PageId page);
 
+  /// Same state and counters as `count` consecutive Fix(page) calls
+  /// (count >= 1): the first may miss, the rest hit. Returns the first
+  /// Fix's result.
+  FixResult FixRepeated(store::PageId page, uint64_t count);
+
   /// Records an access if the page is resident; never faults.
   /// Returns residency.
   bool Touch(store::PageId page);

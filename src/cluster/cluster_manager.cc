@@ -112,6 +112,15 @@ PlacementReport ClusterManager::PlaceNew(obj::ObjectId id) {
   return PlaceImpl(id, store::kInvalidPage);
 }
 
+void ClusterManager::AppendNew(obj::ObjectId first,
+                               std::span<const uint32_t> sizes,
+                               std::vector<store::PageRun>& runs) {
+  OODB_CHECK(config_.pool == CandidatePool::kNoClustering);
+  storage_->PlaceAppendRun(first, sizes, runs);
+  stats_.placements += sizes.size();
+  stats_.appends += sizes.size();
+}
+
 PlacementReport ClusterManager::Recluster(obj::ObjectId id) {
   const store::PageId current = storage_->PageOf(id);
   OODB_CHECK_NE(current, store::kInvalidPage);

@@ -2,6 +2,7 @@
 #define SEMCLUST_CLUSTER_CLUSTER_MANAGER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
@@ -84,6 +85,14 @@ class ClusterManager {
 
   /// Places a newly created, not-yet-placed object.
   PlacementReport PlaceNew(obj::ObjectId id);
+
+  /// Places the newly created objects first, first + 1, ... (object
+  /// first + i of `sizes[i]` bytes) in arrival order in one pass: the
+  /// placements, stats included, of sizes.size() PlaceNew calls under
+  /// kNoClustering, the only pool it serves. Appends one run per page
+  /// the objects landed on to `runs` (StorageManager::PlaceAppendRun).
+  void AppendNew(obj::ObjectId first, std::span<const uint32_t> sizes,
+                 std::vector<store::PageRun>& runs);
 
   /// Re-evaluates the placement of a placed object whose structure just
   /// changed; relocates it when the affinity gain clears the configured

@@ -43,11 +43,20 @@ DerivationResult DeriveVersion(ObjectGraph& graph, ObjectId parent,
                                const InheritanceCostModel& model,
                                uint32_t edge_capacity) {
   OODB_CHECK(graph.IsLive(parent));
+  return DeriveVersion(
+      graph, parent,
+      LayoutHeir(graph.lattice(), graph.object(parent).type, model),
+      edge_capacity);
+}
+
+DerivationResult DeriveVersion(ObjectGraph& graph, ObjectId parent,
+                               const HeirLayout& layout,
+                               uint32_t edge_capacity) {
+  OODB_CHECK(graph.IsLive(parent));
   // Copy the fields we need: Create() below may reallocate object storage.
   const FamilyId family = graph.object(parent).family;
   const uint16_t parent_version = graph.object(parent).version;
   const TypeId type = graph.object(parent).type;
-  const HeirLayout layout = LayoutHeir(graph.lattice(), type, model);
 
   DerivationResult result;
   result.attributes_by_copy = layout.attributes_by_copy;

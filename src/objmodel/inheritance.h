@@ -86,6 +86,13 @@ DerivationResult DeriveVersion(ObjectGraph& graph, ObjectId parent,
                                const InheritanceCostModel& model,
                                uint32_t edge_capacity = 0);
 
+/// DeriveVersion with the heir's layout precomputed: `layout` must be
+/// LayoutHeir of the parent's type under the model in use. A builder that
+/// tabulates the layout per type derives without recomputing it.
+DerivationResult DeriveVersion(ObjectGraph& graph, ObjectId parent,
+                               const HeirLayout& layout,
+                               uint32_t edge_capacity = 0);
+
 }  // namespace oodb::obj
 
 #endif  // SEMCLUST_OBJMODEL_INHERITANCE_H_

@@ -109,36 +109,8 @@ uint64_t GraphDigest(const obj::ObjectGraph& graph) {
 OcbBuilder::OcbBuilder(obj::ObjectGraph* graph,
                        cluster::ClusterManager* cluster_mgr,
                        buffer::BufferPool* buffer, OcbConfig config)
-    : graph_(graph), cluster_(cluster_mgr), buffer_(buffer), config_(config) {
-  OODB_CHECK(graph != nullptr);
-  OODB_CHECK(cluster_mgr != nullptr);
+    : graph_(graph), placer_(graph, cluster_mgr, buffer), config_(config) {
   OODB_CHECK(config_.Validate().ok());
-}
-
-void OcbBuilder::Place(obj::ObjectId id, SplitMix64& load_rng) {
-  const auto report = cluster_->PlaceNew(id);
-  bytes_created_ += graph_->object(id).size_bytes;
-  if (buffer_ != nullptr) {
-    // Mirror the run-time write path's residency effects (see
-    // DbBuilder::Place).
-    for (store::PageId p : report.exam_reads) buffer_->Fix(p);
-    buffer_->Fix(report.page);
-    buffer_->MarkDirty(report.page);
-    if (report.split && report.split_new_page != store::kInvalidPage) {
-      buffer_->Fix(report.split_new_page);
-      buffer_->MarkDirty(report.split_new_page);
-    }
-  }
-  // Concurrent read traffic while the benchmark database is installed
-  // (pointless under No_Clustering, where placement ignores the buffer).
-  if (buffer_ != nullptr &&
-      cluster_->config().pool != cluster::CandidatePool::kNoClustering &&
-      load_rng.NextDouble() < config_.interleaved_read_probability) {
-    const size_t pages = cluster_->storage().page_count();
-    if (pages > 0) {
-      buffer_->Fix(static_cast<store::PageId>(load_rng.NextBelow(pages)));
-    }
-  }
 }
 
 OcbCatalog OcbBuilder::Build(const OcbSchema& schema, uint64_t seed) {
@@ -255,6 +227,7 @@ OcbCatalog OcbBuilder::Build(const OcbSchema& schema, uint64_t seed) {
     const obj::ObjectId id = graph_->Create(
         family, 0, schema.classes[class_of[i]], size_of[i], degree[i]);
     OODB_CHECK_EQ(id, id_of(i));
+    bytes_created_ += size_of[i];
   }
   for (size_t i = 0; i < n; ++i) {
     for (size_t r = 0; r < refs; ++r) {
@@ -270,8 +243,13 @@ OcbCatalog OcbBuilder::Build(const OcbSchema& schema, uint64_t seed) {
 
   // Place: bulk-load through the clustering policy under test, in
   // creation order (the full reference graph is visible to placement, as
-  // it is when installing a pre-existing benchmark database).
-  for (size_t i = 0; i < n; ++i) Place(id_of(i), load_rng);
+  // it is when installing a pre-existing benchmark database), with
+  // concurrent read traffic drawn live from the load stream.
+  placer_.Place(first, n, [&](obj::ObjectId, size_t pages) {
+    return load_rng.NextDouble() < config_.interleaved_read_probability
+               ? static_cast<store::PageId>(load_rng.NextBelow(pages))
+               : store::kInvalidPage;
+  });
 
   // Catalogue: partitions (partition = "module" to the execution
   // model's write path) and traversal entry points.

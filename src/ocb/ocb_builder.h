@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "buffer/buffer_pool.h"
+#include "cluster/build_placer.h"
 #include "cluster/cluster_manager.h"
 #include "objmodel/object_graph.h"
 #include "objmodel/type_system.h"
@@ -25,8 +26,9 @@
 /// way concurrent checkin streams would — the OCB builder plans the full
 /// logical graph first (every draw, before any object exists), creates
 /// each object with its final degree as edge capacity, relates, and then
-/// bulk-loads it through the ClusterManager under test in creation order,
-/// the way a generic benchmark database is installed into a DBMS.
+/// bulk-loads it through the ClusterManager under test in creation order
+/// (cluster::BuildPlacer, shared with DbBuilder), the way a generic
+/// benchmark database is installed into a DBMS.
 
 namespace oodb::ocb {
 
@@ -85,11 +87,8 @@ class OcbBuilder {
   uint64_t bytes_created() const { return bytes_created_; }
 
  private:
-  void Place(obj::ObjectId id, SplitMix64& load_rng);
-
   obj::ObjectGraph* graph_;
-  cluster::ClusterManager* cluster_;
-  buffer::BufferPool* buffer_;
+  cluster::BuildPlacer placer_;
   OcbConfig config_;
   uint64_t bytes_created_ = 0;
 };

@@ -63,12 +63,8 @@ StatusOr<PageId> StorageManager::PlaceAppend(obj::ObjectId id,
   if (size_bytes > page_size_) {
     return Status::InvalidArgument("object larger than a page");
   }
-  const bool over_fill_limit =
-      append_page_ != kInvalidPage &&
-      pages_[append_page_].used_bytes() + size_bytes > append_fill_limit_ &&
-      size_bytes <= append_fill_limit_;  // oversized objects bypass reserve
-  if (append_page_ == kInvalidPage || over_fill_limit ||
-      !pages_[append_page_].Fits(size_bytes)) {
+  if (append_page_ == kInvalidPage ||
+      AppendOpensPage(pages_[append_page_].used_bytes(), size_bytes)) {
     // Arrival-order pages fill to about the same record count, so the new
     // page's slot directory is sized to the count the previous one closed
     // with instead of growing by doubling.
@@ -80,6 +76,53 @@ StatusOr<PageId> StorageManager::PlaceAppend(obj::ObjectId id,
   }
   OODB_RETURN_IF_ERROR(Place(id, size_bytes, append_page_));
   return append_page_;
+}
+
+void StorageManager::PlaceAppendRun(obj::ObjectId first,
+                                    std::span<const uint32_t> sizes,
+                                    std::vector<PageRun>& runs) {
+  const size_t n = sizes.size();
+  if (n == 0) return;
+  EnsureDirectory(static_cast<obj::ObjectId>(first + n - 1));
+  size_t i = 0;
+  while (i < n) {
+    // Objects i..j-1 share one page: the append page, or a fresh one if
+    // object i opens it.
+    const bool opens = append_page_ == kInvalidPage ||
+                       AppendOpensPage(pages_[append_page_].used_bytes(),
+                                       sizes[i]);
+    uint32_t used = opens ? 0 : pages_[append_page_].used_bytes();
+    size_t j = i;
+    do {
+      OODB_CHECK_LE(sizes[j], page_size_);
+      used += sizes[j];
+      ++j;
+    } while (j < n && !AppendOpensPage(used, sizes[j]));
+    if (opens) {
+      // A page the run leaves gets exactly its records; the page it ends
+      // on keeps PlaceAppend's hint, the count the previous page closed
+      // with, if that is larger.
+      size_t reserve_slots = j - i;
+      if (j == n && append_page_ != kInvalidPage) {
+        reserve_slots =
+            std::max(reserve_slots, pages_[append_page_].object_count());
+      }
+      pages_.emplace_back(page_size_, reserve_slots);
+      append_page_ = static_cast<PageId>(pages_.size() - 1);
+    }
+    Page& page = pages_[append_page_];
+    for (size_t k = i; k < j; ++k) {
+      const auto id = static_cast<obj::ObjectId>(first + k);
+      OODB_CHECK_EQ(object_page_[id], kInvalidPage);
+      OODB_CHECK(page.Insert(id, sizes[k]));
+      object_page_[id] = append_page_;
+      object_size_[id] = sizes[k];
+      used_bytes_ += sizes[k];
+    }
+    placed_objects_ += j - i;
+    runs.push_back(PageRun{append_page_, static_cast<uint32_t>(j - i)});
+    i = j;
+  }
 }
 
 Status StorageManager::Relocate(obj::ObjectId id, PageId to) {

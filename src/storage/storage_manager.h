@@ -2,6 +2,7 @@
 #define SEMCLUST_STORAGE_STORAGE_MANAGER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "objmodel/object_id.h"
@@ -15,6 +16,14 @@
 /// this class only executes placements.
 
 namespace oodb::store {
+
+/// `count` consecutive objects that one run append placed on `page`.
+struct PageRun {
+  PageId page = kInvalidPage;
+  uint32_t count = 0;
+
+  friend bool operator==(const PageRun&, const PageRun&) = default;
+};
 
 /// Placement, relocation, and page bookkeeping for the whole database.
 class StorageManager {
@@ -43,6 +52,15 @@ class StorageManager {
   /// page when full. This is the non-clustered "arrival order" placement.
   /// Returns the page used.
   StatusOr<PageId> PlaceAppend(obj::ObjectId id, uint32_t size_bytes);
+
+  /// Places the unplaced objects first, first + 1, ..., object first + i
+  /// of `sizes[i]` bytes, in sequence by PlaceAppend's rule, in one pass.
+  /// Ends in the state of sizes.size() PlaceAppend calls, except that each
+  /// page the run opens and leaves is created with exactly its slot count.
+  /// Appends one run per page the objects landed on, in order, to `runs`.
+  /// Every size must fit a page.
+  void PlaceAppendRun(obj::ObjectId first, std::span<const uint32_t> sizes,
+                      std::vector<PageRun>& runs);
 
   /// Moves a placed object to `to`. Fails with kResourceExhausted if it
   /// doesn't fit.
@@ -99,6 +117,15 @@ class StorageManager {
 
  private:
   void EnsureDirectory(obj::ObjectId id);
+
+  /// True if appending `size_bytes` to an append page holding `used_bytes`
+  /// opens a fresh page: past the fill limit (an object larger than the
+  /// limit bypasses the reserve), or past the page.
+  bool AppendOpensPage(uint32_t used_bytes, uint32_t size_bytes) const {
+    const bool over_fill_limit = used_bytes + size_bytes > append_fill_limit_ &&
+                                 size_bytes <= append_fill_limit_;
+    return over_fill_limit || used_bytes + size_bytes > page_size_;
+  }
 
   uint32_t page_size_;
   uint32_t append_fill_limit_;

@@ -127,6 +127,18 @@ uint64_t SplitMix64::NextBelow(uint64_t n) {
   return LemireBelow([this] { return Next(); }, n);
 }
 
+uint64_t BelowFromDraw(uint64_t draw, uint64_t n) {
+  bool first = true;
+  SplitMix64 rest(draw);
+  return LemireBelow(
+      [&] {
+        if (!first) return rest.Next();
+        first = false;
+        return draw;
+      },
+      n);
+}
+
 double SplitMix64::Gaussian(double mean, double stddev) {
   OODB_CHECK_GE(stddev, 0.0);
   if (has_spare_) {

@@ -97,6 +97,15 @@ class SplitMix64 {
   bool has_spare_ = false;
 };
 
+/// Uniform integer in [0, n) from one recorded raw draw, as Rng::NextBelow
+/// would return it had `draw` been its next NextU64: Lemire's multiply.
+/// Inside the multiply's rejection zone, which a uniform draw hits with
+/// probability below n / 2^64, the draw is finished from a SplitMix64
+/// seeded with `draw`, so the result stays a deterministic function of
+/// (draw, n). Lets a generator record a bounded draw before the bound is
+/// known. Requires n > 0.
+uint64_t BelowFromDraw(uint64_t draw, uint64_t n);
+
 /// Gray et al.'s inverse-CDF Zipf mapping ("Quickly generating
 /// billion-record synthetic databases") for one fixed (n, theta). The
 /// constants that depend only on (n, theta) -- alpha, the approximate

@@ -69,10 +69,8 @@ struct DbBuilder::StreamState {
 DbBuilder::DbBuilder(obj::ObjectGraph* graph,
                      cluster::ClusterManager* cluster_mgr,
                      buffer::BufferPool* buffer, DatabaseSpec spec)
-    : graph_(graph), cluster_(cluster_mgr), buffer_(buffer), spec_(spec),
+    : graph_(graph), placer_(graph, cluster_mgr, buffer), spec_(spec),
       rng_(spec.seed) {
-  OODB_CHECK(graph != nullptr);
-  OODB_CHECK(cluster_mgr != nullptr);
   OODB_CHECK_GE(spec_.concurrent_streams, 1);
 }
 
@@ -86,20 +84,16 @@ uint32_t DbBuilder::SampleObjectSize(bool composite) {
   return static_cast<uint32_t>(std::clamp(size, 24.0, 1024.0));
 }
 
-void DbBuilder::Place(obj::ObjectId id) {
-  const auto report = cluster_->PlaceNew(id);
-  bytes_created_ += graph_->object(id).size_bytes;
-  if (buffer_ != nullptr) {
-    // Mirror the run-time write path's residency effects: examined
-    // candidate pages and the written page end up in the buffer pool.
-    for (store::PageId p : report.exam_reads) buffer_->Fix(p);
-    buffer_->Fix(report.page);
-    buffer_->MarkDirty(report.page);
-    if (report.split && report.split_new_page != store::kInvalidPage) {
-      buffer_->Fix(report.split_new_page);
-      buffer_->MarkDirty(report.split_new_page);
-    }
-  }
+void DbBuilder::PlaceBatch() {
+  placer_.Place(batch_first_, batch_count_,
+                [this](obj::ObjectId id, size_t pages) {
+                  const RecordedRead& r = reads_[id - batch_first_];
+                  return r.read ? static_cast<store::PageId>(
+                                      BelowFromDraw(r.draw, pages))
+                                : store::kInvalidPage;
+                });
+  batch_count_ = 0;
+  reads_.clear();
 }
 
 void DbBuilder::PlanModule(std::vector<PlanStep>& plan) {
@@ -190,7 +184,8 @@ void DbBuilder::PlanDegrees(std::vector<PlanStep>& plan) {
     } else if (step.kind == PlanStep::Kind::kDerive) {
       // Version history, plus instance inheritance if the type links it.
       PlanStep& of = plan[static_cast<size_t>(step.derive_of)];
-      const uint32_t links = 1u + heir_links_[step.type];
+      const uint32_t links =
+          heir_layouts_[step.type].LinksInstanceInheritance() ? 2u : 1u;
       step.degree += links;
       of.degree += links;
       step.corr_side = of.corr_side;
@@ -225,43 +220,42 @@ void DbBuilder::ExecuteStep(StreamState& stream) {
       module.corresponding.push_back(id);
       module.corresponding.push_back(other);
     }
-    Place(id);
     if (step.is_composite) module.composites.push_back(id);
     if (module.root == obj::kInvalidObject) module.root = id;
   } else {
     const obj::ObjectId of =
         module.objects[static_cast<size_t>(step.derive_of)];
-    const auto derived =
-        obj::DeriveVersion(*graph_, of, inherit_model_, step.degree);
-    id = derived.heir;
-    Place(id);
+    id = obj::DeriveVersion(*graph_, of, heir_layouts_[step.type],
+                            step.degree)
+             .heir;
     module.versioned.push_back(of);
     module.versioned.push_back(id);
   }
 
   module.objects.push_back(id);
   ++stream.cursor;
+  bytes_created_ += graph_->object(id).size_bytes;
 
-  // Concurrent read traffic from other tools sharing the repository.
-  if (buffer_ != nullptr && cluster_->config().pool !=
-                                cluster::CandidatePool::kNoClustering) {
-    // (Pointless under No_Clustering: placement ignores the buffer.)
-    if (rng_.Bernoulli(spec_.interleaved_read_probability)) {
-      const size_t pages = cluster_->storage().page_count();
-      if (pages > 0) {
-        buffer_->Fix(static_cast<store::PageId>(rng_.NextBelow(pages)));
-      }
-    }
+  if (batch_count_ == 0) batch_first_ = id;
+  OODB_CHECK_EQ(id, batch_first_ + batch_count_);  // ids are consecutive
+  ++batch_count_;
+  // Concurrent read traffic from other tools sharing the repository,
+  // drawn here, at its place in the stream, and resolved when the object
+  // is placed: the page it reads depends on the page count then.
+  if (placer_.interleaved_reads()) {
+    RecordedRead& r = reads_.emplace_back();
+    r.read = rng_.Bernoulli(spec_.interleaved_read_probability);
+    if (r.read) r.draw = rng_.NextU64();
   }
+  if (batch_count_ == placer_.batch_objects()) PlaceBatch();
 }
 
 DesignDatabase DbBuilder::Build(CadTypes types) {
   types_ = types;
   const obj::TypeLattice& lattice = graph_->lattice();
-  heir_links_.resize(lattice.size());
+  heir_layouts_.resize(lattice.size());
   for (obj::TypeId t = 0; t < lattice.size(); ++t) {
-    heir_links_[t] =
-        obj::LayoutHeir(lattice, t, inherit_model_).LinksInstanceInheritance();
+    heir_layouts_[t] = obj::LayoutHeir(lattice, t, inherit_model_);
   }
   DesignDatabase db;
   db.composite_type = types.composite;
@@ -323,6 +317,7 @@ DesignDatabase DbBuilder::Build(CadTypes types) {
       db.modules.push_back(std::move(s.module));
     }
   }
+  if (batch_count_ > 0) PlaceBatch();
   return db;
 }
 

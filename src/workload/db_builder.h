@@ -1,11 +1,13 @@
 #ifndef SEMCLUST_WORKLOAD_DB_BUILDER_H_
 #define SEMCLUST_WORKLOAD_DB_BUILDER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
+#include "cluster/build_placer.h"
 #include "cluster/cluster_manager.h"
 #include "objmodel/inheritance.h"
 #include "objmodel/object_graph.h"
@@ -18,10 +20,12 @@
 /// (one per engineer), each creating one design module at a time —
 /// composite first, then its components depth-first, an alternate
 /// representation with correspondences, and derived versions — interleaved
-/// one object per turn. Objects are placed through the ClusterManager under
-/// test, so each clustering policy produces its own physical layout, and
-/// arrival-order (No_Clustering) placement naturally scatters modules
-/// across the shared append pages.
+/// one object per turn. The builder generates in creation order and hands
+/// each batch of objects to the cluster::BuildPlacer, which places them in
+/// that order through the ClusterManager under test, so each clustering
+/// policy produces its own physical layout, and arrival-order
+/// (No_Clustering) placement naturally scatters modules across the shared
+/// append pages.
 
 namespace oodb::workload {
 
@@ -114,23 +118,38 @@ class DbBuilder {
   /// Total object bytes created so far.
   uint64_t bytes_created() const { return bytes_created_; }
 
+  /// Largest capacity any per-batch buffer (recorded reads, the placer's
+  /// sizes and page runs) has reached; at most
+  /// cluster::kBuildBatchObjects.
+  size_t batch_buffer_capacity() const {
+    return std::max(reads_.capacity(), placer_.buffer_capacity());
+  }
+
  private:
   struct StreamState;
+  /// An interleaved read as drawn during generation: whether it happens
+  /// and, if so, the raw draw its page comes from (BelowFromDraw over the
+  /// page count once the object is placed).
+  struct RecordedRead {
+    bool read = false;
+    uint64_t draw = 0;
+  };
 
   uint32_t SampleObjectSize(bool composite);
-  void Place(obj::ObjectId id);
+  /// Places the pending batch (and resolves its recorded reads).
+  void PlaceBatch();
   /// Plans one module into `plan` as a step script (no side effects on the
   /// graph), then sizes every step's edge run (PlanDegrees).
   void PlanModule(std::vector<internal::PlanStep>& plan);
   /// Sets each step's `degree` to the number of edges its object has once
   /// the whole plan has executed.
   void PlanDegrees(std::vector<internal::PlanStep>& plan);
-  /// Executes the next step of a stream's plan.
+  /// Executes the next step of a stream's plan: creates and relates its
+  /// object and adds it to the pending batch.
   void ExecuteStep(StreamState& stream);
 
   obj::ObjectGraph* graph_;
-  cluster::ClusterManager* cluster_;
-  buffer::BufferPool* buffer_;
+  cluster::BuildPlacer placer_;
   DatabaseSpec spec_;
   Rng rng_;
   uint64_t bytes_created_ = 0;
@@ -145,9 +164,16 @@ class DbBuilder {
   /// Member count of each side of each correspondence group: group g's
   /// sides are entries 2g and 2g + 1.
   std::vector<uint32_t> corr_side_size_;
-  /// Per type: 1 if deriving a version of it links the heir along
-  /// instance inheritance (obj::LayoutHeir), filled once per Build.
-  std::vector<uint8_t> heir_links_;
+  /// Per type: the layout of a derived version (obj::LayoutHeir), filled
+  /// once per Build.
+  std::vector<obj::HeirLayout> heir_layouts_;
+
+  // The pending batch: objects batch_first_ .. batch_first_ +
+  // batch_count_ - 1, created and related but not placed, and their
+  // recorded reads (filled only when the placer interleaves reads).
+  obj::ObjectId batch_first_ = obj::kInvalidObject;
+  size_t batch_count_ = 0;
+  std::vector<RecordedRead> reads_;
 };
 
 }  // namespace oodb::workload

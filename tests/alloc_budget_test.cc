@@ -7,9 +7,10 @@
 // same in both runs, so the difference is what the extra transactions
 // allocate.
 //
-// Database build: a 48 MB OCT database costs at most 0.75 heap
+// Database build: a 48 MB OCT database costs at most 0.22 heap
 // allocations per created object built in arrival order, and at most 0.5
-// placed by run-time clustering; an OCB database of the ocb_small shape
+// placed by run-time clustering, and no per-batch buffer of the build
+// outgrows the batch bound; an OCB database of the ocb_small shape
 // placed by run-time clustering, with buffer mirroring, at most 1.5 under
 // each reference locality.
 
@@ -21,6 +22,7 @@
 
 #include "buffer/buffer_pool.h"
 #include "cluster/affinity.h"
+#include "cluster/build_placer.h"
 #include "cluster/cluster_manager.h"
 #include "core/engineering_db.h"
 #include "core/scenario.h"
@@ -128,6 +130,7 @@ double BuildAllocationsPerObject(cluster::CandidatePool pool) {
   const uint64_t allocations =
       g_allocations.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(db.TotalObjects(), graph.size());
+  EXPECT_LE(builder.batch_buffer_capacity(), cluster::kBuildBatchObjects);
   const double per_object =
       static_cast<double>(allocations) / static_cast<double>(graph.size());
   std::printf("%s build: %llu allocations for %zu objects: %.3f per object\n",
@@ -139,9 +142,37 @@ double BuildAllocationsPerObject(cluster::CandidatePool pool) {
 
 TEST(AllocBudgetTest, DatabaseBuildAllocatesUnderBudget) {
   EXPECT_LE(BuildAllocationsPerObject(cluster::CandidatePool::kNoClustering),
-            0.75);
+            0.22);
   EXPECT_LE(BuildAllocationsPerObject(cluster::CandidatePool::kWithinDb),
             0.5);
+}
+
+// With a buffer mirrored, a No_Clustering build fills whole batches of
+// object sizes and page runs, and a run-time clustering build records
+// each object's interleaved read; no buffer outgrows the batch bound.
+TEST(AllocBudgetTest, BuildBatchBuffersStayWithinTheBatchBound) {
+  for (const cluster::CandidatePool pool :
+       {cluster::CandidatePool::kNoClustering,
+        cluster::CandidatePool::kWithinDb}) {
+    obj::TypeLattice lattice;
+    const workload::CadTypes types = workload::RegisterCadTypes(lattice);
+    obj::ObjectGraph graph(&lattice);
+    store::StorageManager storage(4096, 0.8);
+    buffer::BufferPool buffer(128, buffer::ReplacementPolicy::kLru);
+    cluster::AffinityModel affinity(&lattice);
+    cluster::ClusterConfig config;
+    config.pool = pool;
+    cluster::ClusterManager mgr(&graph, &storage, &affinity, &buffer,
+                                config);
+    workload::DatabaseSpec spec;
+    spec.target_bytes = 4 << 20;
+    workload::DbBuilder builder(&graph, &mgr, &buffer, spec);
+    builder.Build(types);
+    EXPECT_GT(graph.size(), 2 * cluster::kBuildBatchObjects);
+    EXPECT_GT(builder.batch_buffer_capacity(), 0u);
+    EXPECT_LE(builder.batch_buffer_capacity(), cluster::kBuildBatchObjects)
+        << cluster::CandidatePoolName(pool);
+  }
 }
 
 // Allocations per created object of one OCB build of an ocb_small cell

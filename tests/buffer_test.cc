@@ -1,3 +1,5 @@
+#include <string>
+
 #include "gtest/gtest.h"
 
 #include "buffer/buffer_pool.h"
@@ -341,6 +343,60 @@ TEST_F(PrefetcherTest, UnplacedNeighboursIgnored) {
   auto group = ComputePrefetchGroup(graph_, storage_, parent,
                                     AccessHint::None());
   EXPECT_TRUE(group.pages.empty());
+}
+
+// ------------------------------------------------------- repeated access
+
+// FixRepeated(page, k) must leave the state of k Fix(page) calls: the same
+// counters, residency and dirty bits, and the same victims afterwards.
+void ExpectRepeatEqualsFixes(ReplacementPolicy policy, PageId page,
+                             uint64_t k) {
+  BufferPool repeated(4, policy, 7), fixed(4, policy, 7);
+  for (BufferPool* pool : {&repeated, &fixed}) {
+    for (PageId p : {1u, 2u, 3u, 4u, 2u, 5u}) pool->Fix(p);
+    pool->MarkDirty(2);
+    pool->Boost(5, 2.0);
+  }
+  const auto first = repeated.FixRepeated(page, k);
+  BufferPool::FixResult expected = fixed.Fix(page);
+  for (uint64_t i = 1; i < k; ++i) fixed.Fix(page);
+  EXPECT_EQ(first.hit, expected.hit);
+  EXPECT_EQ(first.evicted_page, expected.evicted_page);
+  EXPECT_EQ(first.evicted_dirty, expected.evicted_dirty);
+  EXPECT_EQ(repeated.hits(), fixed.hits());
+  EXPECT_EQ(repeated.misses(), fixed.misses());
+  EXPECT_EQ(repeated.evictions(), fixed.evictions());
+  for (PageId p = 0; p < 8; ++p) {
+    EXPECT_EQ(repeated.Contains(p), fixed.Contains(p)) << p;
+    EXPECT_EQ(repeated.IsDirty(p), fixed.IsDirty(p)) << p;
+  }
+  // The eviction order that follows, with a boost and a re-access mixed in.
+  for (PageId p = 10; p < 20; ++p) {
+    if (p == 13) {
+      repeated.Boost(page, 0.5);
+      fixed.Boost(page, 0.5);
+    }
+    if (p == 15) {
+      repeated.Fix(page);
+      fixed.Fix(page);
+    }
+    const auto a = repeated.Fix(p);
+    const auto b = fixed.Fix(p);
+    EXPECT_EQ(a.evicted_page, b.evicted_page) << p;
+    EXPECT_EQ(a.evicted_dirty, b.evicted_dirty) << p;
+  }
+}
+
+TEST(BufferPoolTest, FixRepeatedEqualsRepeatedFixes) {
+  for (const ReplacementPolicy policy : kAllReplacementPolicies) {
+    for (const PageId page : {3u, 5u, 9u}) {  // resident, boosted, missing
+      for (const uint64_t k : {1u, 2u, 7u}) {
+        SCOPED_TRACE(std::string(ReplacementPolicyName(policy)) + " page " +
+                     std::to_string(page) + " k " + std::to_string(k));
+        ExpectRepeatEqualsFixes(policy, page, k);
+      }
+    }
+  }
 }
 
 }  // namespace

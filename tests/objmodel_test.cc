@@ -272,6 +272,34 @@ TEST_F(DeriveVersionTest, ChainOfDerivationsIncrementsVersions) {
   EXPECT_EQ(graph_.LatestVersion(alu, layout_), v);
 }
 
+TEST_F(DeriveVersionTest, PrecomputedLayoutDerivesTheSameHeir) {
+  // A builder passes LayoutHeir once per type; the heir must equal the
+  // one DeriveVersion lays out itself.
+  ObjectGraph other(&lattice_);
+  const HeirLayout layout = LayoutHeir(lattice_, layout_, model_);
+  for (ObjectGraph* g : {&graph_, &other}) {
+    const FamilyId alu = g->NewFamily("ALU");
+    const ObjectId net = g->Create(alu, 1, netlist_, 60);
+    const ObjectId v1 =
+        g->Create(alu, 1, layout_, lattice_.InstanceSize(layout_));
+    g->Relate(v1, net, RelKind::kCorrespondence);
+  }
+  const auto a = DeriveVersion(graph_, 1, model_);
+  const auto b = DeriveVersion(other, 1, layout);
+  EXPECT_EQ(a.heir, b.heir);
+  EXPECT_EQ(a.attributes_by_copy, b.attributes_by_copy);
+  EXPECT_EQ(a.attributes_by_reference, b.attributes_by_reference);
+  EXPECT_EQ(a.correspondences_inherited, b.correspondences_inherited);
+  EXPECT_EQ(graph_.object(a.heir).size_bytes,
+            other.object(b.heir).size_bytes);
+  EXPECT_EQ(graph_.NameOf(a.heir).ToString(), other.NameOf(b.heir).ToString());
+  ASSERT_EQ(graph_.EdgeCount(a.heir), other.EdgeCount(b.heir));
+  for (size_t e = 0; e < graph_.EdgeCount(a.heir); ++e) {
+    EXPECT_EQ(graph_.edges(a.heir)[e].target, other.edges(b.heir)[e].target);
+    EXPECT_EQ(graph_.edges(a.heir)[e].kind, other.edges(b.heir)[e].kind);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // CSR edge-arena golden digests.
 //

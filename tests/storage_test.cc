@@ -1,3 +1,5 @@
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "storage/page.h"
 #include "storage/storage_manager.h"
@@ -185,6 +187,102 @@ TEST_F(StorageManagerTest, InvariantsHoldUnderChurn) {
     EXPECT_EQ(store_.page(p).used_bytes(), sum);
     EXPECT_LE(sum, store_.page(p).capacity_bytes());
   }
+}
+
+// ------------------------------------------------------------ run append
+
+// Places `sizes` as objects first, first + 1, ... both ways -- one
+// PlaceAppendRun on `run`, one PlaceAppend per object on `single` -- and
+// expects the same pages, slots and directory, and runs that name each
+// page the objects landed on with its object count.
+void ExpectRunEqualsAppends(StorageManager& run, StorageManager& single,
+                            obj::ObjectId first,
+                            const std::vector<uint32_t>& sizes) {
+  std::vector<PageRun> runs;
+  run.PlaceAppendRun(first, sizes, runs);
+  std::vector<PageRun> expected;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    const auto page =
+        single.PlaceAppend(static_cast<obj::ObjectId>(first + i), sizes[i]);
+    ASSERT_TRUE(page.ok());
+    if (expected.empty() || expected.back().page != *page) {
+      expected.push_back(PageRun{*page, 0});
+    }
+    ++expected.back().count;
+  }
+  EXPECT_EQ(runs, expected);
+  ASSERT_EQ(run.page_count(), single.page_count());
+  EXPECT_EQ(run.append_page(), single.append_page());
+  EXPECT_EQ(run.used_bytes(), single.used_bytes());
+  for (PageId p = 0; p < run.page_count(); ++p) {
+    const auto& a = run.page(p).slots();
+    const auto& b = single.page(p).slots();
+    ASSERT_EQ(a.size(), b.size()) << p;
+    EXPECT_EQ(run.page(p).used_bytes(), single.page(p).used_bytes()) << p;
+    for (size_t s = 0; s < a.size(); ++s) {
+      EXPECT_EQ(a[s].object, b[s].object) << p;
+      EXPECT_EQ(a[s].size_bytes, b[s].size_bytes) << p;
+    }
+  }
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    const auto id = static_cast<obj::ObjectId>(first + i);
+    EXPECT_EQ(run.PageOf(id), single.PageOf(id)) << id;
+    EXPECT_EQ(run.SizeOf(id), single.SizeOf(id)) << id;
+  }
+  // Clustered placement sizes a fresh page's slots from the placed
+  // objects' mean, so the placed count must agree too.
+  const PageId a = run.AllocatePage();
+  const PageId b = single.AllocatePage();
+  EXPECT_EQ(run.page(a).slots().capacity(), single.page(b).slots().capacity());
+}
+
+TEST(PlaceAppendRunTest, FillLimitEdge) {
+  // Fill limit 750 of 1000: 700 + 50 ends exactly at the limit, one more
+  // byte opens a page.
+  StorageManager run(1000, 0.75), single(1000, 0.75);
+  ExpectRunEqualsAppends(run, single, 0, {700, 50, 1, 749, 1, 1});
+}
+
+TEST(PlaceAppendRunTest, ObjectLargerThanTheFillLimitBypassesTheReserve) {
+  StorageManager run(1000, 0.75), single(1000, 0.75);
+  ExpectRunEqualsAppends(run, single, 0, {100, 800, 100, 900, 1000, 60});
+}
+
+TEST(PlaceAppendRunTest, ExactlyFullPage) {
+  StorageManager run(1000), single(1000);
+  ExpectRunEqualsAppends(run, single, 0, {400, 600, 1000, 1, 999, 1});
+}
+
+TEST(PlaceAppendRunTest, ContinuesAPartlyFilledAppendPage) {
+  StorageManager run(1000, 0.8), single(1000, 0.8);
+  for (obj::ObjectId id = 0; id < 3; ++id) {
+    ASSERT_TRUE(run.PlaceAppend(id, 120).ok());
+    ASSERT_TRUE(single.PlaceAppend(id, 120).ok());
+  }
+  ExpectRunEqualsAppends(run, single, 3, {100, 200, 300, 50});
+  // And a second run continues where the first left off.
+  ExpectRunEqualsAppends(run, single, 7, {500, 10});
+}
+
+TEST(PlaceAppendRunTest, EmptyRunChangesNothing) {
+  StorageManager run(1000), single(1000);
+  ExpectRunEqualsAppends(run, single, 0, {});
+  EXPECT_EQ(run.page_count(), 1u);  // the probe page alone
+  ExpectRunEqualsAppends(run, single, 0, {300});
+  std::vector<PageRun> runs;
+  run.PlaceAppendRun(1, {}, runs);
+  EXPECT_TRUE(runs.empty());
+}
+
+TEST(PlaceAppendRunTest, RandomSizesAcrossManyPages) {
+  StorageManager run(4096, 0.8), single(4096, 0.8);
+  std::vector<uint32_t> sizes;
+  uint64_t seed = 5;
+  for (int i = 0; i < 2000; ++i) {
+    seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+    sizes.push_back(24 + static_cast<uint32_t>((seed >> 33) % 1100));
+  }
+  ExpectRunEqualsAppends(run, single, 0, sizes);
 }
 
 }  // namespace

@@ -586,5 +586,46 @@ TEST(RecyclingMapTest, RecycledNodeKeepsCapacityUnderItsNewKey) {
   map.Recycle(std::move(node));
 }
 
+// --------------------------------------------------- recorded bounded draws
+
+// True if `draw` falls in Lemire's rejection zone for bound n.
+bool InRejectionZone(uint64_t draw, uint64_t n) {
+  const auto low = static_cast<uint64_t>(static_cast<__uint128_t>(draw) * n);
+  return low < n && low < -n % n;
+}
+
+TEST(BelowFromDrawTest, EqualsNextBelowOutsideTheRejectionZone) {
+  Rng draws(11), reference(11), bounds(12);
+  int checked = 0;
+  for (int i = 0; i < 20000; ++i) {
+    // Small bounds (page counts) and a few near 2^63, whose zone is wide.
+    const uint64_t n = i % 10 == 0 ? (uint64_t{1} << 63) + bounds.NextBelow(99)
+                                   : 1 + bounds.NextBelow(100000);
+    const uint64_t draw = draws.NextU64();
+    if (InRejectionZone(draw, n)) {
+      // Where Lemire draws again, the reference advances further: resync.
+      reference = draws;
+      continue;
+    }
+    EXPECT_EQ(BelowFromDraw(draw, n), reference.NextBelow(n)) << i;
+    ++checked;
+  }
+  EXPECT_GT(checked, 19000);
+}
+
+TEST(BelowFromDrawTest, RejectionZoneFallsBackToSplitMix64) {
+  // n = 3: 2^64 mod 3 = 1, so only draw 0 (0 * 3 = 0 < 1) is rejected.
+  ASSERT_TRUE(InRejectionZone(0, 3));
+  EXPECT_EQ(BelowFromDraw(0, 3), SplitMix64(0).NextBelow(3));
+  EXPECT_EQ(BelowFromDraw(0, 3), BelowFromDraw(0, 3));
+  // n = 2^63 + 1: draw 2 gives low word 2, inside the zone of 2^63 - 1;
+  // draw 1 gives low word n, outside it, and maps by the multiply alone.
+  const uint64_t n = (uint64_t{1} << 63) + 1;
+  ASSERT_TRUE(InRejectionZone(2, n));
+  EXPECT_EQ(BelowFromDraw(2, n), SplitMix64(2).NextBelow(n));
+  ASSERT_FALSE(InRejectionZone(1, n));
+  EXPECT_EQ(BelowFromDraw(1, n), 0u);
+}
+
 }  // namespace
 }  // namespace oodb

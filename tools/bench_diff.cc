@@ -35,13 +35,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "util/env.h"
 #include "util/json_reader.h"
 
 namespace {
@@ -233,6 +234,19 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+// A tolerance value: parsed whole, finite and >= 0.
+std::optional<double> ParseTolerance(const char* text) {
+  const std::optional<double> v = oodb::ParseWhole<double>(text);
+  if (!v || !std::isfinite(*v) || *v < 0) return std::nullopt;
+  return v;
+}
+
+int BadValue(const char* flag, const char* want, const char* value) {
+  std::fprintf(stderr, "bench_diff: %s must be %s, not '%s'\n", flag, want,
+               value);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -255,7 +269,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--rtol") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
-      tol.default_rtol = std::strtod(v, nullptr);
+      const std::optional<double> rtol = ParseTolerance(v);
+      if (!rtol) return BadValue("--rtol", "a finite number >= 0", v);
+      tol.default_rtol = *rtol;
     } else if (arg == "--tol") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -263,14 +279,20 @@ int main(int argc, char** argv) {
       if (eq == nullptr) return Usage(argv[0]);
       ToleranceRule rule;
       rule.pattern.assign(v, eq);
-      rule.rtol = std::strcmp(eq + 1, "ignore") == 0
-                      ? kIgnore
-                      : std::strtod(eq + 1, nullptr);
+      if (std::strcmp(eq + 1, "ignore") == 0) {
+        rule.rtol = kIgnore;
+      } else if (const std::optional<double> rtol = ParseTolerance(eq + 1)) {
+        rule.rtol = *rtol;
+      } else {
+        return BadValue("--tol", "key=<finite number >= 0 or 'ignore'>", v);
+      }
       tol.rules.push_back(std::move(rule));
     } else if (arg == "--max-report") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
-      report.limit = std::strtoull(v, nullptr, 10);
+      const std::optional<uint64_t> limit = oodb::ParseWhole<uint64_t>(v);
+      if (!limit) return BadValue("--max-report", "an unsigned integer", v);
+      report.limit = *limit;
     } else if (arg == "--allow-new-keys") {
       allow_new_keys = true;
     } else if (arg.rfind("--", 0) == 0) {
