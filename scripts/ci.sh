@@ -133,6 +133,12 @@ probe int_overflow '{"name": "p", "config": {"num_users": 99999999999}}'
 probe uint32_overflow '{"name": "p", "config": {"page_size_bytes": 4294971392}}'
 probe buffer_pages_bound '{"name": "p", "config": {"buffer_pages": 1000000000000}}'
 probe num_users_bound '{"name": "p", "config": {"num_users": 2000000000}}'
+# Values that parse but used to abort the run on a CHECK.
+probe rw_ratio_zero '{"name": "p", "config": {"workload": {"rw_ratio": 0}}}'
+probe think_time_zero '{"name": "p", "config": {"think_time_s": 0}}'
+probe append_fill_above_one '{"name": "p", "config":
+  {"append_fill_fraction": 1.5}}'
+probe page_below_object '{"name": "p", "config": {"page_size_bytes": 1000}}'
 probe ocb_uint32_overflow '{"name": "p", "config": {"workload":
   {"kind": "ocb", "base_object_bytes": 4294967456}}}'
 probe exponent '{"name": "p", "config": {"seed": 1e400}}'

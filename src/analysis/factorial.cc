@@ -137,12 +137,6 @@ void FactorialDesign::Run() {
   ran_ = true;
 }
 
-double FactorialDesign::response(uint32_t mask) const {
-  OODB_CHECK(ran_);
-  OODB_CHECK_LT(mask, responses_.size());
-  return responses_[mask];
-}
-
 double FactorialDesign::Contrast(uint32_t subset) const {
   OODB_CHECK(ran_);
   // effect(S) = 2/2^k * sum_x r(x) * prod_{i in S} (x_i ? +1 : -1).
@@ -173,17 +167,6 @@ std::vector<EffectResult> FactorialDesign::MainEffects() const {
   for (size_t f = 0; f < factors_.size(); ++f) {
     effects.push_back(
         EffectResult{factors_[f].name, Contrast(1u << f), 1});
-  }
-  return effects;
-}
-
-std::vector<EffectResult> FactorialDesign::TwoWayInteractions() const {
-  std::vector<EffectResult> effects;
-  for (size_t a = 0; a < factors_.size(); ++a) {
-    for (size_t b = a + 1; b < factors_.size(); ++b) {
-      const uint32_t subset = (1u << a) | (1u << b);
-      effects.push_back(EffectResult{SubsetName(subset), Contrast(subset), 2});
-    }
   }
   return effects;
 }

@@ -85,17 +85,11 @@ class FactorialDesign {
   /// An injected runner keeps the legacy serial loop.
   void Run();
 
-  /// Response of the cell whose factor levels are the bits of `mask`.
-  double response(uint32_t mask) const;
-
   size_t num_factors() const { return factors_.size(); }
   const std::vector<Factor>& factors() const { return factors_; }
 
   /// All main effects, in factor order.
   std::vector<EffectResult> MainEffects() const;
-
-  /// All two-way interaction effects.
-  std::vector<EffectResult> TwoWayInteractions() const;
 
   /// Every contrast of the design (all non-empty factor subsets),
   /// sorted by |effect| descending — the population of blobs in Fig 6.1.

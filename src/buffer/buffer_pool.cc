@@ -222,13 +222,6 @@ BufferPool::FrameId BufferPool::PickVictim() {
   return kNoFrame;
 }
 
-bool BufferPool::Touch(store::PageId page) {
-  const FrameId f = FrameOf(page);
-  if (f == kNoFrame) return false;
-  RecordAccess(f);
-  return true;
-}
-
 void BufferPool::Boost(store::PageId page, double weight) {
   OODB_CHECK_GT(weight, 0.0);
   const FrameId f = FrameOf(page);
@@ -255,12 +248,6 @@ void BufferPool::MarkDirty(store::PageId page) {
   const FrameId f = FrameOf(page);
   OODB_CHECK_NE(f, kNoFrame);
   frames_[f].dirty = true;
-}
-
-void BufferPool::MarkClean(store::PageId page) {
-  const FrameId f = FrameOf(page);
-  if (f == kNoFrame) return;
-  frames_[f].dirty = false;
 }
 
 bool BufferPool::IsDirty(store::PageId page) const {

@@ -53,10 +53,6 @@ class BufferPool {
   /// Fix's result.
   FixResult FixRepeated(store::PageId page, uint64_t count);
 
-  /// Records an access if the page is resident; never faults.
-  /// Returns residency.
-  bool Touch(store::PageId page);
-
   /// Raises the replacement priority of a resident page because a
   /// structurally related object was accessed (weight > 0 scales the
   /// boost). No-op when not resident.
@@ -64,9 +60,6 @@ class BufferPool {
 
   /// Marks a resident page dirty. The page must be resident.
   void MarkDirty(store::PageId page);
-
-  /// Clears the dirty bit if the page is resident (log-forced flush).
-  void MarkClean(store::PageId page);
 
   bool Contains(store::PageId page) const {
     return page < frame_of_.size() && frame_of_[page] != kNoFrame;

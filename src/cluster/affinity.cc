@@ -88,8 +88,4 @@ double AffinityModel::KindEdgeWeight(obj::TypeId type,
   return w;
 }
 
-uint64_t AffinityModel::observations(obj::TypeId type) const {
-  return StateFor(type).total_count;
-}
-
 }  // namespace oodb::cluster

@@ -55,8 +55,6 @@ class AffinityModel {
   /// per (type, kind).
   double KindEdgeWeight(obj::TypeId type, obj::RelKind kind) const;
 
-  uint64_t observations(obj::TypeId type) const;
-
  private:
   struct TypeState {
     std::array<double, obj::kNumRelKinds> prior{};   // normalised

@@ -4,12 +4,6 @@
 
 namespace oodb::cluster {
 
-uint64_t DependencyGraph::TotalSize() const {
-  uint64_t total = 0;
-  for (const DepNode& n : nodes) total += n.size_bytes;
-  return total;
-}
-
 DependencyGraph DependencyGraph::Build(const obj::ObjectGraph& graph,
                                        const AffinityModel& affinity,
                                        const store::StorageManager& storage,

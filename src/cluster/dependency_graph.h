@@ -35,9 +35,6 @@ struct DependencyGraph {
   std::vector<DepNode> nodes;
   std::vector<DepArc> arcs;
 
-  /// Sum of all node sizes.
-  uint64_t TotalSize() const;
-
   /// Builds the graph for `page`: one node per resident object (plus
   /// `incoming` if given), and one arc for every structural relationship
   /// between two nodes, weighted by the affinity model. Parallel

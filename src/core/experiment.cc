@@ -70,23 +70,6 @@ std::vector<BufferingLevel> BufferingLevels() {
   };
 }
 
-std::vector<BufferingLevel> AllBufferingCombinations() {
-  using R = buffer::ReplacementPolicy;
-  using P = buffer::PrefetchPolicy;
-  std::vector<BufferingLevel> levels;
-  const std::pair<R, std::string> reps[] = {
-      {R::kContextSensitive, "C"}, {R::kLru, "LRU"}, {R::kRandom, "R"}};
-  const std::pair<P, std::string> prefs[] = {{P::kNone, "no_p"},
-                                             {P::kWithinBuffer, "p_buff"},
-                                             {P::kWithinDb, "p_DB"}};
-  for (const auto& [r, rl] : reps) {
-    for (const auto& [p, pl] : prefs) {
-      levels.push_back({r, p, rl + "_" + pl});
-    }
-  }
-  return levels;
-}
-
 ModelConfig WithWorkload(ModelConfig base,
                          const workload::WorkloadConfig& w) {
   base.workload = w;

@@ -37,9 +37,6 @@ struct BufferingLevel {
 /// The six buffering configurations reported in Figure 5.11.
 std::vector<BufferingLevel> BufferingLevels();
 
-/// All nine replacement x prefetch combinations (Figs 5.12-5.14).
-std::vector<BufferingLevel> AllBufferingCombinations();
-
 /// Applies a workload to a config (sets F and G).
 ModelConfig WithWorkload(ModelConfig base,
                          const workload::WorkloadConfig& w);

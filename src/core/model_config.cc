@@ -48,10 +48,17 @@ Status ModelConfig::Validate() const {
         "database_bytes is 0; the builder would create an empty database "
         "and the workload generator would have nothing to access");
   }
-  if (page_size_bytes == 0) {
-    return Invalid(
-        "page_size_bytes is 0; page math (buffer scaling, striping, fill "
-        "fractions) divides by the page size");
+  if (page_size_bytes < workload::kMaxObjectBytes) {
+    return Invalid("page_size_bytes is " + std::to_string(page_size_bytes) +
+                   "; a page must hold the largest object the database "
+                   "builders generate (" +
+                   std::to_string(workload::kMaxObjectBytes) + " bytes)");
+  }
+  if (!(append_fill_fraction > 0 && append_fill_fraction <= 1)) {
+    return Invalid("append_fill_fraction is " +
+                   std::to_string(append_fill_fraction) +
+                   "; the fill limit of an append page is a fraction of "
+                   "the page in (0, 1]");
   }
   if (num_users <= 0) {
     return Invalid("num_users is " + std::to_string(num_users) +
@@ -80,6 +87,18 @@ Status ModelConfig::Validate() const {
                    "; at most " + std::to_string(kMaxBufferPages) +
                    " frames are supported (the pool allocates every frame "
                    "up front)");
+  }
+  if (!(workload.read_write_ratio > 0)) {
+    return Invalid("workload.rw_ratio (read_write_ratio) is " +
+                   std::to_string(workload.read_write_ratio) +
+                   "; the read/write ratio is reads per write and must be "
+                   "> 0");
+  }
+  if (arrival == ArrivalProcess::kClosed &&
+      (!(think_time_s > 0) || std::isinf(think_time_s))) {
+    return Invalid("think_time_s is " + std::to_string(think_time_s) +
+                   "; closed-loop users wait an exponential think time of "
+                   "this mean, which must be a finite number > 0");
   }
   if (measured_transactions <= 0) {
     return Invalid("measured_transactions is " +

@@ -266,69 +266,6 @@ std::optional<int> PolicyRegistry::Find(PolicyAxis axis,
   return it->second;
 }
 
-std::optional<buffer::ReplacementPolicy> PolicyRegistry::Replacement(
-    std::string_view name) const {
-  const auto v = Find(PolicyAxis::kReplacement, name);
-  if (!v) return std::nullopt;
-  return static_cast<buffer::ReplacementPolicy>(*v);
-}
-
-std::optional<buffer::PrefetchPolicy> PolicyRegistry::Prefetch(
-    std::string_view name) const {
-  const auto v = Find(PolicyAxis::kPrefetch, name);
-  if (!v) return std::nullopt;
-  return static_cast<buffer::PrefetchPolicy>(*v);
-}
-
-std::optional<cluster::CandidatePool> PolicyRegistry::CandidatePool(
-    std::string_view name) const {
-  const auto v = Find(PolicyAxis::kCandidatePool, name);
-  if (!v) return std::nullopt;
-  return static_cast<cluster::CandidatePool>(*v);
-}
-
-std::optional<cluster::SplitPolicy> PolicyRegistry::Split(
-    std::string_view name) const {
-  const auto v = Find(PolicyAxis::kSplit, name);
-  if (!v) return std::nullopt;
-  return static_cast<cluster::SplitPolicy>(*v);
-}
-
-std::optional<workload::StructureDensity> PolicyRegistry::Density(
-    std::string_view name) const {
-  const auto v = Find(PolicyAxis::kDensity, name);
-  if (!v) return std::nullopt;
-  return static_cast<workload::StructureDensity>(*v);
-}
-
-std::optional<obj::RelKind> PolicyRegistry::Relationship(
-    std::string_view name) const {
-  const auto v = Find(PolicyAxis::kRelKind, name);
-  if (!v) return std::nullopt;
-  return static_cast<obj::RelKind>(*v);
-}
-
-std::optional<dyn::PolicyKind> PolicyRegistry::Dynamic(
-    std::string_view name) const {
-  const auto v = Find(PolicyAxis::kDynamic, name);
-  if (!v) return std::nullopt;
-  return static_cast<dyn::PolicyKind>(*v);
-}
-
-std::optional<ShardPlacement> PolicyRegistry::ShardPlacementOf(
-    std::string_view name) const {
-  const auto v = Find(PolicyAxis::kShardPlacement, name);
-  if (!v) return std::nullopt;
-  return static_cast<ShardPlacement>(*v);
-}
-
-std::optional<ArrivalProcess> PolicyRegistry::Arrival(
-    std::string_view name) const {
-  const auto v = Find(PolicyAxis::kArrival, name);
-  if (!v) return std::nullopt;
-  return static_cast<ArrivalProcess>(*v);
-}
-
 const std::vector<std::string>& PolicyRegistry::CanonicalNames(
     PolicyAxis axis) const {
   return Table(axis).canonical;

@@ -62,19 +62,6 @@ class PolicyRegistry {
   /// The process-wide registry with every built-in policy registered.
   static const PolicyRegistry& Global();
 
-  std::optional<buffer::ReplacementPolicy> Replacement(
-      std::string_view name) const;
-  std::optional<buffer::PrefetchPolicy> Prefetch(std::string_view name) const;
-  std::optional<cluster::CandidatePool> CandidatePool(
-      std::string_view name) const;
-  std::optional<cluster::SplitPolicy> Split(std::string_view name) const;
-  std::optional<workload::StructureDensity> Density(
-      std::string_view name) const;
-  std::optional<obj::RelKind> Relationship(std::string_view name) const;
-  std::optional<dyn::PolicyKind> Dynamic(std::string_view name) const;
-  std::optional<ShardPlacement> ShardPlacementOf(std::string_view name) const;
-  std::optional<ArrivalProcess> Arrival(std::string_view name) const;
-
   /// Canonical names of one axis, in registration (= enum) order — for
   /// error messages and discoverability (`semclust_run --policies`).
   const std::vector<std::string>& CanonicalNames(PolicyAxis axis) const;
@@ -98,8 +85,8 @@ class PolicyRegistry {
   /// aliases. Re-registering an existing name is an error (OODB_CHECK).
   void Register(PolicyAxis axis, std::string_view name, int value);
 
-  /// Untyped lookup on any axis: the enum value `name` resolves to, as an
-  /// int (the typed lookups above cast it back).
+  /// Lookup on any axis: the enum value `name` resolves to, as an int
+  /// (the caller casts it to the axis's enum type).
   std::optional<int> Find(PolicyAxis axis, std::string_view name) const;
 
   PolicyRegistry();

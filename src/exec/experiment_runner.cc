@@ -74,15 +74,6 @@ obs::MetricsSnapshot ExperimentRunner::MergeMetrics(
   return merged;
 }
 
-obs::TimeSeries ExperimentRunner::MergeSeries(
-    const std::vector<CellOutcome>& outcomes) {
-  obs::TimeSeries merged;
-  for (const CellOutcome& o : outcomes) {
-    merged.MergeFrom(o.result.series);
-  }
-  return merged;
-}
-
 uint64_t ExperimentRunner::CellSeed(uint64_t base_seed, uint64_t cell_index) {
   // splitmix64 (Steele, Lea & Flood) over the pair. Mixing the index with
   // a large odd constant before adding keeps adjacent indices far apart in

@@ -7,7 +7,6 @@
 #include "core/model_config.h"
 #include "core/run_result.h"
 #include "obs/metrics.h"
-#include "obs/time_series.h"
 
 /// \file
 /// Parallel execution of independent experiment cells. The paper's
@@ -56,14 +55,6 @@ class ExperimentRunner {
   /// fold order is fixed, the merged snapshot is bit-identical at any job
   /// count — the determinism contract extended to observability.
   static obs::MetricsSnapshot MergeMetrics(
-      const std::vector<CellOutcome>& outcomes);
-
-  /// Folds every outcome's telemetry series into one, in submission
-  /// order: sample i of the merged series accumulates sample i of every
-  /// cell (counter deltas sum, placement audits merge). Same determinism
-  /// argument as MergeMetrics — the fold order is fixed, so the merged
-  /// series is bit-identical at any job count.
-  static obs::TimeSeries MergeSeries(
       const std::vector<CellOutcome>& outcomes);
 
   int jobs() const { return jobs_; }

@@ -84,16 +84,6 @@ void ObjectGraph::Relate(ObjectId from, ObjectId to, RelKind kind) {
   }
 }
 
-void ObjectGraph::Unrelate(ObjectId from, ObjectId to, RelKind kind) {
-  if (kind == RelKind::kCorrespondence) {
-    RemoveEdge(from, to, kind, Direction::kDown);
-    RemoveEdge(to, from, kind, Direction::kDown);
-  } else {
-    RemoveEdge(from, to, kind, Direction::kDown);
-    RemoveEdge(to, from, kind, Direction::kUp);
-  }
-}
-
 void ObjectGraph::Remove(ObjectId id) {
   OODB_CHECK(IsLive(id));
   DesignObject& o = objects_[id];
@@ -136,19 +126,6 @@ const std::vector<ObjectId>& ObjectGraph::FamilyMembers(
     FamilyId family) const {
   OODB_CHECK_LT(family, family_members_.size());
   return family_members_[family];
-}
-
-ObjectId ObjectGraph::LatestVersion(FamilyId family, TypeId type) const {
-  ObjectId best = kInvalidObject;
-  int best_version = -1;
-  for (ObjectId id : FamilyMembers(family)) {
-    const DesignObject& o = objects_[id];
-    if (o.type == type && !o.deleted && o.version > best_version) {
-      best = id;
-      best_version = o.version;
-    }
-  }
-  return best;
 }
 
 }  // namespace oodb::obj

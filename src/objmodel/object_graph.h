@@ -123,9 +123,6 @@ class ObjectGraph {
   /// Adds a structural relationship. Both endpoints must be live.
   void Relate(ObjectId from, ObjectId to, RelKind kind);
 
-  /// Removes a relationship added by Relate (both directions).
-  void Unrelate(ObjectId from, ObjectId to, RelKind kind);
-
   /// Marks the object deleted and detaches all of its links.
   void Remove(ObjectId id);
 
@@ -233,10 +230,6 @@ class ObjectGraph {
 
   /// Live objects of a family, in creation order.
   const std::vector<ObjectId>& FamilyMembers(FamilyId family) const;
-
-  /// Latest (highest-version) live object of `family` with type `type`,
-  /// or kInvalidObject.
-  ObjectId LatestVersion(FamilyId family, TypeId type) const;
 
   const TypeLattice& lattice() const { return *lattice_; }
   const std::string& family_name(FamilyId id) const {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/check.h"
+
 namespace oodb::obj {
 
 TraversalProfile UniformProfile() { return {1.0, 1.0, 1.0, 1.0}; }
@@ -23,24 +25,9 @@ TypeId TypeLattice::DefineType(std::string name, TypeId supertype,
   return static_cast<TypeId>(types_.size() - 1);
 }
 
-StatusOr<TypeId> TypeLattice::FindType(std::string_view name) const {
-  for (size_t i = 0; i < types_.size(); ++i) {
-    if (types_[i].name == name) return static_cast<TypeId>(i);
-  }
-  return Status::NotFound("type '" + std::string(name) + "'");
-}
-
 const TypeInfo& TypeLattice::info(TypeId id) const {
   OODB_CHECK_LT(id, types_.size());
   return types_[id];
-}
-
-bool TypeLattice::IsSubtypeOf(TypeId type, TypeId ancestor) const {
-  OODB_CHECK_LT(type, types_.size());
-  for (TypeId t = type; t != kInvalidType; t = types_[t].supertype) {
-    if (t == ancestor) return true;
-  }
-  return false;
 }
 
 const std::vector<AttributeDef>& TypeLattice::ResolveAttributes(

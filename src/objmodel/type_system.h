@@ -4,11 +4,9 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "objmodel/object_id.h"
-#include "util/status.h"
 
 /// \file
 /// The type lattice. Types define attributes (propagated to subtypes through
@@ -64,14 +62,8 @@ class TypeLattice {
                     uint32_t base_size_bytes, TraversalProfile traversal,
                     std::vector<AttributeDef> attributes = {});
 
-  /// Looks up a type by name.
-  StatusOr<TypeId> FindType(std::string_view name) const;
-
   const TypeInfo& info(TypeId id) const;
   size_t size() const { return types_.size(); }
-
-  /// True if `type` equals `ancestor` or transitively derives from it.
-  bool IsSubtypeOf(TypeId type, TypeId ancestor) const;
 
   /// All attributes visible on instances of `type`: local attributes plus
   /// those inherited from supertypes. A local attribute with the same name

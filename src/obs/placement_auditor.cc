@@ -266,40 +266,6 @@ class ConfigurationWalker {
 
 }  // namespace
 
-void PlacementSample::MergeFrom(const PlacementSample& other) {
-  live_objects += other.live_objects;
-  placed_objects += other.placed_objects;
-  pages += other.pages;
-  empty_pages += other.empty_pages;
-  for (size_t k = 0; k < by_kind.size(); ++k) {
-    by_kind[k].edges += other.by_kind[k].edges;
-    by_kind[k].colocated += other.by_kind[k].colocated;
-  }
-  edges += other.edges;
-  colocated += other.colocated;
-  for (size_t b = 0; b < occupancy_histogram.size(); ++b) {
-    occupancy_histogram[b] += other.occupancy_histogram[b];
-  }
-  // Means re-weight by the populations they were taken over.
-  const auto reweight = [](double& mine, uint64_t my_n, double theirs,
-                           uint64_t their_n) {
-    const uint64_t n = my_n + their_n;
-    if (n == 0) return;
-    mine = (mine * static_cast<double>(my_n) +
-            theirs * static_cast<double>(their_n)) /
-           static_cast<double>(n);
-  };
-  reweight(mean_occupancy, nonempty_pages, other.mean_occupancy,
-           other.nonempty_pages);
-  reweight(mean_type_fragmentation, types_audited,
-           other.mean_type_fragmentation, other.types_audited);
-  reweight(mean_pages_per_configuration, configurations,
-           other.mean_pages_per_configuration, other.configurations);
-  nonempty_pages += other.nonempty_pages;
-  types_audited += other.types_audited;
-  configurations += other.configurations;
-}
-
 std::string PlacementSample::ToJson() const {
   JsonObjectWriter kinds;
   for (size_t k = 0; k < by_kind.size(); ++k) {

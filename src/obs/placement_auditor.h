@@ -87,11 +87,6 @@ struct PlacementSample {
     return static_cast<double>(colocated) / static_cast<double>(edges);
   }
 
-  /// Accumulates `other` (counts sum, means re-weight by their
-  /// populations) — the cross-cell fold used by
-  /// exec::ExperimentRunner::MergeSeries.
-  void MergeFrom(const PlacementSample& other);
-
   /// Deterministic JSON object (see DESIGN.md §9 for the schema).
   std::string ToJson() const;
 };

@@ -6,14 +6,6 @@
 
 namespace oodb::obs {
 
-std::optional<uint64_t> TimeSeriesSample::counter_delta(
-    std::string_view name) const {
-  for (const auto& [n, v] : counter_deltas) {
-    if (n == name) return v;
-  }
-  return std::nullopt;
-}
-
 std::string TimeSeriesSample::ToJson() const {
   JsonObjectWriter counters;
   for (const auto& [name, delta] : counter_deltas) counters.Add(name, delta);
@@ -35,51 +27,6 @@ std::string TimeSeries::ToJson() const {
   JsonArrayWriter out;
   for (const TimeSeriesSample& s : samples) out.AddRaw(s.ToJson());
   return out.str();
-}
-
-void TimeSeries::MergeFrom(const TimeSeries& other) {
-  for (size_t i = 0; i < other.samples.size(); ++i) {
-    if (i >= samples.size()) {
-      samples.push_back(other.samples[i]);
-      continue;
-    }
-    TimeSeriesSample& mine = samples[i];
-    const TimeSeriesSample& theirs = other.samples[i];
-    if (theirs.sim_time_s > mine.sim_time_s) {
-      mine.sim_time_s = theirs.sim_time_s;
-    }
-    if (theirs.epoch > mine.epoch) mine.epoch = theirs.epoch;
-    mine.epoch_boundary = mine.epoch_boundary || theirs.epoch_boundary;
-    for (const auto& [name, delta] : theirs.counter_deltas) {
-      bool found = false;
-      for (auto& [n, v] : mine.counter_deltas) {
-        if (n == name) {
-          v += delta;
-          found = true;
-          break;
-        }
-      }
-      if (!found) mine.counter_deltas.emplace_back(name, delta);
-    }
-    for (const auto& [name, value] : theirs.gauges) {
-      bool found = false;
-      for (auto& [n, v] : mine.gauges) {
-        if (n == name) {
-          v += value;
-          found = true;
-          break;
-        }
-      }
-      if (!found) mine.gauges.emplace_back(name, value);
-    }
-    if (theirs.placement.has_value()) {
-      if (mine.placement.has_value()) {
-        mine.placement->MergeFrom(*theirs.placement);
-      } else {
-        mine.placement = theirs.placement;
-      }
-    }
-  }
 }
 
 TimeSeriesSampler::TimeSeriesSampler(const MetricsRegistry* registry,

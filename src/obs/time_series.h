@@ -46,9 +46,6 @@ struct TimeSeriesSample {
   /// Placement audit on the same schedule; empty when auditing is off.
   std::optional<PlacementSample> placement;
 
-  /// Delta by name; nullopt when the name is absent.
-  std::optional<uint64_t> counter_delta(std::string_view name) const;
-
   std::string ToJson() const;
 };
 
@@ -61,13 +58,6 @@ struct TimeSeries {
 
   /// Deterministic JSON array of sample objects.
   std::string ToJson() const;
-
-  /// Accumulates `other` sample-by-sample (by index): counter deltas sum,
-  /// gauges sum, placement samples merge. Series of different lengths
-  /// merge over the common prefix and append the tail. Folding in
-  /// submission order keeps the merged series bit-identical at any job
-  /// count (exec::ExperimentRunner::MergeSeries).
-  void MergeFrom(const TimeSeries& other);
 };
 
 /// Drives sampling for one simulation cell. The owner calls

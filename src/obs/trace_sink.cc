@@ -229,14 +229,4 @@ bool TraceCollector::WriteChromeTrace(const std::string& path) const {
   return static_cast<bool>(out);
 }
 
-bool TraceCollector::empty() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cells_.empty();
-}
-
-void TraceCollector::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  cells_.clear();
-}
-
 }  // namespace oodb::obs

@@ -153,7 +153,11 @@ class TraceSink {
 /// trace_event writer. Thread-safe: cells flush from worker threads.
 class TraceCollector {
  public:
+  /// The process's collector, which the atexit writer exports. A
+  /// collector built directly (tests) starts empty and is exported only
+  /// through ChromeTraceJson.
   static TraceCollector& Global();
+  TraceCollector() = default;
 
   /// SEMCLUST_TRACE, or null/empty when tracing is off.
   static const char* PathFromEnv();
@@ -173,18 +177,12 @@ class TraceCollector {
   /// Writes ChromeTraceJson() to `path`, truncating. False on I/O error.
   bool WriteChromeTrace(const std::string& path) const;
 
-  bool empty() const;
-  /// Drops all collected state (tests).
-  void Reset();
-
  private:
   struct CellTrace {
     std::string label;
     uint64_t dropped = 0;
     std::vector<TraceEvent> events;
   };
-
-  TraceCollector() = default;
 
   mutable std::mutex mu_;
   std::map<int, CellTrace> cells_;

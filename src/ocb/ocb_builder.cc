@@ -154,7 +154,7 @@ OcbCatalog OcbBuilder::Build(const OcbSchema& schema, uint64_t seed) {
     const uint32_t base = graph_->lattice().info(schema.classes[c]).base_size_bytes;
     size_of[i] = static_cast<uint32_t>(std::clamp(
         static_cast<double>(base) * (0.75 + 0.5 * size_rng.NextDouble()),
-        24.0, 1024.0));
+        double{workload::kMinObjectBytes}, double{workload::kMaxObjectBytes}));
     class_of[i] = c;
     catalog.extents[c].push_back(id_of(i));
   }

@@ -4,17 +4,6 @@
 
 namespace oodb::oct {
 
-double SessionTrace::ReadWriteRatio() const {
-  const uint64_t writes = TotalWrites();
-  if (writes == 0) return static_cast<double>(TotalReads());
-  return static_cast<double>(TotalReads()) / static_cast<double>(writes);
-}
-
-double SessionTrace::IoRate() const {
-  if (session_seconds <= 0) return 0;
-  return static_cast<double>(TotalOps()) / session_seconds;
-}
-
 void TraceCollector::BeginSession(std::string tool) {
   OODB_CHECK(!open_);
   current_ = SessionTrace{};

@@ -30,13 +30,6 @@ struct SessionTrace {
   uint64_t TotalReads() const { return structure_reads + simple_reads; }
   uint64_t TotalWrites() const { return structure_writes + simple_writes; }
   uint64_t TotalOps() const { return TotalReads() + TotalWrites(); }
-
-  /// The paper's read/write ratio: all reads over all writes (logical
-  /// level). Returns reads when no writes occurred.
-  double ReadWriteRatio() const;
-
-  /// Logical I/O per second of session time (Figure 3.3's metric).
-  double IoRate() const;
 };
 
 /// Collects traces across many tool invocations.

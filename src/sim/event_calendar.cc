@@ -50,9 +50,9 @@ void EventCalendar::Push(double time, uint64_t seq, uint32_t payload) {
     cursor_day_ = day;
     min_located_ = false;
   } else if (day < cursor_day_) {
-    // Earlier than anything the cursor would still visit: rewind. (Happens
-    // when RunUntil advanced the clock past a gap and a new event lands in
-    // it.)
+    // Earlier than anything the cursor would still visit: rewind. (The
+    // simulator never pushes behind its clock, but the calendar accepts
+    // any order, including an entry earlier than one already popped.)
     cursor_day_ = day;
     min_located_ = false;
   }
@@ -86,11 +86,6 @@ void EventCalendar::LocateMin() {
   }
   cursor_day_ = DayOf(best->time);
   min_located_ = true;
-}
-
-const EventCalendar::Entry& EventCalendar::Min() {
-  LocateMin();
-  return BucketOfDay(cursor_day_).back();
 }
 
 EventCalendar::Entry EventCalendar::PopMin() {

@@ -45,10 +45,6 @@ class EventCalendar {
   /// monotonically increasing seq.
   void Push(double time, uint64_t seq, uint32_t payload);
 
-  /// The least (time, seq) entry. Requires !empty(). Amortised O(1):
-  /// positions the cursor, so an immediately following PopMin is O(1).
-  const Entry& Min();
-
   /// Removes and returns the least (time, seq) entry. Requires !empty().
   Entry PopMin();
 

@@ -30,7 +30,6 @@ void Resource::TouchStats() {
   // Record the interval that just ended at the previous values.
   busy_stats_.Update(sim_.now(),
                      static_cast<double>(busy_) / servers_);
-  queue_stats_.Update(sim_.now(), static_cast<double>(waiters_.size()));
 }
 
 void Resource::StartIfPossible() {
@@ -74,7 +73,5 @@ void Resource::Complete(uint32_t slot) {
 }
 
 double Resource::Utilization() const { return busy_stats_.Mean(); }
-
-double Resource::MeanQueueLength() const { return queue_stats_.Mean(); }
 
 }  // namespace oodb::sim

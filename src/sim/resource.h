@@ -71,8 +71,6 @@ class Resource {
   const StreamingStats& residence_time() const { return residence_; }
   /// Time-weighted fraction of servers busy, in [0, 1].
   double Utilization() const;
-  /// Time-weighted mean number of queued (not yet in service) requests.
-  double MeanQueueLength() const;
 
  private:
   struct Waiter {
@@ -106,7 +104,6 @@ class Resource {
   std::vector<uint32_t> free_service_slots_;
   StreamingStats residence_;
   TimeWeightedStats busy_stats_;
-  TimeWeightedStats queue_stats_;
 };
 
 }  // namespace oodb::sim

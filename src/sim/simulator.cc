@@ -1,6 +1,5 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace oodb::sim {
@@ -39,25 +38,6 @@ void Simulator::DispatchNext() {
 
 void Simulator::Run() {
   while (!calendar_.empty()) DispatchNext();
-}
-
-uint64_t Simulator::RunUntil(SimTime t) {
-  uint64_t n = 0;
-  while (!calendar_.empty() && calendar_.Min().time <= t) {
-    DispatchNext();
-    ++n;
-  }
-  now_ = std::max(now_, t);
-  return n;
-}
-
-uint64_t Simulator::Step(uint64_t max_events) {
-  uint64_t n = 0;
-  while (n < max_events && !calendar_.empty()) {
-    DispatchNext();
-    ++n;
-  }
-  return n;
 }
 
 }  // namespace oodb::sim

@@ -45,13 +45,6 @@ class Simulator {
   /// Runs until the event calendar is empty.
   void Run();
 
-  /// Runs events with time <= `t`, then sets the clock to `t`.
-  /// Returns the number of events processed.
-  uint64_t RunUntil(SimTime t);
-
-  /// Processes at most `max_events` events; returns how many ran.
-  uint64_t Step(uint64_t max_events);
-
   /// Total events processed since construction.
   uint64_t events_processed() const { return events_processed_; }
 

@@ -52,18 +52,11 @@ class Page {
   /// Removes the record for `id`. Returns false if not present.
   bool Remove(obj::ObjectId id);
 
-  /// True if `id` is resident here.
-  bool Contains(obj::ObjectId id) const;
-
   /// Drops every record (the slot directory keeps its capacity).
   void Clear() {
     slots_.clear();
     used_ = 0;
   }
-
-  /// Changes the recorded size of a resident object. Returns false if the
-  /// object is absent or the new size does not fit.
-  bool ResizeObject(obj::ObjectId id, uint32_t new_size_bytes);
 
   uint32_t capacity_bytes() const { return capacity_; }
   uint32_t used_bytes() const { return used_; }

@@ -199,33 +199,4 @@ Status StorageManager::Erase(obj::ObjectId id) {
   return Status::Ok();
 }
 
-Status StorageManager::ResizeInPlace(obj::ObjectId id,
-                                     uint32_t new_size_bytes) {
-  const PageId p = PageOf(id);
-  if (p == kInvalidPage) {
-    return Status::NotFound("object not placed");
-  }
-  const uint32_t old_size = SizeOf(id);
-  if (!pages_[p].ResizeObject(id, new_size_bytes)) {
-    return Status::ResourceExhausted("page cannot absorb growth");
-  }
-  object_size_[id] = new_size_bytes;
-  used_bytes_ += new_size_bytes;
-  used_bytes_ -= old_size;
-  return Status::Ok();
-}
-
-double StorageManager::MeanOccupancy() const {
-  uint64_t used = 0;
-  uint64_t capacity = 0;
-  for (const Page& p : pages_) {
-    if (p.object_count() == 0) continue;
-    used += p.used_bytes();
-    capacity += p.capacity_bytes();
-  }
-  return capacity == 0
-             ? 0.0
-             : static_cast<double>(used) / static_cast<double>(capacity);
-}
-
 }  // namespace oodb::store

@@ -79,11 +79,6 @@ class StorageManager {
   /// Removes a placed object from its page.
   Status Erase(obj::ObjectId id);
 
-  /// Adjusts the stored size of a placed object in place. Fails with
-  /// kResourceExhausted if the page cannot absorb the growth (the caller
-  /// then relocates or splits).
-  Status ResizeInPlace(obj::ObjectId id, uint32_t new_size_bytes);
-
   /// Page holding `id`, or kInvalidPage if unplaced.
   PageId PageOf(obj::ObjectId id) const {
     if (id >= object_page_.size()) return kInvalidPage;
@@ -106,8 +101,6 @@ class StorageManager {
 
   /// Total bytes stored across all pages.
   uint64_t used_bytes() const { return used_bytes_; }
-  /// Mean page fill fraction over non-empty pages.
-  double MeanOccupancy() const;
 
   /// Recorded size of a placed object (as known to storage).
   uint32_t SizeOf(obj::ObjectId id) const {

@@ -129,14 +129,6 @@ JsonArrayWriter& JsonArrayWriter::Add(uint64_t value) {
   return *this;
 }
 
-JsonArrayWriter& JsonArrayWriter::Add(std::string_view value) {
-  Separate();
-  body_ += '"';
-  body_ += JsonEscape(value);
-  body_ += '"';
-  return *this;
-}
-
 JsonArrayWriter& JsonArrayWriter::AddRaw(std::string_view raw_json) {
   Separate();
   body_ += raw_json;

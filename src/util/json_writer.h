@@ -57,13 +57,12 @@ class JsonArrayWriter {
  public:
   JsonArrayWriter& Add(double value);
   JsonArrayWriter& Add(uint64_t value);
-  JsonArrayWriter& Add(std::string_view value);
   /// Splices well-formed JSON in verbatim (nested objects/arrays).
   JsonArrayWriter& AddRaw(std::string_view raw_json);
 
   bool empty() const { return body_.empty(); }
 
-  /// The complete array, e.g. `[1,2.5,"x"]`.
+  /// The complete array, e.g. `[1,2.5,{"x":1}]`.
   std::string str() const { return "[" + body_ + "]"; }
 
  private:

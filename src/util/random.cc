@@ -115,8 +115,6 @@ uint64_t Rng::Zipf(uint64_t n, double theta) {
   return ZipfTransform(n, theta).Sample(*this);
 }
 
-Rng Rng::Fork() { return Rng(NextU64()); }
-
 uint64_t SplitMix64::Next() { return SplitMix64Step(state_); }
 
 double SplitMix64::NextDouble() {
@@ -158,10 +156,6 @@ double SplitMix64::Gaussian(double mean, double stddev) {
   spare_ = v * scale;
   has_spare_ = true;
   return mean + stddev * u * scale;
-}
-
-uint64_t SplitMix64::Zipf(uint64_t n, double theta) {
-  return ZipfTransform(n, theta).Sample(*this);
 }
 
 DiscreteDistribution::DiscreteDistribution(

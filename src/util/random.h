@@ -49,9 +49,6 @@ class Rng {
   /// draws many values for one (n, theta) holds a ZipfTransform instead.
   uint64_t Zipf(uint64_t n, double theta);
 
-  /// Splits off an independent generator (for per-user streams).
-  Rng Fork();
-
  private:
   uint64_t s_[4];
 };
@@ -82,10 +79,6 @@ class SplitMix64 {
   /// value of each pair is cached). Requires stddev >= 0.
   double Gaussian(double mean, double stddev);
 
-  /// Zipf-distributed integer in [0, n) with skew theta in [0, 1); same
-  /// Gray et al. inverse-CDF mapping as Rng::Zipf.
-  uint64_t Zipf(uint64_t n, double theta);
-
   /// Derives an independent stream: the fork is seeded from the parent's
   /// next output, so `Fork(); Fork()` yields two unrelated sequences and
   /// the parent advances deterministically.
@@ -110,9 +103,9 @@ uint64_t BelowFromDraw(uint64_t draw, uint64_t n);
 /// billion-record synthetic databases") for one fixed (n, theta). The
 /// constants that depend only on (n, theta) -- alpha, the approximate
 /// zeta(n, theta), eta and the bound of index 1 -- are computed once here,
-/// so one draw costs two compares and one pow. Rng::Zipf and
-/// SplitMix64::Zipf build one per call; a generator that draws many values
-/// for the same (n, theta) keeps its own and gets the identical values.
+/// so one draw costs two compares and one pow. Rng::Zipf builds one per
+/// call; a generator that draws many values for the same (n, theta) keeps
+/// its own and gets the identical values.
 class ZipfTransform {
  public:
   /// Requires n > 0 and theta in [0, 1).

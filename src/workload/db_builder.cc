@@ -81,7 +81,8 @@ uint32_t DbBuilder::SampleObjectSize(bool composite) {
   const double mean = static_cast<double>(spec_.mean_object_bytes);
   double size = 0.4 * mean + rng_.Exponential(0.6 * mean);
   if (composite) size += spec_.composite_extra_bytes;
-  return static_cast<uint32_t>(std::clamp(size, 24.0, 1024.0));
+  return static_cast<uint32_t>(
+      std::clamp(size, double{kMinObjectBytes}, double{kMaxObjectBytes}));
 }
 
 void DbBuilder::PlaceBatch() {

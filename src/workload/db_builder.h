@@ -29,6 +29,13 @@
 
 namespace oodb::workload {
 
+/// Bounds of a generated object's size in bytes. Both database builders
+/// (DbBuilder and ocb::OcbBuilder) clamp every object they create into
+/// [kMinObjectBytes, kMaxObjectBytes], so a page must hold at least
+/// kMaxObjectBytes (core::ModelConfig::Validate).
+inline constexpr uint32_t kMinObjectBytes = 24;
+inline constexpr uint32_t kMaxObjectBytes = 1024;
+
 /// Parameters of the generated database.
 struct DatabaseSpec {
   /// Total object bytes to create (the DB size knob, Table 4.1 A scaled).

@@ -44,14 +44,16 @@ TEST(FactorialTest, MainEffectsMatchSurface) {
 
 TEST(FactorialTest, TwoWayInteractionsMatchSurface) {
   auto design = MakeSyntheticDesign();
-  auto effects = design.TwoWayInteractions();
-  ASSERT_EQ(effects.size(), 3u);  // AB, AC, BC
+  int two_way = 0;
   double ab = 0, ac = 0, bc = 0;
-  for (const auto& e : effects) {
+  for (const auto& e : design.AllEffects()) {
+    if (e.order != 2) continue;
+    ++two_way;
     if (e.name == "A x B") ab = e.effect;
     if (e.name == "A x C") ac = e.effect;
     if (e.name == "B x C") bc = e.effect;
   }
+  EXPECT_EQ(two_way, 3);  // AB, AC, BC
   EXPECT_NEAR(ab, 2.0, 1e-12);
   EXPECT_NEAR(ac, 0.0, 1e-12);
   EXPECT_NEAR(bc, 0.0, 1e-12);
@@ -75,14 +77,6 @@ TEST(FactorialTest, InteractionCellAveragesCorrectly) {
   EXPECT_NEAR(cell.low_high, 10 - 4 + 2 - 1, 1e-12);
   EXPECT_NEAR(cell.high_low, 10 + 4 - 2 - 1, 1e-12);
   EXPECT_NEAR(cell.high_high, 10 + 4 + 2 + 1, 1e-12);
-}
-
-TEST(FactorialTest, ResponseIndexedByBitmask) {
-  auto design = MakeSyntheticDesign();
-  // mask 0 = all low: 10 - 4 - 2 + 1 = 5.
-  EXPECT_NEAR(design.response(0), 5.0, 1e-12);
-  // mask 0b011 = A,B high: 10 + 4 + 2 + 1 = 17.
-  EXPECT_NEAR(design.response(3), 17.0, 1e-12);
 }
 
 // ------------------------------------------------ interaction classifier

@@ -60,18 +60,6 @@ TEST(BufferPoolTest, DirtyEvictionReported) {
   EXPECT_EQ(pool.dirty_evictions(), 1u);
 }
 
-TEST(BufferPoolTest, MarkCleanClearsDirtyBit) {
-  BufferPool pool(2, ReplacementPolicy::kLru);
-  pool.Fix(1);
-  pool.MarkDirty(1);
-  EXPECT_TRUE(pool.IsDirty(1));
-  pool.MarkClean(1);
-  EXPECT_FALSE(pool.IsDirty(1));
-  pool.Fix(2);
-  auto r = pool.Fix(3);
-  EXPECT_FALSE(r.evicted_dirty);
-}
-
 TEST(BufferPoolTest, PinPreventsEviction) {
   BufferPool pool(2, ReplacementPolicy::kLru);
   pool.Fix(1);
@@ -83,18 +71,6 @@ TEST(BufferPoolTest, PinPreventsEviction) {
   pool.Unpin(1);
   auto r2 = pool.Fix(4);  // 1 is LRU and now evictable
   EXPECT_EQ(r2.evicted_page, 1u);
-}
-
-TEST(BufferPoolTest, TouchOnlyAffectsResidentPages) {
-  BufferPool pool(3, ReplacementPolicy::kLru);
-  pool.Fix(1);
-  pool.Fix(2);
-  pool.Fix(3);
-  EXPECT_TRUE(pool.Touch(1));    // 2 becomes LRU
-  EXPECT_FALSE(pool.Touch(42));  // not resident, no fault
-  auto r = pool.Fix(4);
-  EXPECT_EQ(r.evicted_page, 2u);
-  EXPECT_EQ(pool.misses(), 4u);  // Touch(42) did not count as a miss
 }
 
 TEST(BufferPoolTest, ResidentPagesListsEverything) {
@@ -163,8 +139,8 @@ TEST(BufferPoolTest, BoostAgesOutUnderNewAccesses) {
   pool.Fix(3);
   // Many accesses age the clock past the boost on page 1.
   for (int i = 0; i < 10; ++i) {
-    pool.Touch(2);
-    pool.Touch(3);
+    pool.Fix(2);
+    pool.Fix(3);
   }
   auto r = pool.Fix(4);
   EXPECT_EQ(r.evicted_page, 1u);

@@ -314,19 +314,23 @@ TEST(LockManagerRecyclingTest, StaleTimeoutLeavesReusedEntryAlone) {
   LockProbe x1, x2, x3, x4;
   sim::Spawn(HoldFor(sim, lm, 1, 5, LockMode::kExclusive, 0.2, x1));
   sim::Spawn(HoldFor(sim, lm, 2, 5, LockMode::kExclusive, 0.1, x2));
-  sim.RunUntil(0.4);
-  ASSERT_TRUE(x2.done && x2.granted);
-  EXPECT_DOUBLE_EQ(x2.at, 0.2);
-  EXPECT_EQ(lm.queue_length(5), 0u);
-  sim::Spawn(HoldFor(sim, lm, 3, 6, LockMode::kExclusive, 5.0, x3));
-  ASSERT_TRUE(x3.granted);
-  sim.RunUntil(0.5);
-  sim::Spawn(AcquireAndHold(sim, lm, 4, 6, LockMode::kExclusive, x4));
-  EXPECT_EQ(lm.queue_length(6), 1u);
-  sim.RunUntil(1.2);
-  EXPECT_FALSE(x4.done);  // txn 2's stale timeout did not touch it
-  EXPECT_EQ(lm.queue_length(6), 1u);
-  EXPECT_EQ(lm.stats().lock_timeouts, 0u);
+  // The later steps run as events at their own times.
+  sim.ScheduleAt(0.4, [&] {
+    EXPECT_TRUE(x2.done && x2.granted);
+    EXPECT_DOUBLE_EQ(x2.at, 0.2);
+    EXPECT_EQ(lm.queue_length(5), 0u);
+    sim::Spawn(HoldFor(sim, lm, 3, 6, LockMode::kExclusive, 5.0, x3));
+    EXPECT_TRUE(x3.granted);
+  });
+  sim.ScheduleAt(0.5, [&] {
+    sim::Spawn(AcquireAndHold(sim, lm, 4, 6, LockMode::kExclusive, x4));
+    EXPECT_EQ(lm.queue_length(6), 1u);
+  });
+  sim.ScheduleAt(1.2, [&] {
+    EXPECT_FALSE(x4.done);  // txn 2's stale timeout did not touch it
+    EXPECT_EQ(lm.queue_length(6), 1u);
+    EXPECT_EQ(lm.stats().lock_timeouts, 0u);
+  });
   sim.Run();
   EXPECT_TRUE(x4.done);
   EXPECT_FALSE(x4.granted);
@@ -509,11 +513,15 @@ TEST(CcScenarioTest, InertCcKnobsAreErrors) {
 
 TEST(CcScenarioTest, ArrivalAxisResolvesThroughRegistry) {
   const core::PolicyRegistry& reg = core::PolicyRegistry::Global();
-  EXPECT_EQ(reg.Arrival("Closed"), core::ArrivalProcess::kClosed);
-  EXPECT_EQ(reg.Arrival("Open"), core::ArrivalProcess::kOpen);
-  EXPECT_EQ(reg.Arrival("poisson"), core::ArrivalProcess::kOpen);
-  EXPECT_EQ(reg.Arrival("closed_loop"), core::ArrivalProcess::kClosed);
-  EXPECT_FALSE(reg.Arrival("batch").has_value());
+  EXPECT_EQ(reg.Find(core::PolicyAxis::kArrival, "Closed"),
+            static_cast<int>(core::ArrivalProcess::kClosed));
+  EXPECT_EQ(reg.Find(core::PolicyAxis::kArrival, "Open"),
+            static_cast<int>(core::ArrivalProcess::kOpen));
+  EXPECT_EQ(reg.Find(core::PolicyAxis::kArrival, "poisson"),
+            static_cast<int>(core::ArrivalProcess::kOpen));
+  EXPECT_EQ(reg.Find(core::PolicyAxis::kArrival, "closed_loop"),
+            static_cast<int>(core::ArrivalProcess::kClosed));
+  EXPECT_FALSE(reg.Find(core::PolicyAxis::kArrival, "batch").has_value());
 }
 
 }  // namespace

@@ -87,7 +87,7 @@ TEST_F(DepGraphTest, NodesMirrorPageContents) {
   AffinityModel model(&lattice_);
   auto dep = DependencyGraph::Build(graph_, model, storage_, page_);
   EXPECT_EQ(dep.nodes.size(), 2u);
-  EXPECT_EQ(dep.TotalSize(), 300u);
+  EXPECT_EQ(dep.nodes[0].size_bytes + dep.nodes[1].size_bytes, 300u);
   EXPECT_TRUE(dep.arcs.empty());  // unrelated objects: no arcs
 }
 
@@ -122,7 +122,7 @@ TEST_F(DepGraphTest, IncomingObjectJoinsTheGraph) {
                                     DepNode{incoming, 150});
   EXPECT_EQ(dep.nodes.size(), 2u);
   EXPECT_EQ(dep.arcs.size(), 1u);
-  EXPECT_EQ(dep.TotalSize(), 250u);
+  EXPECT_EQ(dep.nodes[0].size_bytes + dep.nodes[1].size_bytes, 250u);
 }
 
 // ----------------------------------------------------------- splitters

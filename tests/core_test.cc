@@ -202,7 +202,6 @@ TEST(ExperimentTest, BufferingLevelsMatchFigure511) {
   ASSERT_EQ(levels.size(), 6u);
   EXPECT_EQ(levels.front().label, "C_p_DB");
   EXPECT_EQ(levels.back().label, "LRU_no_p");
-  EXPECT_EQ(AllBufferingCombinations().size(), 9u);
 }
 
 TEST(ExperimentTest, WithWorkloadPropagatesDensityToDatabase) {
@@ -243,6 +242,23 @@ TEST(ModelConfigTest, ValidateNamesTheOffendingField) {
   cfg = TestConfig();
   cfg.page_size_bytes = 0;
   expect_invalid(cfg, "page_size_bytes");
+
+  // Each of these aborted a run on a CHECK before Validate named it.
+  cfg = TestConfig();
+  cfg.page_size_bytes = workload::kMaxObjectBytes - 1;  // a 1024 B object
+  expect_invalid(cfg, "page_size_bytes");
+
+  cfg = TestConfig();
+  cfg.workload.read_write_ratio = 0;
+  expect_invalid(cfg, "workload.rw_ratio");
+
+  cfg = TestConfig();
+  cfg.think_time_s = 0;
+  expect_invalid(cfg, "think_time_s");
+
+  cfg = TestConfig();
+  cfg.append_fill_fraction = 1.5;
+  expect_invalid(cfg, "append_fill_fraction");
 
   cfg = TestConfig();
   cfg.buffer_pages = 7;

@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -16,23 +18,11 @@ class TypeLatticeTest : public ::testing::Test {
   TypeLattice lattice_;
 };
 
-TEST_F(TypeLatticeTest, DefineAndFind) {
+TEST_F(TypeLatticeTest, DefineRecordsTheType) {
   TypeId layout = lattice_.DefineType("layout", kInvalidType, 64,
                                       {4.0, 1.0, 0.5, 0.2});
   EXPECT_EQ(lattice_.info(layout).name, "layout");
-  auto found = lattice_.FindType("layout");
-  ASSERT_TRUE(found.ok());
-  EXPECT_EQ(*found, layout);
-  EXPECT_FALSE(lattice_.FindType("nonesuch").ok());
-}
-
-TEST_F(TypeLatticeTest, SubtypeChain) {
-  TypeId cell = lattice_.DefineType("cell", kInvalidType, 32, {});
-  TypeId macro = lattice_.DefineType("macro", cell, 32, {});
-  TypeId alu = lattice_.DefineType("alu", macro, 32, {});
-  EXPECT_TRUE(lattice_.IsSubtypeOf(alu, cell));
-  EXPECT_TRUE(lattice_.IsSubtypeOf(alu, alu));
-  EXPECT_FALSE(lattice_.IsSubtypeOf(cell, alu));
+  EXPECT_EQ(lattice_.size(), 1u);
 }
 
 TEST_F(TypeLatticeTest, AttributesInheritedAlongLattice) {
@@ -126,16 +116,6 @@ TEST_F(ObjectGraphTest, CorrespondenceIsSymmetric) {
   EXPECT_EQ(graph_.Correspondents(net), std::vector<ObjectId>{lay});
 }
 
-TEST_F(ObjectGraphTest, UnrelateRemovesBothDirections) {
-  FamilyId a = graph_.NewFamily("A");
-  ObjectId x = graph_.Create(a, 1, layout_, 10);
-  ObjectId y = graph_.Create(a, 1, netlist_, 10);
-  graph_.Relate(x, y, RelKind::kConfiguration);
-  graph_.Unrelate(x, y, RelKind::kConfiguration);
-  EXPECT_TRUE(graph_.Components(x).empty());
-  EXPECT_TRUE(graph_.Composites(y).empty());
-}
-
 TEST_F(ObjectGraphTest, RemoveDetachesNeighbours) {
   FamilyId a = graph_.NewFamily("A");
   ObjectId x = graph_.Create(a, 1, layout_, 10);
@@ -148,15 +128,6 @@ TEST_F(ObjectGraphTest, RemoveDetachesNeighbours) {
   EXPECT_TRUE(graph_.Composites(y).empty());
   EXPECT_TRUE(graph_.Correspondents(z).empty());
   EXPECT_EQ(graph_.live_count(), 2u);
-}
-
-TEST_F(ObjectGraphTest, LatestVersionPicksHighest) {
-  FamilyId alu = graph_.NewFamily("ALU");
-  graph_.Create(alu, 1, layout_, 10);
-  ObjectId v3 = graph_.Create(alu, 3, layout_, 10);
-  graph_.Create(alu, 2, layout_, 10);
-  graph_.Create(alu, 9, netlist_, 10);  // different type: ignored
-  EXPECT_EQ(graph_.LatestVersion(alu, layout_), v3);
 }
 
 TEST_F(ObjectGraphTest, FamilyMembersTracksCreationAndRemoval) {
@@ -269,7 +240,6 @@ TEST_F(DeriveVersionTest, ChainOfDerivationsIncrementsVersions) {
                              lattice_.InstanceSize(layout_));
   for (int i = 0; i < 3; ++i) v = DeriveVersion(graph_, v, model_).heir;
   EXPECT_EQ(graph_.NameOf(v).ToString(), "ALU[4].layout");
-  EXPECT_EQ(graph_.LatestVersion(alu, layout_), v);
 }
 
 TEST_F(DeriveVersionTest, PrecomputedLayoutDerivesTheSameHeir) {
@@ -301,14 +271,16 @@ TEST_F(DeriveVersionTest, PrecomputedLayoutDerivesTheSameHeir) {
 }
 
 // ---------------------------------------------------------------------------
-// CSR edge-arena golden digests.
+// CSR edge-arena reference model.
 //
-// A deterministic 4000-step create/relate/unrelate/remove churn, digested
-// at three checkpoints. The expected values were computed with the
-// pre-CSR std::vector<Edge>-per-object implementation, so they pin down
-// that the struct-of-arrays arena layout preserves object identity, edge
-// order (append order with swap-with-last removal), and live accounting
-// bit-for-bit across growth relocations and arena reuse.
+// VectorGraph is the pre-CSR ObjectGraph: one std::vector<Edge> per object,
+// Relate appends an edge and its mirror, an edge leaves by swap-with-last,
+// and Remove detaches the mirror of each of its edges in order. It still
+// reproduces the digests the pre-CSR implementation recorded for a
+// 4000-step create/relate/unrelate/remove churn, and the CSR arena must
+// match it, digest for digest, over a create/relate/remove churn (the
+// arena has no unrelate): object identity, edge order and live accounting
+// across growth relocations and arena reuse.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -321,24 +293,192 @@ void MixU64(uint64_t& h, uint64_t v) {
   }
 }
 
+void MixObject(uint64_t& h, ObjectId id, TypeId type, uint32_t size_bytes,
+               const auto& edges) {
+  MixU64(h, id);
+  MixU64(h, type);
+  MixU64(h, size_bytes);
+  for (const Edge e : edges) {
+    MixU64(h, e.target);
+    MixU64(h, (static_cast<uint64_t>(e.kind) << 8) |
+                  static_cast<uint64_t>(e.dir));
+  }
+}
+
 uint64_t GraphDigest(const ObjectGraph& graph) {
   uint64_t h = 1469598103934665603ULL;
   for (ObjectId id = 0; id < graph.size(); ++id) {
     if (!graph.IsLive(id)) continue;
     const DesignObject& o = graph.object(id);
-    MixU64(h, id);
-    MixU64(h, o.type);
-    MixU64(h, o.size_bytes);
-    for (const Edge e : graph.edges(id)) {
-      MixU64(h, e.target);
-      MixU64(h, (static_cast<uint64_t>(e.kind) << 8) |
-                    static_cast<uint64_t>(e.dir));
-    }
+    MixObject(h, id, o.type, o.size_bytes, graph.edges(id));
   }
   return h;
 }
 
+Direction MirrorOf(RelKind kind, Direction dir) {
+  if (kind == RelKind::kCorrespondence) return Direction::kDown;
+  return dir == Direction::kDown ? Direction::kUp : Direction::kDown;
+}
+
+class VectorGraph {
+ public:
+  void Create(TypeId type, uint32_t size_bytes) {
+    objects_.push_back(Object{type, size_bytes, true, {}});
+    ++live_count_;
+  }
+  void Relate(ObjectId from, ObjectId to, RelKind kind) {
+    objects_[from].edges.push_back(Edge{to, kind, Direction::kDown});
+    objects_[to].edges.push_back(
+        Edge{from, kind, MirrorOf(kind, Direction::kDown)});
+  }
+  void Unrelate(ObjectId from, ObjectId to, RelKind kind) {
+    RemoveEdge(from, Edge{to, kind, Direction::kDown});
+    RemoveEdge(to, Edge{from, kind, MirrorOf(kind, Direction::kDown)});
+  }
+  void Remove(ObjectId id) {
+    for (const Edge& e : objects_[id].edges) {
+      RemoveEdge(e.target, Edge{id, e.kind, MirrorOf(e.kind, e.dir)});
+    }
+    objects_[id].edges.clear();
+    objects_[id].live = false;
+    --live_count_;
+  }
+  uint64_t Digest() const {
+    uint64_t h = 1469598103934665603ULL;
+    for (ObjectId id = 0; id < objects_.size(); ++id) {
+      const Object& o = objects_[id];
+      if (o.live) MixObject(h, id, o.type, o.size_bytes, o.edges);
+    }
+    return h;
+  }
+  size_t live_count() const { return live_count_; }
+
+ private:
+  struct Object {
+    TypeId type;
+    uint32_t size_bytes;
+    bool live;
+    std::vector<Edge> edges;
+  };
+  void RemoveEdge(ObjectId obj, const Edge& edge) {
+    std::vector<Edge>& edges = objects_[obj].edges;
+    const auto it = std::find(edges.begin(), edges.end(), edge);
+    if (it == edges.end()) return;
+    *it = edges.back();
+    edges.pop_back();
+  }
+
+  std::vector<Object> objects_;
+  size_t live_count_ = 0;
+};
+
+/// One step of the golden churn.
+struct ChurnOp {
+  enum Kind { kSkip, kCreate, kRelate, kUnrelate, kRemove } op = kSkip;
+  ObjectId a = kInvalidObject;  ///< kRelate, kUnrelate, kRemove
+  ObjectId b = kInvalidObject;  ///< kRelate, kUnrelate
+  RelKind kind = RelKind::kConfiguration;
+  bool leaf = false;        ///< kCreate: type leaf, else root
+  uint32_t size_bytes = 0;  ///< kCreate
+};
+
+/// The 4000 steps of the golden churn: 45% create, 40% relate, then
+/// (with `unrelate`) 10% unrelate of an earlier relation whose endpoints
+/// are both live, and remove otherwise.
+std::vector<ChurnOp> GoldenChurn(bool unrelate) {
+  struct Relation {
+    ObjectId a;
+    ObjectId b;
+    RelKind kind;
+  };
+  Rng rng(20260809);
+  std::vector<ChurnOp> ops;
+  std::vector<ObjectId> live;
+  std::vector<bool> is_live;
+  std::vector<Relation> related;
+  for (int step = 0; step < 4000; ++step) {
+    const double roll = rng.UniformDouble(0.0, 1.0);
+    ChurnOp op;
+    if (live.size() < 2 || roll < 0.45) {
+      // The recorded run drew the size before the type.
+      op.op = ChurnOp::kCreate;
+      op.size_bytes = 32 + static_cast<uint32_t>(rng.NextBelow(400));
+      op.leaf = !rng.Bernoulli(0.5);
+      live.push_back(static_cast<ObjectId>(is_live.size()));
+      is_live.push_back(true);
+    } else if (roll < 0.85) {
+      op.a = live[rng.NextBelow(live.size())];
+      op.b = live[rng.NextBelow(live.size())];
+      if (op.a != op.b) {
+        op.op = ChurnOp::kRelate;
+        op.kind = static_cast<RelKind>(rng.NextBelow(4));
+        related.push_back(Relation{op.a, op.b, op.kind});
+      }
+    } else if (unrelate && roll < 0.95 && !related.empty()) {
+      const size_t i = rng.NextBelow(related.size());
+      const Relation r = related[i];
+      related[i] = related.back();
+      related.pop_back();
+      if (is_live[r.a] && is_live[r.b]) {
+        op.op = ChurnOp::kUnrelate;
+        op.a = r.a;
+        op.b = r.b;
+        op.kind = r.kind;
+      }
+    } else {
+      const size_t i = rng.NextBelow(live.size());
+      op.op = ChurnOp::kRemove;
+      op.a = live[i];
+      is_live[op.a] = false;
+      live[i] = live.back();
+      live.pop_back();
+    }
+    ops.push_back(op);
+  }
+  return ops;
+}
+
+/// Applies one churn step to `graph` (a VectorGraph, or the CSR graph
+/// through ChurnTarget).
+template <typename Graph>
+void Apply(const ChurnOp& op, TypeId root, TypeId leaf, Graph& graph) {
+  switch (op.op) {
+    case ChurnOp::kSkip:
+      break;
+    case ChurnOp::kCreate:
+      graph.Create(op.leaf ? leaf : root, op.size_bytes);
+      break;
+    case ChurnOp::kRelate:
+      graph.Relate(op.a, op.b, op.kind);
+      break;
+    case ChurnOp::kUnrelate:
+      graph.Unrelate(op.a, op.b, op.kind);
+      break;
+    case ChurnOp::kRemove:
+      graph.Remove(op.a);
+      break;
+  }
+}
+
 }  // namespace
+
+TEST(EdgeArenaGoldenTest, ReferenceModelReproducesPreCsrDigests) {
+  VectorGraph model;
+  const std::vector<ChurnOp> ops = GoldenChurn(/*unrelate=*/true);
+  for (size_t step = 0; step < ops.size(); ++step) {
+    Apply(ops[step], /*root=*/0, /*leaf=*/1, model);
+    if (step == 999) {
+      EXPECT_EQ(model.Digest(), 0x6db95d0b397325ceULL);
+      EXPECT_EQ(model.live_count(), 381u);
+    } else if (step == 2499) {
+      EXPECT_EQ(model.Digest(), 0x2813c62681a88e8dULL);
+      EXPECT_EQ(model.live_count(), 949u);
+    } else if (step == 3999) {
+      EXPECT_EQ(model.Digest(), 0xa7f62fc1b89df197ULL);
+      EXPECT_EQ(model.live_count(), 1571u);
+    }
+  }
+}
 
 TEST(EdgeArenaGoldenTest, ChurnDigestsMatchPreCsrImplementation) {
   TypeLattice lattice;
@@ -347,57 +487,32 @@ TEST(EdgeArenaGoldenTest, ChurnDigestsMatchPreCsrImplementation) {
   const TypeId leaf =
       lattice.DefineType("leaf", root, 32, {3.0, 1.0, 0.7, 0.2});
   ObjectGraph graph(&lattice);
-  Rng rng(20260809);
   const FamilyId fam = graph.NewFamily("golden");
-
-  struct Op {
-    ObjectId a = kInvalidObject;
-    ObjectId b = kInvalidObject;
-    RelKind kind = RelKind::kConfiguration;
-  };
-  std::vector<ObjectId> live;
-  std::vector<Op> related;
-  for (int step = 0; step < 4000; ++step) {
-    const double roll = rng.UniformDouble(0.0, 1.0);
-    if (live.size() < 2 || roll < 0.45) {
-      const ObjectId id = graph.Create(
-          fam, static_cast<uint16_t>(step % 7),
-          rng.Bernoulli(0.5) ? root : leaf,
-          32 + static_cast<uint32_t>(rng.NextBelow(400)));
-      live.push_back(id);
-    } else if (roll < 0.85) {
-      const ObjectId a = live[rng.NextBelow(live.size())];
-      const ObjectId b = live[rng.NextBelow(live.size())];
-      if (a != b) {
-        const auto kind = static_cast<RelKind>(rng.NextBelow(4));
-        graph.Relate(a, b, kind);
-        related.push_back(Op{a, b, kind});
-      }
-    } else if (roll < 0.95 && !related.empty()) {
-      const size_t i = rng.NextBelow(related.size());
-      const Op op = related[i];
-      if (graph.IsLive(op.a) && graph.IsLive(op.b)) {
-        graph.Unrelate(op.a, op.b, op.kind);
-      }
-      related[i] = related.back();
-      related.pop_back();
-    } else {
-      const size_t i = rng.NextBelow(live.size());
-      graph.Remove(live[i]);
-      live[i] = live.back();
-      live.pop_back();
+  // The CSR graph behind VectorGraph's calls; a churn without unrelate
+  // never calls Unrelate.
+  struct ChurnTarget {
+    ObjectGraph& graph;
+    FamilyId fam;
+    void Create(TypeId type, uint32_t size_bytes) {
+      graph.Create(fam, 1, type, size_bytes);
     }
-    if (step == 999) {
-      EXPECT_EQ(GraphDigest(graph), 0x6db95d0b397325ceULL);
-      EXPECT_EQ(graph.live_count(), 381u);
-    } else if (step == 2499) {
-      EXPECT_EQ(GraphDigest(graph), 0x2813c62681a88e8dULL);
-      EXPECT_EQ(graph.live_count(), 949u);
-    } else if (step == 3999) {
-      EXPECT_EQ(GraphDigest(graph), 0xa7f62fc1b89df197ULL);
-      EXPECT_EQ(graph.live_count(), 1571u);
+    void Relate(ObjectId a, ObjectId b, RelKind kind) {
+      graph.Relate(a, b, kind);
+    }
+    void Unrelate(ObjectId, ObjectId, RelKind) { ADD_FAILURE(); }
+    void Remove(ObjectId id) { graph.Remove(id); }
+  } target{graph, fam};
+  VectorGraph model;
+  const std::vector<ChurnOp> ops = GoldenChurn(/*unrelate=*/false);
+  for (size_t step = 0; step < ops.size(); ++step) {
+    Apply(ops[step], root, leaf, target);
+    Apply(ops[step], root, leaf, model);
+    if (step % 500 == 499) {
+      ASSERT_EQ(GraphDigest(graph), model.Digest()) << "step " << step;
+      ASSERT_EQ(graph.live_count(), model.live_count()) << "step " << step;
     }
   }
+  EXPECT_GT(graph.live_count(), 1000u);
 }
 
 }  // namespace

@@ -248,15 +248,13 @@ TEST(TraceSinkTest, NoDropsBelowCapacity) {
 }
 
 TEST(TraceCollectorTest, ChromeTraceStructure) {
-  TraceCollector& collector = TraceCollector::Global();
-  collector.Reset();
+  TraceCollector collector;
   TraceSink sink(nullptr, 2);
   sink.Record(Subsystem::kIo, TraceEventType::kPageRead, 7, 0, 3);
   sink.Record(Subsystem::kTxlog, TraceEventType::kLogFlush, 4096, 12);
   sink.Record(Subsystem::kIo, TraceEventType::kPageWrite, 9);  // drops #1
   collector.Collect(0, "C_wb/hi10-100", sink);
   const std::string json = collector.ChromeTraceJson();
-  collector.Reset();
 
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
   EXPECT_NE(json.find("\"process_name\""), std::string::npos);
@@ -289,11 +287,9 @@ TEST(TraceCollectorTest, OverflowedRingStillExportsParsableTrace) {
   }
   EXPECT_EQ(sink.dropped(), kRecorded - capacity);
 
-  TraceCollector& collector = TraceCollector::Global();
-  collector.Reset();
+  TraceCollector collector;
   collector.Collect(0, "overflow-cell", sink);
   const std::string json = collector.ChromeTraceJson();
-  collector.Reset();
 
   // Every event line is a balanced JSON object (the property
   // tools/trace_summary's line scanner relies on), and only `capacity`
@@ -317,12 +313,11 @@ TEST(TraceCollectorTest, OverflowedRingStillExportsParsableTrace) {
 }
 
 TEST(TraceCollectorTest, DisabledSinkIsNotCollected) {
-  TraceCollector& collector = TraceCollector::Global();
-  collector.Reset();
+  TraceCollector collector;
+  const std::string before = collector.ChromeTraceJson();
   TraceSink sink;
   collector.Collect(3, "nope", sink);
-  EXPECT_TRUE(collector.empty());
-  collector.Reset();
+  EXPECT_EQ(collector.ChromeTraceJson(), before);
 }
 
 }  // namespace

@@ -83,25 +83,6 @@ TEST(OctModelTest, OperationsOutsideSessionNotRecorded) {
   EXPECT_FALSE(trace.InSession());
 }
 
-// ---------------------------------------------------------------- trace
-
-TEST(TraceTest, RatioAndRateArithmetic) {
-  SessionTrace s;
-  s.structure_reads = 60;
-  s.simple_reads = 40;
-  s.structure_writes = 7;
-  s.simple_writes = 3;
-  s.session_seconds = 11.0;
-  EXPECT_DOUBLE_EQ(s.ReadWriteRatio(), 10.0);
-  EXPECT_DOUBLE_EQ(s.IoRate(), 10.0);
-}
-
-TEST(TraceTest, ZeroWritesReportsReads) {
-  SessionTrace s;
-  s.simple_reads = 123;
-  EXPECT_DOUBLE_EQ(s.ReadWriteRatio(), 123.0);
-}
-
 // ------------------------------------------------------------ workbench
 
 class WorkbenchTest : public ::testing::Test {

@@ -64,26 +64,6 @@ TEST_P(LruDifferentialTest, MatchesNaiveModelExactly) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LruDifferentialTest,
                          ::testing::Range(0, 10));
 
-// Touch must behave exactly like a hitting Fix in the naive model.
-TEST(LruDifferentialTest, TouchEquivalentToHit) {
-  const size_t capacity = 8;
-  buffer::BufferPool pool(capacity, buffer::ReplacementPolicy::kLru);
-  NaiveLru naive(capacity);
-  Rng rng(77);
-  for (int step = 0; step < 3000; ++step) {
-    const auto page = static_cast<store::PageId>(rng.NextBelow(30));
-    if (rng.Bernoulli(0.3) && pool.Contains(page)) {
-      ASSERT_TRUE(pool.Touch(page));
-      naive.Fix(page);  // known hit
-    } else {
-      const auto fix = pool.Fix(page);
-      const auto [hit, evicted] = naive.Fix(page);
-      ASSERT_EQ(fix.hit, hit);
-      ASSERT_EQ(fix.evicted_page, evicted);
-    }
-  }
-}
-
 // ------------------------------------------------- exact splitter model
 
 // Brute-force minimum-broken-cost bipartition by full enumeration.

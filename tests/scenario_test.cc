@@ -87,44 +87,55 @@ TEST(PolicyRegistryTest, EveryEnumValueResolvesByItsCanonicalName) {
   const PolicyRegistry& reg = PolicyRegistry::Global();
   using R = buffer::ReplacementPolicy;
   for (R p : {R::kLru, R::kContextSensitive, R::kRandom}) {
-    EXPECT_EQ(reg.Replacement(buffer::ReplacementPolicyName(p)), p);
+    EXPECT_EQ(reg.Find(PolicyAxis::kReplacement,
+                       buffer::ReplacementPolicyName(p)),
+              static_cast<int>(p));
   }
   using P = buffer::PrefetchPolicy;
   for (P p : {P::kNone, P::kWithinBuffer, P::kWithinDb}) {
-    EXPECT_EQ(reg.Prefetch(buffer::PrefetchPolicyName(p)), p);
+    EXPECT_EQ(reg.Find(PolicyAxis::kPrefetch, buffer::PrefetchPolicyName(p)),
+              static_cast<int>(p));
   }
   using C = cluster::CandidatePool;
   for (C p : {C::kNoClustering, C::kWithinBuffer, C::kIoLimit, C::kWithinDb}) {
-    EXPECT_EQ(reg.CandidatePool(cluster::CandidatePoolName(p)), p);
+    EXPECT_EQ(reg.Find(PolicyAxis::kCandidatePool,
+                       cluster::CandidatePoolName(p)),
+              static_cast<int>(p));
   }
   using S = cluster::SplitPolicy;
   for (S p : {S::kNoSplit, S::kLinearGreedy, S::kExhaustive}) {
-    EXPECT_EQ(reg.Split(cluster::SplitPolicyName(p)), p);
+    EXPECT_EQ(reg.Find(PolicyAxis::kSplit, cluster::SplitPolicyName(p)),
+              static_cast<int>(p));
   }
   using D = workload::StructureDensity;
   for (D d : {D::kLow3, D::kMed5, D::kHigh10}) {
-    EXPECT_EQ(reg.Density(workload::StructureDensityName(d)), d);
+    EXPECT_EQ(reg.Find(PolicyAxis::kDensity, workload::StructureDensityName(d)),
+              static_cast<int>(d));
   }
   using K = obj::RelKind;
   for (K k : {K::kConfiguration, K::kVersionHistory, K::kCorrespondence,
               K::kInstanceInheritance}) {
-    EXPECT_EQ(reg.Relationship(obj::RelKindName(k)), k);
+    EXPECT_EQ(reg.Find(PolicyAxis::kRelKind, obj::RelKindName(k)),
+              static_cast<int>(k));
   }
 }
 
 TEST(PolicyRegistryTest, LookupsNormalizeCaseAndSeparators) {
   const PolicyRegistry& reg = PolicyRegistry::Global();
-  EXPECT_EQ(reg.CandidatePool("cluster within buffer"),
-            cluster::CandidatePool::kWithinBuffer);
-  EXPECT_EQ(reg.CandidatePool("CLUSTER-WITHIN-BUFFER"),
-            cluster::CandidatePool::kWithinBuffer);
-  EXPECT_EQ(reg.Replacement("context"),
-            buffer::ReplacementPolicy::kContextSensitive);
-  EXPECT_EQ(reg.Prefetch("p_db"), buffer::PrefetchPolicy::kWithinDb);
-  EXPECT_EQ(reg.Split("linear"), cluster::SplitPolicy::kLinearGreedy);
-  EXPECT_EQ(reg.Density("HIGH"), workload::StructureDensity::kHigh10);
-  EXPECT_FALSE(reg.Split("bogus").has_value());
-  EXPECT_FALSE(reg.Replacement("").has_value());
+  EXPECT_EQ(reg.Find(PolicyAxis::kCandidatePool, "cluster within buffer"),
+            static_cast<int>(cluster::CandidatePool::kWithinBuffer));
+  EXPECT_EQ(reg.Find(PolicyAxis::kCandidatePool, "CLUSTER-WITHIN-BUFFER"),
+            static_cast<int>(cluster::CandidatePool::kWithinBuffer));
+  EXPECT_EQ(reg.Find(PolicyAxis::kReplacement, "context"),
+            static_cast<int>(buffer::ReplacementPolicy::kContextSensitive));
+  EXPECT_EQ(reg.Find(PolicyAxis::kPrefetch, "p_db"),
+            static_cast<int>(buffer::PrefetchPolicy::kWithinDb));
+  EXPECT_EQ(reg.Find(PolicyAxis::kSplit, "linear"),
+            static_cast<int>(cluster::SplitPolicy::kLinearGreedy));
+  EXPECT_EQ(reg.Find(PolicyAxis::kDensity, "HIGH"),
+            static_cast<int>(workload::StructureDensity::kHigh10));
+  EXPECT_FALSE(reg.Find(PolicyAxis::kSplit, "bogus").has_value());
+  EXPECT_FALSE(reg.Find(PolicyAxis::kReplacement, "").has_value());
 }
 
 TEST(PolicyRegistryTest, CanonicalNamesAreTheDisplayNames) {
@@ -332,6 +343,10 @@ TEST(ScenarioTest, ActionableErrors) {
                "buffer_pages is 1000000000000; at most 4194304");
   expect_error(R"({"name": "x", "config": {"num_users": 2000000000}})",
                "num_users is 2000000000; at most 100000");
+  // A value that parses but would abort the run names its cell and field.
+  expect_error(R"({"name": "x", "config": {"workload": {"rw_ratio": 0}}})",
+               "cell No_Clustering/med5-0: invalid ModelConfig: "
+               "workload.rw_ratio");
 }
 
 /// Expand() configs and labels of two specs are equal, cell by cell.
@@ -618,15 +633,22 @@ TEST(PolicyRegistryTest, DynamicAxisResolvesCanonicalNamesAndAliases) {
   const PolicyRegistry& reg = PolicyRegistry::Global();
   using D = dyn::PolicyKind;
   for (D p : {D::kNone, D::kDstc, D::kOpcf}) {
-    EXPECT_EQ(reg.Dynamic(dyn::PolicyKindName(p)), p);
+    EXPECT_EQ(reg.Find(PolicyAxis::kDynamic, dyn::PolicyKindName(p)),
+              static_cast<int>(p));
   }
-  EXPECT_EQ(reg.Dynamic("none"), D::kNone);
-  EXPECT_EQ(reg.Dynamic("off"), D::kNone);
-  EXPECT_EQ(reg.Dynamic("static"), D::kNone);
-  EXPECT_EQ(reg.Dynamic("dstc"), D::kDstc);
-  EXPECT_EQ(reg.Dynamic("opcf"), D::kOpcf);
-  EXPECT_EQ(reg.Dynamic("opportunistic"), D::kOpcf);
-  EXPECT_FALSE(reg.Dynamic("bogus").has_value());
+  EXPECT_EQ(reg.Find(PolicyAxis::kDynamic, "none"),
+            static_cast<int>(D::kNone));
+  EXPECT_EQ(reg.Find(PolicyAxis::kDynamic, "off"),
+            static_cast<int>(D::kNone));
+  EXPECT_EQ(reg.Find(PolicyAxis::kDynamic, "static"),
+            static_cast<int>(D::kNone));
+  EXPECT_EQ(reg.Find(PolicyAxis::kDynamic, "dstc"),
+            static_cast<int>(D::kDstc));
+  EXPECT_EQ(reg.Find(PolicyAxis::kDynamic, "opcf"),
+            static_cast<int>(D::kOpcf));
+  EXPECT_EQ(reg.Find(PolicyAxis::kDynamic, "opportunistic"),
+            static_cast<int>(D::kOpcf));
+  EXPECT_FALSE(reg.Find(PolicyAxis::kDynamic, "bogus").has_value());
   EXPECT_EQ(reg.CanonicalNames(PolicyAxis::kDynamic).size(), 3u);
   EXPECT_EQ(reg.CanonicalNames(PolicyAxis::kDynamic)[0], "No_Dynamic");
 }

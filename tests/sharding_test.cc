@@ -20,16 +20,20 @@ namespace {
 TEST(ShardPlacementRegistryTest, CanonicalNamesAndAliasesResolve) {
   const PolicyRegistry& reg = PolicyRegistry::Global();
   for (ShardPlacement p : kAllShardPlacements) {
-    EXPECT_EQ(reg.ShardPlacementOf(ShardPlacementName(p)), p);
+    EXPECT_EQ(reg.Find(PolicyAxis::kShardPlacement, ShardPlacementName(p)),
+              static_cast<int>(p));
   }
-  EXPECT_EQ(reg.ShardPlacementOf("hash"), ShardPlacement::kHashShard);
-  EXPECT_EQ(reg.ShardPlacementOf("structure"),
-            ShardPlacement::kStructureShard);
+  EXPECT_EQ(reg.Find(PolicyAxis::kShardPlacement, "hash"),
+            static_cast<int>(ShardPlacement::kHashShard));
+  EXPECT_EQ(reg.Find(PolicyAxis::kShardPlacement, "structure"),
+            static_cast<int>(ShardPlacement::kStructureShard));
   // Separator/case normalization applies like every other axis.
-  EXPECT_EQ(reg.ShardPlacementOf("hash shard"), ShardPlacement::kHashShard);
-  EXPECT_EQ(reg.ShardPlacementOf("STRUCTURE-SHARD"),
-            ShardPlacement::kStructureShard);
-  EXPECT_FALSE(reg.ShardPlacementOf("round_robin").has_value());
+  EXPECT_EQ(reg.Find(PolicyAxis::kShardPlacement, "hash shard"),
+            static_cast<int>(ShardPlacement::kHashShard));
+  EXPECT_EQ(reg.Find(PolicyAxis::kShardPlacement, "STRUCTURE-SHARD"),
+            static_cast<int>(ShardPlacement::kStructureShard));
+  EXPECT_FALSE(
+      reg.Find(PolicyAxis::kShardPlacement, "round_robin").has_value());
 
   const auto& names = reg.CanonicalNames(PolicyAxis::kShardPlacement);
   ASSERT_EQ(names.size(), 2u);

@@ -51,27 +51,6 @@ TEST(SimulatorTest, HandlersMayScheduleMoreEvents) {
   EXPECT_DOUBLE_EQ(sim.now(), 2.0);
 }
 
-TEST(SimulatorTest, RunUntilStopsAtBoundaryAndAdvancesClock) {
-  Simulator sim;
-  int fired = 0;
-  sim.Schedule(1.0, [&] { ++fired; });
-  sim.Schedule(5.0, [&] { ++fired; });
-  EXPECT_EQ(sim.RunUntil(2.5), 1u);
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(sim.now(), 2.5);
-  sim.Run();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(SimulatorTest, StepLimitsProcessing) {
-  Simulator sim;
-  int fired = 0;
-  for (int i = 0; i < 10; ++i) sim.Schedule(i, [&] { ++fired; });
-  EXPECT_EQ(sim.Step(4), 4u);
-  EXPECT_EQ(fired, 4);
-  EXPECT_FALSE(sim.Empty());
-}
-
 TEST(SimulatorTest, CountsProcessedEvents) {
   Simulator sim;
   for (int i = 0; i < 7; ++i) sim.Schedule(1.0, [] {});
@@ -98,7 +77,6 @@ TEST(EventCalendarTest, PopsInTimeThenSeqOrder) {
             });
   for (const EventCalendar::Entry& want : expect) {
     ASSERT_FALSE(cal.empty());
-    EXPECT_EQ(cal.Min().payload, want.payload);
     const EventCalendar::Entry got = cal.PopMin();
     EXPECT_EQ(got.time, want.time);
     EXPECT_EQ(got.seq, want.seq);
@@ -110,11 +88,11 @@ TEST(EventCalendarTest, PopsInTimeThenSeqOrder) {
 TEST(EventCalendarTest, EarlierPushRewindsCursor) {
   EventCalendar cal;
   cal.Push(1000.0, 0, 0);
-  EXPECT_EQ(cal.Min().payload, 0u);  // cursor now points far ahead
-  cal.Push(1.0, 1, 1);               // lands behind the cursor: rewind
-  EXPECT_EQ(cal.Min().payload, 1u);
+  cal.Push(1001.0, 2, 2);
+  EXPECT_EQ(cal.PopMin().payload, 0u);  // cursor now points far ahead
+  cal.Push(1.0, 1, 1);                  // lands behind the cursor: rewind
   EXPECT_EQ(cal.PopMin().payload, 1u);
-  EXPECT_EQ(cal.PopMin().payload, 0u);
+  EXPECT_EQ(cal.PopMin().payload, 2u);
   EXPECT_TRUE(cal.empty());
 }
 
@@ -504,9 +482,6 @@ TEST(ResourceTest, DeepQueueStaysFcfsWithNoStarvation) {
         << "job " << i;
   }
   EXPECT_EQ(res.completions(), static_cast<uint64_t>(kJobs));
-  // The deepest observed queue covers most of the population: the tail
-  // jobs really did wait behind hundreds of earlier arrivals.
-  EXPECT_GT(res.MeanQueueLength(), 1.0);
 }
 
 TEST(ResourceTest, ResidenceTimeIncludesQueueing) {

@@ -435,14 +435,12 @@ TEST(TraceSinkSpanLoadTest, ExemplarExportOverflowIsAccountedInTheTrace) {
   EXPECT_EQ(sink.dropped(), 20u);
   EXPECT_EQ(sink.Events().size(), 16u);
 
-  obs::TraceCollector& collector = obs::TraceCollector::Global();
-  collector.Reset();
+  obs::TraceCollector collector;
   collector.Collect(/*cell_index=*/0, "overflow-cell", sink);
   const std::string json = collector.ChromeTraceJson();
   EXPECT_NE(json.find("semclust_ring_dropped"), std::string::npos);
   EXPECT_NE(json.find("\"dropped\":20"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  collector.Reset();
 }
 
 }  // namespace

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -8,6 +9,12 @@ namespace oodb::store {
 namespace {
 
 // ---------------------------------------------------------------- page
+
+/// True if `id` has a slot on `page`.
+bool Holds(const Page& page, obj::ObjectId id) {
+  return std::any_of(page.slots().begin(), page.slots().end(),
+                     [id](const Slot& s) { return s.object == id; });
+}
 
 TEST(PageTest, InsertTracksSpace) {
   Page p(100);
@@ -23,7 +30,7 @@ TEST(PageTest, RejectsOverflowWithoutModification) {
   EXPECT_TRUE(p.Insert(1, 80));
   EXPECT_FALSE(p.Insert(2, 30));
   EXPECT_EQ(p.used_bytes(), 80u);
-  EXPECT_FALSE(p.Contains(2));
+  EXPECT_FALSE(Holds(p, 2));
 }
 
 TEST(PageTest, ExactFitAccepted) {
@@ -38,20 +45,9 @@ TEST(PageTest, RemoveReclaimsSpace) {
   p.Insert(2, 30);
   EXPECT_TRUE(p.Remove(1));
   EXPECT_EQ(p.used_bytes(), 30u);
-  EXPECT_FALSE(p.Contains(1));
-  EXPECT_TRUE(p.Contains(2));
+  EXPECT_FALSE(Holds(p, 1));
+  EXPECT_TRUE(Holds(p, 2));
   EXPECT_FALSE(p.Remove(1));  // already gone
-}
-
-TEST(PageTest, ResizeObjectRespectsCapacity) {
-  Page p(100);
-  p.Insert(1, 40);
-  p.Insert(2, 30);
-  EXPECT_TRUE(p.ResizeObject(1, 60));
-  EXPECT_EQ(p.used_bytes(), 90u);
-  EXPECT_FALSE(p.ResizeObject(1, 80));  // 80+30 > 100
-  EXPECT_EQ(p.used_bytes(), 90u);       // unchanged on failure
-  EXPECT_FALSE(p.ResizeObject(99, 10)); // absent object
 }
 
 // --------------------------------------------------------- storage manager
@@ -106,8 +102,8 @@ TEST_F(StorageManagerTest, RelocateMovesBetweenPages) {
   ASSERT_TRUE(store_.Place(1, 100, a).ok());
   ASSERT_TRUE(store_.Relocate(1, b).ok());
   EXPECT_EQ(store_.PageOf(1), b);
-  EXPECT_FALSE(store_.page(a).Contains(1));
-  EXPECT_TRUE(store_.page(b).Contains(1));
+  EXPECT_FALSE(Holds(store_.page(a), 1));
+  EXPECT_TRUE(Holds(store_.page(b), 1));
   EXPECT_EQ(store_.used_bytes(), 100u);  // unchanged by a move
 }
 
@@ -134,24 +130,6 @@ TEST_F(StorageManagerTest, EraseFreesSpaceAndDirectory) {
   EXPECT_FALSE(store_.IsPlaced(1));
   EXPECT_EQ(store_.used_bytes(), 0u);
   EXPECT_EQ(store_.Erase(1).code(), StatusCode::kNotFound);
-}
-
-TEST_F(StorageManagerTest, ResizeInPlace) {
-  PageId a = store_.AllocatePage();
-  ASSERT_TRUE(store_.Place(1, 100, a).ok());
-  ASSERT_TRUE(store_.ResizeInPlace(1, 300).ok());
-  EXPECT_EQ(store_.SizeOf(1), 300u);
-  EXPECT_EQ(store_.used_bytes(), 300u);
-  ASSERT_TRUE(store_.Place(2, 650, a).ok());
-  EXPECT_EQ(store_.ResizeInPlace(1, 400).code(),
-            StatusCode::kResourceExhausted);
-}
-
-TEST_F(StorageManagerTest, OccupancyIgnoresEmptyPages) {
-  PageId a = store_.AllocatePage();
-  store_.AllocatePage();  // stays empty
-  ASSERT_TRUE(store_.Place(1, 500, a).ok());
-  EXPECT_DOUBLE_EQ(store_.MeanOccupancy(), 0.5);
 }
 
 TEST_F(StorageManagerTest, UnknownObjectUnplaced) {

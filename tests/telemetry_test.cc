@@ -1,7 +1,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -28,6 +30,15 @@
 namespace oodb {
 namespace {
 
+/// A sample's delta of counter `name`; nullopt when the name is absent.
+std::optional<uint64_t> CounterDelta(const obs::TimeSeriesSample& sample,
+                                     std::string_view name) {
+  for (const auto& [n, v] : sample.counter_deltas) {
+    if (n == name) return v;
+  }
+  return std::nullopt;
+}
+
 // ------------------------------------------------------ sampler mechanics
 
 TEST(TimeSeriesSamplerTest, DeltasBetweenSamplesNotCumulatives) {
@@ -47,11 +58,11 @@ TEST(TimeSeriesSamplerTest, DeltasBetweenSamplesNotCumulatives) {
   EXPECT_DOUBLE_EQ(series.samples[0].sim_time_s, 20.0);
   EXPECT_EQ(series.samples[0].epoch, 0u);
   EXPECT_TRUE(series.samples[0].epoch_boundary);
-  EXPECT_EQ(series.samples[0].counter_delta("c"), 5u);
+  EXPECT_EQ(CounterDelta(series.samples[0], "c"), 5u);
   EXPECT_DOUBLE_EQ(series.samples[1].sim_time_s, 30.0);
   EXPECT_EQ(series.samples[1].epoch, 1u);
   EXPECT_TRUE(series.samples[1].epoch_boundary);
-  EXPECT_EQ(series.samples[1].counter_delta("c"), 7u);
+  EXPECT_EQ(CounterDelta(series.samples[1], "c"), 7u);
 }
 
 TEST(TimeSeriesSamplerTest, ZeroDeltasKeepTheKeySet) {
@@ -61,7 +72,7 @@ TEST(TimeSeriesSamplerTest, ZeroDeltasKeepTheKeySet) {
   sampler.StartMeasurement(0.0);
   sampler.SampleFinal(1.0, 0);
   ASSERT_EQ(sampler.series().samples.size(), 1u);
-  EXPECT_EQ(sampler.series().samples[0].counter_delta("idle"), 0u);
+  EXPECT_EQ(CounterDelta(sampler.series().samples[0], "idle"), 0u);
 }
 
 TEST(TimeSeriesSamplerTest, CounterRegisteredMidSeriesDeltasFromZero) {
@@ -71,8 +82,8 @@ TEST(TimeSeriesSamplerTest, CounterRegisteredMidSeriesDeltasFromZero) {
   const obs::CounterHandle late = reg.Counter("late");
   reg.Add(late, 3);
   sampler.SampleFinal(1.0, 0);
-  EXPECT_EQ(sampler.series().samples[0].counter_delta("late"), 3u);
-  EXPECT_EQ(sampler.series().samples[0].counter_delta("nonesuch"),
+  EXPECT_EQ(CounterDelta(sampler.series().samples[0], "late"), 3u);
+  EXPECT_EQ(CounterDelta(sampler.series().samples[0], "nonesuch"),
             std::nullopt);
 }
 
@@ -95,8 +106,8 @@ TEST(TimeSeriesSamplerTest, PreSampleHookSyncsMirroredCounters) {
 
   const auto& samples = sampler.series().samples;
   ASSERT_EQ(samples.size(), 2u);
-  EXPECT_EQ(samples[0].counter_delta("mirror"), 42u);
-  EXPECT_EQ(samples[1].counter_delta("mirror"), 8u);
+  EXPECT_EQ(CounterDelta(samples[0], "mirror"), 42u);
+  EXPECT_EQ(CounterDelta(samples[1], "mirror"), 8u);
 }
 
 TEST(TimeSeriesSamplerTest, GaugesAreLevelsNotFlows) {
@@ -135,28 +146,6 @@ TEST(TimeSeriesSamplerTest, IntervalScheduleCatchesUpWithoutBackfill) {
   EXPECT_DOUBLE_EQ(sampler.series().samples[1].sim_time_s, 47.0);
   sampler.Poll(50.0, 0);  // next boundary after 47 is 50
   EXPECT_EQ(sampler.series().samples.size(), 3u);
-}
-
-TEST(TimeSeriesTest, MergeFromSumsDeltasByIndex) {
-  obs::MetricsRegistry reg_a;
-  const obs::CounterHandle ca = reg_a.Counter("c");
-  obs::TimeSeriesSampler a(&reg_a, 0);
-  a.StartMeasurement(0.0);
-  reg_a.Add(ca, 5);
-  a.SampleFinal(10.0, 0);
-
-  obs::MetricsRegistry reg_b;
-  const obs::CounterHandle cb = reg_b.Counter("c");
-  obs::TimeSeriesSampler b(&reg_b, 0);
-  b.StartMeasurement(0.0);
-  reg_b.Add(cb, 7);
-  b.SampleFinal(20.0, 0);
-
-  obs::TimeSeries merged = a.series();
-  merged.MergeFrom(b.series());
-  ASSERT_EQ(merged.samples.size(), 1u);
-  EXPECT_EQ(merged.samples[0].counter_delta("c"), 12u);
-  EXPECT_DOUBLE_EQ(merged.samples[0].sim_time_s, 20.0);  // max over cells
 }
 
 // ------------------------------------------------------ placement auditor
@@ -292,48 +281,6 @@ TEST_F(PlacementAuditorTest, ChurnEmptiedPagesKeepRatiosFinite) {
   EXPECT_EQ(json.find("nan"), std::string::npos) << json;
   EXPECT_EQ(json.find("inf"), std::string::npos) << json;
   EXPECT_NE(json.find("\"empty_pages\":2"), std::string::npos) << json;
-}
-
-TEST(PlacementSampleTest, MergeOfEmptySamplesStaysFinite) {
-  // Cross-cell folds can merge samples from cells whose placement churned
-  // down to nothing; the re-weighted means must not divide by zero.
-  obs::PlacementSample empty_a, empty_b;
-  empty_a.pages = 2;
-  empty_a.empty_pages = 2;
-  empty_a.MergeFrom(empty_b);
-  EXPECT_DOUBLE_EQ(empty_a.mean_occupancy, 0.0);
-  EXPECT_DOUBLE_EQ(empty_a.mean_type_fragmentation, 0.0);
-  EXPECT_EQ(empty_a.empty_pages, 2u);
-  EXPECT_EQ(empty_a.ColocatedFraction(), std::nullopt);
-
-  // Empty folded into populated leaves the populated means untouched.
-  obs::PlacementSample full;
-  full.nonempty_pages = 4;
-  full.mean_occupancy = 0.75;
-  full.types_audited = 2;
-  full.mean_type_fragmentation = 1.5;
-  full.MergeFrom(empty_a);
-  EXPECT_DOUBLE_EQ(full.mean_occupancy, 0.75);
-  EXPECT_DOUBLE_EQ(full.mean_type_fragmentation, 1.5);
-  EXPECT_EQ(full.empty_pages, 2u);
-  EXPECT_EQ(full.ToJson().find("nan"), std::string::npos);
-}
-
-TEST(PlacementSampleTest, MergeReweightsMeansByPopulation) {
-  obs::PlacementSample x;
-  x.nonempty_pages = 1;
-  x.mean_occupancy = 0.5;
-  x.edges = 4;
-  x.colocated = 1;
-  obs::PlacementSample y;
-  y.nonempty_pages = 3;
-  y.mean_occupancy = 0.9;
-  y.edges = 4;
-  y.colocated = 3;
-  x.MergeFrom(y);
-  EXPECT_EQ(x.nonempty_pages, 4u);
-  EXPECT_DOUBLE_EQ(x.mean_occupancy, (0.5 * 1 + 0.9 * 3) / 4);
-  EXPECT_DOUBLE_EQ(*x.ColocatedFraction(), 0.5);
 }
 
 // ------------------------------------------- placement auditor vs oracle
@@ -800,7 +747,7 @@ TEST(PlacementAuditorOracleTest, BuiltOctDatabase) {
   // DbBuilder databases carry what AuditWorld does not: instance
   // inheritance, correspondences, version chains and plan-sized edge runs.
   // Each is audited as built, after the static reorganisation an oct_dyn
-  // cell runs, and after churn has deleted objects and edges.
+  // cell runs, and after churn has deleted objects and their edges.
   for (const cluster::CandidatePool pool :
        {cluster::CandidatePool::kNoClustering,
         cluster::CandidatePool::kWithinDb}) {
@@ -838,14 +785,6 @@ TEST(PlacementAuditorOracleTest, BuiltOctDatabase) {
         ASSERT_TRUE(storage.Erase(id).ok());
       }
     }
-    for (obj::ObjectId id = 0; id < num_objects; ++id) {
-      if (!graph.IsLive(id) || graph.EdgeCount(id) == 0 ||
-          !rng.Bernoulli(0.1)) {
-        continue;
-      }
-      const obj::Edge e = graph.edges(id)[0];
-      if (e.dir == obj::Direction::kDown) graph.Unrelate(id, e.target, e.kind);
-    }
     const obs::PlacementSample churned = expect_oracle();
     EXPECT_LT(churned.live_objects, built.live_objects);
     EXPECT_LT(churned.edges, built.edges);
@@ -878,9 +817,9 @@ TEST(ModelTelemetryTest, EpochBoundariesAlignWithResponseEpochs) {
       EXPECT_GE(s.sim_time_s, r.series.samples[i - 1].sim_time_s);
     }
     // Each epoch window saw exactly its share of the measured phase.
-    ASSERT_TRUE(s.counter_delta("core.txns").has_value());
-    EXPECT_EQ(*s.counter_delta("core.txns"), r.response_epochs[i].count());
-    txns += *s.counter_delta("core.txns");
+    ASSERT_TRUE(CounterDelta(s, "core.txns").has_value());
+    EXPECT_EQ(*CounterDelta(s, "core.txns"), r.response_epochs[i].count());
+    txns += *CounterDelta(s, "core.txns");
     ASSERT_TRUE(s.placement.has_value());
     EXPECT_GT(s.placement->live_objects, 0u);
     EXPECT_GT(s.placement->edges, 0u);
@@ -899,7 +838,7 @@ TEST(ModelTelemetryTest, IntervalSamplingAddsMidEpochSamples) {
   uint64_t txns = 0;
   for (const obs::TimeSeriesSample& s : r.series.samples) {
     if (!s.epoch_boundary) ++interval_samples;
-    txns += s.counter_delta("core.txns").value_or(0);
+    txns += CounterDelta(s, "core.txns").value_or(0);
   }
   EXPECT_GT(interval_samples, 0u);
   EXPECT_TRUE(r.series.samples.back().epoch_boundary);
@@ -938,8 +877,6 @@ TEST(ModelTelemetryTest, SeriesBitIdenticalAcrossJobCounts) {
     ASSERT_FALSE(o1[i].result.series.empty());
     EXPECT_EQ(o1[i].result.series.ToJson(), o4[i].result.series.ToJson());
   }
-  EXPECT_EQ(exec::ExperimentRunner::MergeSeries(o1).ToJson(),
-            exec::ExperimentRunner::MergeSeries(o4).ToJson());
 
   // The full JSONL record (wall-clock zeroed) is byte-identical too.
   const core::BenchReport report("telemetry_test");
@@ -998,11 +935,11 @@ TEST(ModelTelemetryTest, EpochDeltasPartitionTxnsExactlyAcrossReorgBurst) {
     const obs::TimeSeriesSample& s = r.series.samples[i];
     EXPECT_TRUE(s.epoch_boundary);
     EXPECT_EQ(s.epoch, static_cast<uint32_t>(i));
-    ASSERT_TRUE(s.counter_delta("core.txns").has_value());
-    EXPECT_EQ(*s.counter_delta("core.txns"), r.response_epochs[i].count());
-    txns += *s.counter_delta("core.txns");
+    ASSERT_TRUE(CounterDelta(s, "core.txns").has_value());
+    EXPECT_EQ(*CounterDelta(s, "core.txns"), r.response_epochs[i].count());
+    txns += *CounterDelta(s, "core.txns");
     // Move counts are per-window flows too: they sum to the run total.
-    moved += s.counter_delta("dyn.objects_moved").value_or(0);
+    moved += CounterDelta(s, "dyn.objects_moved").value_or(0);
     ASSERT_TRUE(s.placement.has_value());
     EXPECT_GT(s.placement->live_objects, 0u);
   }

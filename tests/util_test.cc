@@ -136,14 +136,6 @@ TEST(RngTest, ZipfSkewFavoursLowIndices) {
   EXPECT_GT(counts[0], counts[99] * 5);
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng a(21);
-  Rng b = a.Fork();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) same += (a.NextU64() == b.NextU64());
-  EXPECT_LT(same, 3);
-}
-
 // ------------------------------------------------------------ SplitMix64
 //
 // The OCB database generator derives every generation stream from
@@ -198,18 +190,11 @@ TEST(SplitMix64Test, GaussianScalesMeanAndStddev) {
 TEST(SplitMix64Test, ZipfExactSequence) {
   SplitMix64 s(9);
   const uint64_t expected[] = {34, 44, 5, 50, 5, 0, 30, 95, 4, 50};
-  for (uint64_t e : expected) EXPECT_EQ(s.Zipf(100, 0.8), e);
+  const ZipfTransform zipf(100, 0.8);
+  for (uint64_t e : expected) EXPECT_EQ(zipf.Sample(s), e);
 }
 
-TEST(SplitMix64Test, ZipfSkewFavoursLowIndices) {
-  SplitMix64 s(17);
-  std::vector<int> counts(100, 0);
-  for (int i = 0; i < 100000; ++i) ++counts[s.Zipf(100, 0.8)];
-  EXPECT_GT(counts[0], counts[50] * 5);
-  EXPECT_GT(counts[0], counts[99] * 5);
-}
-
-// Gray et al.'s mapping as Rng::Zipf and SplitMix64::Zipf computed it
+// Gray et al.'s mapping as Rng::Zipf computed it
 // when every draw recomputed the (n, theta) constants: the reference
 // ZipfTransform must reproduce bit for bit. `branch` reports which return
 // the draw took (0, 1, or 2 for the pow branch).
@@ -276,12 +261,11 @@ TEST(ZipfTransformTest, MatchesPerDrawFormulaBitForBit) {
 
 TEST(ZipfTransformTest, AlternatingTransformsShareNoState) {
   // Two transforms drawing alternately from one stream give, draw for
-  // draw, the reference mapping and the one-shot Zipf of the same stream.
+  // draw, the reference mapping of the same stream.
   const ZipfTransform a(6000, 0.6);
   const ZipfTransform b(100, 0.99);
   SplitMix64 shared(31);
   SplitMix64 reference(31);
-  SplitMix64 one_shot(31);
   for (int i = 0; i < 2000; ++i) {
     const bool use_a = i % 2 == 0;
     const ZipfTransform& zipf = use_a ? a : b;
@@ -289,7 +273,6 @@ TEST(ZipfTransformTest, AlternatingTransformsShareNoState) {
     const uint64_t want = ReferenceZipf(reference.NextDouble(), zipf.n(),
                                         zipf.theta(), &branch);
     ASSERT_EQ(zipf.Sample(shared), want) << i;
-    ASSERT_EQ(one_shot.Zipf(zipf.n(), zipf.theta()), want) << i;
   }
 }
 
@@ -345,45 +328,13 @@ TEST(StreamingStatsTest, KnownMoments) {
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(x);
   EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.Mean(), 5.0);
-  EXPECT_NEAR(s.Variance(), 32.0 / 7.0, 1e-12);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(StreamingStatsTest, MergeEqualsSingleStream) {
-  Rng rng(31);
-  StreamingStats whole, a, b;
-  for (int i = 0; i < 1000; ++i) {
-    double x = rng.NextDouble();
-    whole.Add(x);
-    (i % 2 ? a : b).Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.Mean(), whole.Mean(), 1e-12);
-  EXPECT_NEAR(a.Variance(), whole.Variance(), 1e-9);
 }
 
 TEST(StreamingStatsTest, EmptyIsSafe) {
   StreamingStats s;
   EXPECT_EQ(s.Mean(), 0.0);
-  EXPECT_EQ(s.Variance(), 0.0);
-}
-
-TEST(HistogramTest, QuantilesOfUniformData) {
-  Histogram h(0, 100, 100);
-  for (int i = 0; i < 100; ++i) h.Add(i + 0.5);
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.Quantile(0.9), 90.0, 1.5);
-}
-
-TEST(HistogramTest, BucketFractions) {
-  Histogram h(0, 10, 2);
-  h.Add(1);
-  h.Add(2);
-  h.Add(7);
-  EXPECT_NEAR(h.BucketFraction(0), 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(h.BucketFraction(1), 1.0 / 3.0, 1e-12);
 }
 
 TEST(TimeWeightedStatsTest, PiecewiseConstantMean) {
@@ -454,9 +405,9 @@ TEST(JsonWriterTest, EscapesKeysToo) {
 TEST(JsonWriterTest, ArrayElementsAndTypes) {
   JsonArrayWriter a;
   EXPECT_TRUE(a.empty());
-  a.Add(1.5).Add(uint64_t{7}).Add("x\"y").AddRaw("[2]");
+  a.Add(1.5).Add(uint64_t{7}).AddRaw("[2]");
   EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a.str(), "[1.5,7,\"x\\\"y\",[2]]");
+  EXPECT_EQ(a.str(), "[1.5,7,[2]]");
 }
 
 TEST(JsonWriterTest, DeepNestingViaRaw) {
