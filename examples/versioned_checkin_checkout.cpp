@@ -91,9 +91,12 @@ int main() {
               re.relocated ? "moved CTRL next to the ALU versions"
                            : "kept CTRL in place (gain below threshold)");
 
+  // The version chain is the version-history path from the first version.
   std::printf("\nversion chain of ALU: ");
-  for (obj::ObjectId v : graph.FamilyMembers(alu_f)) {
+  for (obj::ObjectId v = alu; v != obj::kInvalidObject;) {
     std::printf("%s ", graph.NameOf(v).ToString().c_str());
+    const std::vector<obj::ObjectId> next = graph.Descendants(v);
+    v = next.empty() ? obj::kInvalidObject : next.front();
   }
   std::printf("\n");
   return 0;

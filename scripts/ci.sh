@@ -60,14 +60,18 @@ strip_wall() { sed -E 's/"elapsed_wall_s":[^,}]+//' "$1"; }
 # renamed fields fail. bench_diff flattens records, so a reordered key or
 # 0 vs 0.0 would pass it: the records must also match byte for byte, with
 # only the host wall-clock field stripped. semclust_run exits 1 when an
-# expect claim deviates, which fails the check too.
+# expect claim deviates, which fails the check too. Each run's closing
+# "[exec] ... wall, peak RSS" stderr line is echoed as information only.
 check_baseline() {
   local build="$1" name="$2" baseline="${ROOT}/$3" out="$1/$2"
   for jobs in 1 4; do
     rm -f "${out}_jobs${jobs}.json"
     "${build}/tools/semclust_run" --jobs "${jobs}" \
       --json "${out}_jobs${jobs}.json" "${SCENARIOS}/${name}.scenario.json" \
-      > "${out}_jobs${jobs}.out"
+      > "${out}_jobs${jobs}.out" 2> "${out}_jobs${jobs}.err" \
+      || { cat "${out}_jobs${jobs}.err" >&2; fail "${name} at jobs=${jobs}" \
+             "in ${build} exited non-zero"; }
+    echo "${name} (${build##*/}): $(grep '^\[exec\]' "${out}_jobs${jobs}.err")"
   done
   diff "${out}_jobs1.out" "${out}_jobs4.out" \
     || fail "${name} tables differ between job counts in ${build}"
@@ -139,6 +143,22 @@ probe think_time_zero '{"name": "p", "config": {"think_time_s": 0}}'
 probe append_fill_above_one '{"name": "p", "config":
   {"append_fill_fraction": 1.5}}'
 probe page_below_object '{"name": "p", "config": {"page_size_bytes": 1000}}'
+# Time knobs past 2^32 disk page service times, where the simulated clock
+# can no longer add a disk service time (a 1e300 s think time used to run
+# to a mean response of 0.0 ms).
+probe think_time_huge '{"name": "p", "config": {"think_time_s": 1e300}}'
+probe telemetry_interval_huge '{"name": "p", "config":
+  {"telemetry_interval_s": 1e300}}'
+probe shard_hop_latency_huge '{"name": "p", "config":
+  {"shards": 2, "shard_hop_latency_s": 1e300}}'
+probe cc_lock_timeout_huge '{"name": "p", "config":
+  {"concurrency": {"enabled": true, "cc_lock_timeout_s": 1e300}}}'
+probe cc_backoff_base_huge '{"name": "p", "config": {"concurrency":
+  {"enabled": true, "cc_backoff_base_s": 1e300, "cc_backoff_cap_s": 1e301}}}'
+probe cc_backoff_cap_huge '{"name": "p", "config":
+  {"concurrency": {"enabled": true, "cc_backoff_cap_s": 1e300}}}'
+probe arrival_rate_tiny '{"name": "p", "config":
+  {"arrival": "open", "arrival_rate_tps": 1e-300}}'
 probe ocb_uint32_overflow '{"name": "p", "config": {"workload":
   {"kind": "ocb", "base_object_bytes": 4294967456}}}'
 probe exponent '{"name": "p", "config": {"seed": 1e400}}'

@@ -67,6 +67,9 @@ class BuildPlacer {
   template <typename ReadFn>
   void Place(obj::ObjectId first, size_t count, ReadFn&& read);
 
+  /// Sizes the storage directory once for object ids below `objects`.
+  void Reserve(size_t objects) { cluster_->ReserveObjects(objects); }
+
   /// Largest capacity any batch buffer of the placer has reached.
   size_t buffer_capacity() const {
     return std::max(sizes_.capacity(), runs_.capacity());

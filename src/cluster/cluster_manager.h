@@ -102,6 +102,9 @@ class ClusterManager {
   const ClusterConfig& config() const { return config_; }
   const ClusterStats& stats() const { return stats_; }
   const store::StorageManager& storage() const { return *storage_; }
+  /// Sizes the storage directory once for object ids below `objects`
+  /// (StorageManager::ReserveObjects).
+  void ReserveObjects(size_t objects) { storage_->ReserveObjects(objects); }
   void ResetStats() { stats_ = ClusterStats{}; }
 
   /// Attaches an event sink (may be null). Every placement/reclustering

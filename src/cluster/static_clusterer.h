@@ -49,7 +49,8 @@ class StaticClusterer {
   /// Repacks every placed object: walks the object graph in
   /// affinity-greedy order (each cluster seed expands along its heaviest
   /// edges first) and assigns objects to fresh pages in that order.
-  /// The storage manager's old pages are left empty.
+  /// The storage manager's old pages are left empty, and a page every
+  /// record left keeps no slot storage (StorageManager::RelocateToNewPages).
   ReorganizationReport Reorganize();
 
   /// The affinity-greedy visit order (exposed for tests).

@@ -1,6 +1,7 @@
 #include "core/model_config.h"
 
 #include <cmath>
+#include <cstdio>
 #include <string>
 
 namespace oodb::core {
@@ -17,6 +18,32 @@ Status Invalid(const std::string& what) {
 // unbounded value would end in an out-of-memory abort, not an error.
 constexpr int kMaxUsers = 100000;
 constexpr size_t kMaxBufferPages = size_t{1} << 22;
+
+// The longest simulated time a knob may set, in disk page service times.
+// The simulated clock is a double in seconds, and a clock this far along
+// still resolves a disk service time to 2^-20 of itself; far beyond it,
+// adding one no longer changes the clock, and response times read 0.
+constexpr double kMaxServiceTimesPerKnob = 4294967296.0;  // 2^32
+
+// `value` in %g form: a time knob may be far too large for std::to_string.
+std::string Short(double value) {
+  char text[32];
+  std::snprintf(text, sizeof(text), "%g", value);
+  return text;
+}
+
+// Checks a time knob: > 0 (or >= 0 when `zero_ok`) and at most `limit`
+// seconds, so NaN and infinity fail too.
+Status CheckTime(const std::string& field, double value, bool zero_ok,
+                 double limit, const std::string& meaning) {
+  const bool above_floor = zero_ok ? value >= 0 : value > 0;
+  if (above_floor && value <= limit) return Status::Ok();
+  return Invalid(field + " is " + Short(value) + "; " + meaning +
+                 ", which must be " + (zero_ok ? ">= 0" : "> 0") +
+                 " and at most " + Short(limit) +
+                 " s (2^32 disk page service times: the simulated clock "
+                 "must still add a disk service time after it)");
+}
 
 }  // namespace
 
@@ -94,11 +121,16 @@ Status ModelConfig::Validate() const {
                    "; the read/write ratio is reads per write and must be "
                    "> 0");
   }
-  if (arrival == ArrivalProcess::kClosed &&
-      (!(think_time_s > 0) || std::isinf(think_time_s))) {
-    return Invalid("think_time_s is " + std::to_string(think_time_s) +
-                   "; closed-loop users wait an exponential think time of "
-                   "this mean, which must be a finite number > 0");
+  const double service_s = disk.PageServiceTime(page_size_bytes);
+  if (!(service_s > 0) || std::isinf(service_s)) {
+    return Invalid("disk page service time is " + Short(service_s) +
+                   " s; the disk parameters must give a finite time > 0");
+  }
+  const double max_time_s = kMaxServiceTimesPerKnob * service_s;
+  if (arrival == ArrivalProcess::kClosed) {
+    OODB_RETURN_IF_ERROR(CheckTime(
+        "think_time_s", think_time_s, false, max_time_s,
+        "closed-loop users wait an exponential think time of this mean"));
   }
   if (measured_transactions <= 0) {
     return Invalid("measured_transactions is " +
@@ -117,12 +149,9 @@ Status ModelConfig::Validate() const {
                    "; the measured phase is split into >= 1 epochs "
                    "(1 disables the per-epoch breakdown)");
   }
-  if (!(telemetry_interval_s >= 0) || std::isinf(telemetry_interval_s)) {
-    return Invalid("telemetry_interval_s is " +
-                   std::to_string(telemetry_interval_s) +
-                   "; the sampling interval must be a finite number >= 0 "
-                   "(0 samples at epoch boundaries only)");
-  }
+  OODB_RETURN_IF_ERROR(CheckTime(
+      "telemetry_interval_s", telemetry_interval_s, true, max_time_s,
+      "the sampling interval (0 samples at epoch boundaries only)"));
   if (span_exemplars < 0) {
     return Invalid("span_exemplars is " + std::to_string(span_exemplars) +
                    "; the slow-transaction reservoir size must be >= 0 "
@@ -133,11 +162,9 @@ Status ModelConfig::Validate() const {
                    "; the model supports 1 to 64 shards (1 is the single "
                    "server, the exact pre-sharding behaviour)");
   }
-  if (!(shard_hop_latency_s >= 0)) {
-    return Invalid("shard_hop_latency_s is " +
-                   std::to_string(shard_hop_latency_s) +
-                   "; the cross-shard hop latency must be >= 0");
-  }
+  OODB_RETURN_IF_ERROR(CheckTime("shard_hop_latency_s", shard_hop_latency_s,
+                                 true, max_time_s,
+                                 "the cross-shard hop latency"));
   if (shard_group_cap < 1) {
     return Invalid("shard_group_cap is " + std::to_string(shard_group_cap) +
                    "; Structure_Shard groups must hold at least one object");
@@ -151,15 +178,30 @@ Status ModelConfig::Validate() const {
   if (const Status cc_status = cc.Validate(); !cc_status.ok()) {
     return Invalid(cc_status.message());
   }
+  if (cc.enabled) {
+    OODB_RETURN_IF_ERROR(CheckTime("cc_lock_timeout_s", cc.lock_timeout_s,
+                                   false, max_time_s,
+                                   "a lock wait times out after this long"));
+    OODB_RETURN_IF_ERROR(CheckTime("cc_backoff_base_s", cc.backoff_base_s,
+                                   false, max_time_s,
+                                   "the first retry backs off this long"));
+    OODB_RETURN_IF_ERROR(CheckTime("cc_backoff_cap_s", cc.backoff_cap_s,
+                                   false, max_time_s,
+                                   "no retry backs off longer than this"));
+  }
   if (cc.enabled && shards > 1) {
     return Invalid(
         "shards > 1 with the concurrency-control subsystem enabled; the "
         "rollback path maps logged pages back through the single server's "
         "components and is not shard-aware yet — run cc with shards = 1");
   }
-  if (arrival == ArrivalProcess::kOpen && !(arrival_rate_tps > 0)) {
-    return Invalid("arrival_rate_tps is " + std::to_string(arrival_rate_tps) +
-                   "; open Poisson arrivals need a positive mean rate");
+  if (arrival == ArrivalProcess::kOpen &&
+      (!(arrival_rate_tps >= 1 / max_time_s) ||
+       std::isinf(arrival_rate_tps))) {
+    return Invalid("arrival_rate_tps is " + Short(arrival_rate_tps) +
+                   "; open Poisson arrivals need a finite mean rate whose "
+                   "mean interarrival time, 1 / rate, is at most " +
+                   Short(max_time_s) + " s (2^32 disk page service times)");
   }
   for (size_t i = 0; i < rw_ratio_schedule.size(); ++i) {
     if (!(rw_ratio_schedule[i] > 0)) {

@@ -65,7 +65,9 @@ ServerContext::ServerContext(ModelConfig model_config)
     spec.seed = config.seed ^ 0xDBDBDB;
     workload::DbBuilder builder(graph.get(), cluster.get(), buffer.get(),
                                 spec);
-    db = builder.Build(types);
+    db = builder.Build(types, static_cast<uint64_t>(
+                                  config.warmup_transactions +
+                                  config.measured_transactions));
   }
   OODB_CHECK(!db.modules.empty());
 

@@ -32,8 +32,7 @@ IoSubsystem::IoSubsystem(sim::Simulator& sim, int num_disks,
 }
 
 double IoSubsystem::PageServiceTime() const {
-  return params_.avg_seek_s + params_.avg_rotation_s +
-         static_cast<double>(page_size_) / params_.transfer_rate_bytes_per_s;
+  return params_.PageServiceTime(page_size_);
 }
 
 sim::Task IoSubsystem::Read(store::PageId page, IoCategory category) {

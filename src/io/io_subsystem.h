@@ -30,6 +30,13 @@ struct DiskParams {
   double avg_rotation_s = 0.0083;
   double transfer_rate_bytes_per_s = 1.8e6;
 
+  /// Service time of one page of `page_size_bytes`: seek, rotation and
+  /// transfer.
+  double PageServiceTime(uint32_t page_size_bytes) const {
+    return avg_seek_s + avg_rotation_s +
+           static_cast<double>(page_size_bytes) / transfer_rate_bytes_per_s;
+  }
+
   friend bool operator==(const DiskParams&, const DiskParams&) = default;
 };
 

@@ -4,10 +4,18 @@
 
 namespace oodb::obj {
 
-FamilyId ObjectGraph::NewFamily(std::string name, size_t expected_members) {
+FamilyId ObjectGraph::NewFamily(std::string name) {
   family_names_.push_back(std::move(name));
-  family_members_.emplace_back().reserve(expected_members);
   return static_cast<FamilyId>(family_names_.size() - 1);
+}
+
+void ObjectGraph::Reserve(size_t objects, size_t edge_slots,
+                          size_t families) {
+  family_names_.reserve(family_names_.size() + families);
+  objects_.reserve(objects_.size() + objects);
+  runs_.reserve(runs_.size() + objects);
+  edge_target_.reserve(edge_target_.size() + edge_slots);
+  edge_meta_.reserve(edge_meta_.size() + edge_slots);
 }
 
 ObjectId ObjectGraph::Create(FamilyId family, uint16_t version, TypeId type,
@@ -26,7 +34,6 @@ ObjectId ObjectGraph::Create(FamilyId family, uint16_t version, TypeId type,
   edge_target_.resize(offset + edge_capacity);
   edge_meta_.resize(offset + edge_capacity);
   const auto id = static_cast<ObjectId>(objects_.size() - 1);
-  family_members_[family].push_back(id);
   ++live_count_;
   return id;
 }
@@ -103,9 +110,6 @@ void ObjectGraph::Remove(ObjectId id) {
   }
   r.count = 0;
   o.deleted = true;
-  auto& members = family_members_[o.family];
-  members.erase(std::remove(members.begin(), members.end(), id),
-                members.end());
   --live_count_;
 }
 
@@ -120,12 +124,6 @@ std::vector<ObjectId> ObjectGraph::Neighbors(ObjectId id, RelKind kind,
   std::vector<ObjectId> out;
   ForEachNeighbor(id, kind, dir, [&](ObjectId t) { out.push_back(t); });
   return out;
-}
-
-const std::vector<ObjectId>& ObjectGraph::FamilyMembers(
-    FamilyId family) const {
-  OODB_CHECK_LT(family, family_members_.size());
-  return family_members_[family];
 }
 
 }  // namespace oodb::obj

@@ -108,10 +108,14 @@ class ObjectGraph {
   ObjectGraph(const ObjectGraph&) = delete;
   ObjectGraph& operator=(const ObjectGraph&) = delete;
 
-  /// Registers an object-name family and returns its id. A builder that
-  /// knows how many objects the family will get passes it as
-  /// `expected_members`, so the member list is sized once.
-  FamilyId NewFamily(std::string name, size_t expected_members = 0);
+  /// Registers an object-name family and returns its id.
+  FamilyId NewFamily(std::string name);
+
+  /// Sizes the columns once for `objects` more objects, `edge_slots` more
+  /// edge slots and `families` more families, so a build that stays
+  /// within all three never reallocates them; one that outgrows any grows
+  /// it geometrically.
+  void Reserve(size_t objects, size_t edge_slots, size_t families);
 
   /// Creates an object `family[version].type` of the given size. A
   /// builder that knows the object's final degree passes it as
@@ -159,6 +163,11 @@ class ObjectGraph {
     OODB_CHECK_LT(id, runs_.size());
     return runs_[id].capacity;
   }
+
+  /// Objects the object columns hold before they reallocate.
+  size_t object_capacity() const { return objects_.capacity(); }
+  /// Edge slots the edge arenas hold before they reallocate.
+  size_t edge_slot_capacity() const { return edge_target_.capacity(); }
 
   /// External name triple, e.g. "ALU[2].layout".
   VersionedName NameOf(ObjectId id) const;
@@ -228,9 +237,6 @@ class ObjectGraph {
     return Neighbors(id, RelKind::kInstanceInheritance, Direction::kUp);
   }
 
-  /// Live objects of a family, in creation order.
-  const std::vector<ObjectId>& FamilyMembers(FamilyId family) const;
-
   const TypeLattice& lattice() const { return *lattice_; }
   const std::string& family_name(FamilyId id) const {
     OODB_CHECK_LT(id, family_names_.size());
@@ -268,7 +274,6 @@ class ObjectGraph {
   std::vector<ObjectId> edge_target_;
   std::vector<uint8_t> edge_meta_;
   std::vector<std::string> family_names_;
-  std::vector<std::vector<ObjectId>> family_members_;
   size_t live_count_ = 0;
 };
 

@@ -221,7 +221,12 @@ OcbCatalog OcbBuilder::Build(const OcbSchema& schema, uint64_t seed) {
   // Create every instance with exactly its planned degree, then relate in
   // the planned order -- references by (i, r), then inheritance by i -- so
   // every run ends exactly full and each object's edge order is its
-  // relate order.
+  // relate order. The plan is exact, so the columns and the storage
+  // directory are reserved exactly, one family per instance.
+  size_t edge_slots = 0;
+  for (const uint32_t d : degree) edge_slots += d;
+  graph_->Reserve(n, edge_slots, n);
+  placer_.Reserve(first + n);
   for (size_t i = 0; i < n; ++i) {
     const obj::FamilyId family = graph_->NewFamily("ocb" + std::to_string(i));
     const obj::ObjectId id = graph_->Create(

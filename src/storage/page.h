@@ -52,9 +52,10 @@ class Page {
   /// Removes the record for `id`. Returns false if not present.
   bool Remove(obj::ObjectId id);
 
-  /// Drops every record (the slot directory keeps its capacity).
+  /// Drops every record and frees the slot directory: a page that every
+  /// record left keeps no slot storage.
   void Clear() {
-    slots_.clear();
+    std::vector<Slot>().swap(slots_);
     used_ = 0;
   }
 
@@ -62,6 +63,8 @@ class Page {
   uint32_t used_bytes() const { return used_; }
   uint32_t free_bytes() const { return capacity_ - used_; }
   size_t object_count() const { return slots_.size(); }
+  /// Records the slot directory holds before it reallocates.
+  size_t slot_capacity() const { return slots_.capacity(); }
   const std::vector<Slot>& slots() const { return slots_; }
 
  private:

@@ -27,14 +27,17 @@ PageId StorageManager::AllocatePage() {
   return static_cast<PageId>(pages_.size() - 1);
 }
 
+void StorageManager::ReserveObjects(size_t objects) {
+  object_page_.reserve(objects);
+  object_size_.reserve(objects);
+}
+
 void StorageManager::EnsureDirectory(obj::ObjectId id) {
   if (id >= object_page_.size()) {
-    // Geometric growth: ids arrive one at a time during database build, and
-    // growing by exactly one element made every placement pay a resize call.
-    const size_t n = std::max(static_cast<size_t>(id) + 1,
-                              object_page_.size() * 2);
-    object_page_.resize(n, kInvalidPage);
-    object_size_.resize(n, 0);
+    // Filled only up to `id`: within the reservation this never
+    // reallocates, and past it the vectors' own growth is geometric.
+    object_page_.resize(static_cast<size_t>(id) + 1, kInvalidPage);
+    object_size_.resize(static_cast<size_t>(id) + 1, 0);
   }
 }
 
@@ -171,7 +174,6 @@ size_t StorageManager::RelocateToNewPages(
     if (!vacated[from]) OODB_CHECK(pages_[from].Remove(id));
   }
 
-  pages_.reserve(pages_.size() + page_start.size() - 1);
   for (size_t k = 0; k + 1 < page_start.size(); ++k) {
     const auto to = static_cast<PageId>(pages_.size());
     Page& page = pages_.emplace_back(page_size_, page_start[k + 1] -

@@ -39,6 +39,10 @@ class StorageManager {
   StorageManager(const StorageManager&) = delete;
   StorageManager& operator=(const StorageManager&) = delete;
 
+  /// Sizes the object directory once for ids below `objects`, so placing
+  /// them never reallocates it.
+  void ReserveObjects(size_t objects);
+
   /// Allocates a fresh empty page. Its slot directory is sized once for
   /// the records a full page of mean-sized placed objects holds.
   PageId AllocatePage();
@@ -70,9 +74,10 @@ class StorageManager {
   /// the directory: new page k receives objects[page_start[k]] up to
   /// objects[page_start[k + 1]] in sequence, its slot list sized exactly.
   /// Ends in the same state as AllocatePage plus Relocate of each object
-  /// in sequence; a source page that every record leaves is emptied in
-  /// one step instead of record by record. Every new page must fit its
-  /// objects. Returns the number of source pages the objects left.
+  /// in sequence, except that a source page that every record leaves is
+  /// emptied in one step, its slot storage freed (Page::Clear). Every new
+  /// page must fit its objects. Returns the number of source pages the
+  /// objects left.
   size_t RelocateToNewPages(const std::vector<obj::ObjectId>& objects,
                           const std::vector<size_t>& page_start);
 
@@ -99,6 +104,9 @@ class StorageManager {
   uint32_t page_size_bytes() const { return page_size_; }
   PageId append_page() const { return append_page_; }
 
+  /// Ids the object directory holds before it reallocates.
+  size_t directory_capacity() const { return object_page_.capacity(); }
+
   /// Total bytes stored across all pages.
   uint64_t used_bytes() const { return used_bytes_; }
 
@@ -123,7 +131,8 @@ class StorageManager {
   uint32_t page_size_;
   uint32_t append_fill_limit_;
   std::vector<Page> pages_;
-  // Parallel ObjectId-indexed directories (grown geometrically together).
+  // Parallel ObjectId-indexed directories, reserved together and grown
+  // together.
   // The size column makes SizeOf O(1): the placement auditor asks for every
   // placed object's size once per sample, and the former page-slot scan was
   // the single hottest line of the whole simulation profile.

@@ -1,6 +1,8 @@
 #include "workload/db_builder.h"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <deque>
 
 namespace oodb::workload {
@@ -29,6 +31,17 @@ CadTypes RegisterCadTypes(obj::TypeLattice& lattice) {
       {{"netlist", 600, true, 0.1, 0.05}});
   return types;
 }
+
+namespace {
+
+// DbBuilder's column reservation (DESIGN.md §12): it samples module plans
+// until they hold this share of the target bytes, and at least this many
+// modules, and raises each ratio by this many standard errors.
+constexpr double kReservationSampleShare = 1.0 / 32;
+constexpr size_t kReservationMinSampleModules = 32;
+constexpr double kReservationStandardErrors = 4.0;
+
+}  // namespace
 
 namespace internal {
 
@@ -76,10 +89,10 @@ DbBuilder::DbBuilder(obj::ObjectGraph* graph,
 
 DbBuilder::~DbBuilder() = default;
 
-uint32_t DbBuilder::SampleObjectSize(bool composite) {
+uint32_t DbBuilder::SampleObjectSize(Rng& rng, bool composite) {
   // Exponential with a floor: many small objects, occasional large ones.
   const double mean = static_cast<double>(spec_.mean_object_bytes);
-  double size = 0.4 * mean + rng_.Exponential(0.6 * mean);
+  double size = 0.4 * mean + rng.Exponential(0.6 * mean);
   if (composite) size += spec_.composite_extra_bytes;
   return static_cast<uint32_t>(
       std::clamp(size, double{kMinObjectBytes}, double{kMaxObjectBytes}));
@@ -97,13 +110,13 @@ void DbBuilder::PlaceBatch() {
   reads_.clear();
 }
 
-void DbBuilder::PlanModule(std::vector<PlanStep>& plan) {
+void DbBuilder::PlanModule(Rng& rng, std::vector<PlanStep>& plan) {
   plan.clear();
   const FanoutRange fanout = FanoutFor(spec_.density);
 
   // --- Primary representation: depth-first configuration tree. ---
   plan.push_back(PlanStep{PlanStep::Kind::kCreate, types_.composite,
-                          SampleObjectSize(true), true, -1, -1, -1});
+                          SampleObjectSize(rng, true), true, -1, -1, -1});
   root_components_.clear();
   // Depth-first expansion over planned composites: (plan index, depth).
   plan_stack_.assign(1, {0, 0});
@@ -111,13 +124,13 @@ void DbBuilder::PlanModule(std::vector<PlanStep>& plan) {
     const auto [parent, depth] = plan_stack_.back();
     plan_stack_.pop_back();
     const int children = static_cast<int>(
-        rng_.UniformInt(fanout.min_fanout, fanout.max_fanout));
+        rng.UniformInt(fanout.min_fanout, fanout.max_fanout));
     for (int c = 0; c < children; ++c) {
       const bool composite = depth + 1 < spec_.hierarchy_depth &&
-                             rng_.Bernoulli(spec_.composite_fraction);
+                             rng.Bernoulli(spec_.composite_fraction);
       const obj::TypeId type = composite ? types_.composite : types_.leaf;
       plan.push_back(PlanStep{PlanStep::Kind::kCreate, type,
-                              SampleObjectSize(composite), composite,
+                              SampleObjectSize(rng, composite), composite,
                               parent, -1, -1});
       const int idx = static_cast<int>(plan.size() - 1);
       if (parent == 0) root_components_.push_back(idx);
@@ -128,12 +141,12 @@ void DbBuilder::PlanModule(std::vector<PlanStep>& plan) {
   // --- Alternate representations with correspondences. ---
   for (int rep = 0; rep < spec_.alt_representations; ++rep) {
     plan.push_back(PlanStep{PlanStep::Kind::kCreate, types_.alt,
-                            SampleObjectSize(true), true, -1, /*root=*/0,
+                            SampleObjectSize(rng, true), true, -1, /*root=*/0,
                             -1});
     const int alt_root = static_cast<int>(plan.size() - 1);
     for (int counterpart : root_components_) {
       plan.push_back(PlanStep{PlanStep::Kind::kCreate, types_.alt,
-                              SampleObjectSize(false), false, alt_root,
+                              SampleObjectSize(rng, false), false, alt_root,
                               counterpart, -1});
     }
   }
@@ -142,7 +155,7 @@ void DbBuilder::PlanModule(std::vector<PlanStep>& plan) {
   // Every derive step follows every create step (PlanDegrees relies on it).
   const int base_count = static_cast<int>(plan.size());
   for (int i = 0; i < base_count; ++i) {
-    if (!rng_.Bernoulli(spec_.version_fraction)) continue;
+    if (!rng.Bernoulli(spec_.version_fraction)) continue;
     int head = i;
     const double p_stop = 1.0 / (1.0 + spec_.version_chain_mean);
     do {
@@ -151,7 +164,7 @@ void DbBuilder::PlanModule(std::vector<PlanStep>& plan) {
                               plan[static_cast<size_t>(head)].type, 0, false,
                               -1, -1, head});
       head = static_cast<int>(plan.size() - 1);
-    } while (!rng_.Bernoulli(p_stop));
+    } while (!rng.Bernoulli(p_stop));
   }
   PlanDegrees(plan);
 }
@@ -200,6 +213,64 @@ void DbBuilder::PlanDegrees(std::vector<PlanStep>& plan) {
       step.degree += corr_side_size_[static_cast<size_t>(step.corr_side ^ 1)];
     }
   }
+}
+
+void DbBuilder::ReserveColumns(uint64_t run_transactions) {
+  // A sample of module plans drawn from a stream of their own, so the
+  // build's own draws are untouched. Per plan: objects, bytes, edges and
+  // the module itself.
+  enum Column { kObjects, kBytes, kEdges, kModules, kColumns };
+  Rng sample_rng(~spec_.seed);
+  std::vector<PlanStep> plan;
+  const auto target = static_cast<double>(spec_.target_bytes);
+  std::vector<std::array<double, kColumns>> sample;
+  std::array<double, kColumns> total{};
+  while (sample.size() < kReservationMinSampleModules ||
+         total[kBytes] < kReservationSampleShare * target) {
+    PlanModule(sample_rng, plan);
+    std::array<double, kColumns>& module = sample.emplace_back();
+    module = {static_cast<double>(plan.size()), 0, 0, 1};
+    for (const PlanStep& step : plan) {
+      module[kBytes] += step.kind == PlanStep::Kind::kCreate
+                            ? step.size_bytes
+                            : heir_layouts_[step.type].size_bytes;
+      module[kEdges] += step.degree;
+    }
+    for (int c = 0; c < kColumns; ++c) total[c] += module[c];
+  }
+  // The ratio of two sample totals, raised by kReservationStandardErrors
+  // standard errors of the ratio estimator, so a build outruns the
+  // reservation only on a draw that far from the sample.
+  const auto upper_ratio = [&](Column num, Column den) {
+    const double ratio = total[num] / total[den];
+    double squares = 0;
+    for (const auto& module : sample) {
+      const double residual = module[num] - ratio * module[den];
+      squares += residual * residual;
+    }
+    const double n = static_cast<double>(sample.size());
+    const double standard_error =
+        std::sqrt(squares / (n * (n - 1))) / (total[den] / n);
+    return ratio + kReservationStandardErrors * standard_error;
+  };
+  // The modules and objects created until the target is reached, plus one
+  // mean module per stream still in flight then; edge slots at the edges
+  // per object. Then room for the run: per transaction one object, and
+  // twice the edges per object, since a transaction that links an object
+  // built exactly full relocates its run at twice the size.
+  const double streams = spec_.concurrent_streams;
+  const double build_objects =
+      std::ceil(target * upper_ratio(kObjects, kBytes) +
+                streams * total[kObjects] / total[kModules]);
+  const auto run = static_cast<double>(run_transactions);
+  reservation_.objects = static_cast<size_t>(build_objects + run);
+  reservation_.edge_slots = static_cast<size_t>(std::ceil(
+      (build_objects + 2 * run) * upper_ratio(kEdges, kObjects)));
+  reservation_.modules = static_cast<size_t>(
+      std::ceil(target * upper_ratio(kModules, kBytes) + streams));
+  graph_->Reserve(reservation_.objects, reservation_.edge_slots,
+                  reservation_.modules);
+  placer_.Reserve(graph_->size() + reservation_.objects);
 }
 
 void DbBuilder::ExecuteStep(StreamState& stream) {
@@ -251,7 +322,7 @@ void DbBuilder::ExecuteStep(StreamState& stream) {
   if (batch_count_ == placer_.batch_objects()) PlaceBatch();
 }
 
-DesignDatabase DbBuilder::Build(CadTypes types) {
+DesignDatabase DbBuilder::Build(CadTypes types, uint64_t run_transactions) {
   types_ = types;
   const obj::TypeLattice& lattice = graph_->lattice();
   heir_layouts_.resize(lattice.size());
@@ -262,6 +333,8 @@ DesignDatabase DbBuilder::Build(CadTypes types) {
   db.composite_type = types.composite;
   db.leaf_type = types.leaf;
   db.alt_type = types.alt;
+  ReserveColumns(run_transactions);
+  db.modules.reserve(reservation_.modules);
 
   // Concurrent checkin streams, advanced round-robin one object per turn:
   // this is the multi-user arrival order a shared CAD repository sees.
@@ -269,7 +342,7 @@ DesignDatabase DbBuilder::Build(CadTypes types) {
       static_cast<size_t>(spec_.concurrent_streams));
   int module_index = 0;
   auto start_module = [&](StreamState& s) {
-    PlanModule(s.plan);
+    PlanModule(rng_, s.plan);
     s.cursor = 0;
     // Build "M<n>" via append: `"M" + std::to_string(n)` trips GCC 12's
     // -Werror=restrict false positive (PR105651) at -O3.
@@ -277,7 +350,7 @@ DesignDatabase DbBuilder::Build(CadTypes types) {
     module_name += std::to_string(module_index++);
     // Every plan step creates exactly one object of the module, and the
     // catalogue lists are sized exactly from the plan.
-    s.family = graph_->NewFamily(module_name, s.plan.size());
+    s.family = graph_->NewFamily(module_name);
     size_t composites = 0, corresponding = 0, versioned = 0;
     for (const PlanStep& step : s.plan) {
       composites += step.is_composite ? 1 : 0;

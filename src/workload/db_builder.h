@@ -119,11 +119,24 @@ class DbBuilder {
             buffer::BufferPool* buffer, DatabaseSpec spec);
   ~DbBuilder();
 
-  /// Creates modules until `spec.target_bytes` of objects exist.
-  DesignDatabase Build(CadTypes types);
+  /// Creates modules until `spec.target_bytes` of objects exist. The
+  /// graph's columns and the storage directory are sized once, with room
+  /// for what `run_transactions` transactions run on the database
+  /// afterwards add to it.
+  DesignDatabase Build(CadTypes types, uint64_t run_transactions = 0);
 
   /// Total object bytes created so far.
   uint64_t bytes_created() const { return bytes_created_; }
+
+  /// What Build reserved beyond what existed before it: objects in the
+  /// graph's columns and the storage directory, edge slots in the edge
+  /// arenas, and modules in the catalogue and the graph's families.
+  struct Reservation {
+    size_t objects = 0;
+    size_t edge_slots = 0;
+    size_t modules = 0;
+  };
+  const Reservation& reservation() const { return reservation_; }
 
   /// Largest capacity any per-batch buffer (recorded reads, the placer's
   /// sizes and page runs) has reached; at most
@@ -142,24 +155,29 @@ class DbBuilder {
     uint64_t draw = 0;
   };
 
-  uint32_t SampleObjectSize(bool composite);
+  uint32_t SampleObjectSize(Rng& rng, bool composite);
   /// Places the pending batch (and resolves its recorded reads).
   void PlaceBatch();
-  /// Plans one module into `plan` as a step script (no side effects on the
-  /// graph), then sizes every step's edge run (PlanDegrees).
-  void PlanModule(std::vector<internal::PlanStep>& plan);
+  /// Plans one module into `plan` from `rng`'s draws as a step script (no
+  /// side effects on the graph), then sizes every step's edge run
+  /// (PlanDegrees).
+  void PlanModule(Rng& rng, std::vector<internal::PlanStep>& plan);
   /// Sets each step's `degree` to the number of edges its object has once
   /// the whole plan has executed.
   void PlanDegrees(std::vector<internal::PlanStep>& plan);
   /// Executes the next step of a stream's plan: creates and relates its
   /// object and adds it to the pending batch.
   void ExecuteStep(StreamState& stream);
+  /// Sizes the graph's columns and the storage directory once, from a
+  /// sample of module plans, before any object is created.
+  void ReserveColumns(uint64_t run_transactions);
 
   obj::ObjectGraph* graph_;
   cluster::BuildPlacer placer_;
   DatabaseSpec spec_;
   Rng rng_;
   uint64_t bytes_created_ = 0;
+  Reservation reservation_;
   obj::InheritanceCostModel inherit_model_;
   CadTypes types_{};
 

@@ -11,8 +11,12 @@
 // allocations per created object built in arrival order, and at most 0.5
 // placed by run-time clustering, and no per-batch buffer of the build
 // outgrows the batch bound; an OCB database of the ocb_small shape
-// placed by run-time clustering, with buffer mirroring, at most 1.5 under
-// each reference locality.
+// placed by run-time clustering, with buffer mirroring, at most 0.35 under
+// each reference locality. Each build also requests a bounded number of
+// heap bytes per object, and none reallocates a column it reserved: the
+// graph's object and edge columns and the storage directory keep exactly
+// the capacity the builder reserved, and a 40000-transaction run of a
+// 500-user cell regrows none of them.
 
 #include <atomic>
 #include <cstdio>
@@ -34,12 +38,14 @@
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
+std::atomic<uint64_t> g_bytes{0};
 }  // namespace
 
 // Not inlined: GCC would otherwise see a `new` pointer reach free() and
 // warn (-Wmismatched-new-delete), which -Werror turns into an error.
 [[gnu::noinline]] void* operator new(std::size_t bytes) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(bytes, std::memory_order_relaxed);
   if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
   throw std::bad_alloc();
 }
@@ -111,9 +117,58 @@ TEST(AllocBudgetTest, RunTimeClusteringTransactionsAllocateAtMostOnceEach) {
   ExpectMarginalBudget("No_limit");
 }
 
-// Allocations per created object of one 48 MB OCT build (the database of
-// an oct_dyn cell) placed under `pool`, with no buffer mirroring.
-double BuildAllocationsPerObject(cluster::CandidatePool pool) {
+// The build also reserves room for the cell's run (the transactions
+// ServerContext passes to DbBuilder::Build): a 40000-transaction run of
+// a 500-user cell (oct_contention_long's length) inserts and derives
+// objects and relocates edge runs without reallocating a column.
+TEST(AllocBudgetTest, MeasuredRunDoesNotRegrowTheColumns) {
+  for (const char* pool : {"No_Clustering", "No_limit"}) {
+    core::EngineeringDbModel model(Cell(pool, 40000));
+    const obj::ObjectGraph& graph = model.graph();
+    const size_t built = graph.size();
+    const size_t object_capacity = graph.object_capacity();
+    const size_t edge_capacity = graph.edge_slot_capacity();
+    const size_t directory_capacity = model.storage().directory_capacity();
+    model.Run();
+    EXPECT_GT(graph.size(), built) << pool;  // the run created objects
+    EXPECT_EQ(graph.object_capacity(), object_capacity) << pool;
+    EXPECT_EQ(graph.edge_slot_capacity(), edge_capacity) << pool;
+    EXPECT_EQ(model.storage().directory_capacity(), directory_capacity)
+        << pool;
+  }
+}
+
+// Heap allocations and requested bytes per created object of one build.
+struct BuildCost {
+  double allocations_per_object = 0;
+  double bytes_per_object = 0;
+};
+
+// Counts what `build` allocates, per object of `graph`, and prints it
+// under `label`.
+template <typename BuildFn>
+BuildCost MeasureBuild(const std::string& label, const obj::ObjectGraph& graph,
+                       BuildFn&& build) {
+  const uint64_t allocations = g_allocations.load(std::memory_order_relaxed);
+  const uint64_t bytes = g_bytes.load(std::memory_order_relaxed);
+  build();
+  const auto objects = static_cast<double>(graph.size());
+  const BuildCost cost{
+      static_cast<double>(g_allocations.load(std::memory_order_relaxed) -
+                          allocations) /
+          objects,
+      static_cast<double>(g_bytes.load(std::memory_order_relaxed) - bytes) /
+          objects};
+  std::printf("%s: %zu objects, %.3f allocations and %.1f bytes per object\n",
+              label.c_str(), graph.size(), cost.allocations_per_object,
+              cost.bytes_per_object);
+  return cost;
+}
+
+// One 48 MB OCT build (the database of an oct_dyn cell) placed under
+// `pool`, with no buffer mirroring. The graph's columns and the storage
+// directory must end with the capacity the builder reserved.
+BuildCost OctBuildCost(cluster::CandidatePool pool) {
   obj::TypeLattice lattice;
   const workload::CadTypes types = workload::RegisterCadTypes(lattice);
   obj::ObjectGraph graph(&lattice);
@@ -125,26 +180,32 @@ double BuildAllocationsPerObject(cluster::CandidatePool pool) {
   workload::DatabaseSpec spec;
   spec.target_bytes = 48 << 20;
   workload::DbBuilder builder(&graph, &mgr, nullptr, spec);
-  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  const workload::DesignDatabase db = builder.Build(types);
-  const uint64_t allocations =
-      g_allocations.load(std::memory_order_relaxed) - before;
+  workload::DesignDatabase db;
+  const BuildCost cost =
+      MeasureBuild(std::string(cluster::CandidatePoolName(pool)) + " build",
+                   graph, [&] { db = builder.Build(types); });
   EXPECT_EQ(db.TotalObjects(), graph.size());
   EXPECT_LE(builder.batch_buffer_capacity(), cluster::kBuildBatchObjects);
-  const double per_object =
-      static_cast<double>(allocations) / static_cast<double>(graph.size());
-  std::printf("%s build: %llu allocations for %zu objects: %.3f per object\n",
-              cluster::CandidatePoolName(pool),
-              static_cast<unsigned long long>(allocations), graph.size(),
-              per_object);
-  return per_object;
+  const workload::DbBuilder::Reservation& reserved = builder.reservation();
+  EXPECT_LE(graph.size(), reserved.objects);
+  EXPECT_LE(db.modules.size(), reserved.modules);
+  EXPECT_EQ(graph.object_capacity(), reserved.objects);
+  EXPECT_EQ(graph.edge_slot_capacity(), reserved.edge_slots);
+  EXPECT_EQ(storage.directory_capacity(), reserved.objects);
+  EXPECT_EQ(db.modules.capacity(), reserved.modules);
+  return cost;
 }
 
+// Bytes are requested, not resident: the part of a column reserved past
+// the objects built is never touched.
 TEST(AllocBudgetTest, DatabaseBuildAllocatesUnderBudget) {
-  EXPECT_LE(BuildAllocationsPerObject(cluster::CandidatePool::kNoClustering),
-            0.22);
-  EXPECT_LE(BuildAllocationsPerObject(cluster::CandidatePool::kWithinDb),
-            0.5);
+  const BuildCost arrival =
+      OctBuildCost(cluster::CandidatePool::kNoClustering);
+  EXPECT_LE(arrival.allocations_per_object, 0.22);
+  EXPECT_LE(arrival.bytes_per_object, 88);
+  const BuildCost clustered = OctBuildCost(cluster::CandidatePool::kWithinDb);
+  EXPECT_LE(clustered.allocations_per_object, 0.5);
+  EXPECT_LE(clustered.bytes_per_object, 110);
 }
 
 // With a buffer mirrored, a No_Clustering build fills whole batches of
@@ -175,10 +236,10 @@ TEST(AllocBudgetTest, BuildBatchBuffersStayWithinTheBatchBound) {
   }
 }
 
-// Allocations per created object of one OCB build of an ocb_small cell
-// (bench/scenarios/ocb_small.scenario.json) under No_limit, assembled as
-// ServerContext assembles it, buffer mirroring included.
-double OcbBuildAllocationsPerObject(const char* locality) {
+// One OCB build of an ocb_small cell (bench/scenarios/ocb_small.scenario.json)
+// under No_limit, assembled as ServerContext assembles it, buffer mirroring
+// included. The plan is exact, so the columns end exactly full.
+BuildCost OcbBuildCost(const char* locality) {
   const auto spec = core::ParseScenario(std::string(R"json({
     "name": "alloc_budget_ocb",
     "config": {
@@ -207,24 +268,26 @@ double OcbBuildAllocationsPerObject(const char* locality) {
   cluster::ClusterManager mgr(&graph, &storage, &affinity, &buffer,
                               cfg.clustering);
   ocb::OcbBuilder builder(&graph, &mgr, &buffer, cfg.ocb);
-  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  builder.Build(schema, cfg.seed ^ 0xDBDBDB);
-  const uint64_t allocations =
-      g_allocations.load(std::memory_order_relaxed) - before;
+  const BuildCost cost =
+      MeasureBuild(std::string("OCB ") + locality + " No_limit build", graph,
+                   [&] { builder.Build(schema, cfg.seed ^ 0xDBDBDB); });
   EXPECT_EQ(graph.size(), static_cast<size_t>(cfg.ocb.instances));
   EXPECT_GT(mgr.stats().exam_reads, 0u);  // candidates were scored
-  const double per_object =
-      static_cast<double>(allocations) / static_cast<double>(graph.size());
-  std::printf("OCB %s No_limit build: %llu allocations for %zu objects: "
-              "%.3f per object\n",
-              locality, static_cast<unsigned long long>(allocations),
-              graph.size(), per_object);
-  return per_object;
+  size_t edges = 0;
+  for (obj::ObjectId id = 0; id < graph.size(); ++id) {
+    edges += graph.EdgeCount(id);
+  }
+  EXPECT_EQ(graph.object_capacity(), graph.size());
+  EXPECT_EQ(graph.edge_slot_capacity(), edges);
+  EXPECT_EQ(storage.directory_capacity(), graph.size());
+  return cost;
 }
 
 TEST(AllocBudgetTest, OcbBuildAllocatesUnderBudget) {
   for (const char* locality : {"uniform", "gaussian", "zipf"}) {
-    EXPECT_LE(OcbBuildAllocationsPerObject(locality), 1.5) << locality;
+    const BuildCost cost = OcbBuildCost(locality);
+    EXPECT_LE(cost.allocations_per_object, 0.35) << locality;
+    EXPECT_LE(cost.bytes_per_object, 270) << locality;
   }
 }
 

@@ -1,3 +1,6 @@
+#include <cmath>
+#include <limits>
+
 #include "gtest/gtest.h"
 
 #include "core/engineering_db.h"
@@ -279,6 +282,55 @@ TEST(ModelConfigTest, ValidateNamesTheOffendingField) {
   cfg = TestConfig();
   cfg.rw_ratio_schedule = {10.0, 0.0};
   expect_invalid(cfg, "rw_ratio_schedule[1]");
+
+  // Time knobs the simulated clock cannot add a disk service time to: a
+  // 1e300 s think time used to run to a mean response of 0.0 ms.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {1e300, kInf, std::nan("")}) {
+    cfg = TestConfig();
+    cfg.think_time_s = bad;
+    expect_invalid(cfg, "think_time_s");
+
+    cfg = TestConfig();
+    cfg.telemetry_interval_s = bad;
+    expect_invalid(cfg, "telemetry_interval_s");
+
+    cfg = TestConfig();
+    cfg.shard_hop_latency_s = bad;
+    expect_invalid(cfg, "shard_hop_latency_s");
+
+    cfg = TestConfig();
+    cfg.cc.enabled = true;
+    cfg.cc.lock_timeout_s = bad;
+    expect_invalid(cfg, "lock_timeout_s");
+
+    cfg = TestConfig();
+    cfg.cc.enabled = true;
+    cfg.cc.backoff_base_s = bad;
+    cfg.cc.backoff_cap_s = kInf;
+    expect_invalid(cfg, "backoff_base_s");
+
+    cfg = TestConfig();
+    cfg.cc.enabled = true;
+    cfg.cc.backoff_cap_s = bad;
+    expect_invalid(cfg, "backoff_cap_s");
+
+    cfg = TestConfig();
+    cfg.arrival = ArrivalProcess::kOpen;
+    cfg.arrival_rate_tps = bad == kInf ? kInf : 1 / bad;
+    expect_invalid(cfg, "arrival_rate_tps");
+  }
+  // The bound is 2^32 disk page service times (about 3.6 years at the
+  // default disk); a knob just inside it is accepted.
+  cfg = TestConfig();
+  const double max_s =
+      4294967296.0 * cfg.disk.PageServiceTime(cfg.page_size_bytes);
+  cfg.think_time_s = max_s;
+  cfg.telemetry_interval_s = max_s;
+  cfg.shard_hop_latency_s = max_s;
+  EXPECT_TRUE(cfg.Validate().ok()) << cfg.Validate().message();
+  cfg.think_time_s = 2 * max_s;
+  expect_invalid(cfg, "think_time_s");
 }
 
 TEST(ModelConfigTest, ScaledBuffersClampsToEightPages) {

@@ -130,14 +130,26 @@ TEST_F(ObjectGraphTest, RemoveDetachesNeighbours) {
   EXPECT_EQ(graph_.live_count(), 2u);
 }
 
-TEST_F(ObjectGraphTest, FamilyMembersTracksCreationAndRemoval) {
-  FamilyId alu = graph_.NewFamily("ALU");
-  ObjectId v1 = graph_.Create(alu, 1, layout_, 10);
-  ObjectId v2 = graph_.Create(alu, 2, layout_, 10);
-  EXPECT_EQ(graph_.FamilyMembers(alu).size(), 2u);
-  graph_.Remove(v1);
-  ASSERT_EQ(graph_.FamilyMembers(alu).size(), 1u);
-  EXPECT_EQ(graph_.FamilyMembers(alu)[0], v2);
+TEST_F(ObjectGraphTest, ReserveSizesTheColumnsOnce) {
+  FamilyId a = graph_.NewFamily("A");
+  const ObjectId first = graph_.Create(a, 1, layout_, 10, 1);
+  graph_.Reserve(3, 4, 0);
+  EXPECT_EQ(graph_.object_capacity(), 4u);
+  EXPECT_EQ(graph_.edge_slot_capacity(), 5u);
+  const DesignObject* column = &graph_.object(first);
+  const ObjectId x = graph_.Create(a, 2, layout_, 10, 2);
+  const ObjectId y = graph_.Create(a, 3, layout_, 10, 2);
+  graph_.Create(a, 4, layout_, 10);
+  graph_.Relate(first, x, RelKind::kVersionHistory);
+  graph_.Relate(x, y, RelKind::kVersionHistory);
+  EXPECT_EQ(&graph_.object(first), column);
+  EXPECT_EQ(graph_.object_capacity(), 4u);
+  EXPECT_EQ(graph_.edge_slot_capacity(), 5u);
+  // Past the reservation the columns grow as before.
+  graph_.Create(a, 5, layout_, 10, 1);
+  EXPECT_GT(graph_.object_capacity(), 4u);
+  EXPECT_GT(graph_.edge_slot_capacity(), 5u);
+  EXPECT_EQ(graph_.Descendants(x), std::vector<ObjectId>{y});
 }
 
 TEST_F(ObjectGraphTest, ForEachRelatedSeesAllKinds) {

@@ -263,5 +263,113 @@ TEST(PlaceAppendRunTest, RandomSizesAcrossManyPages) {
   ExpectRunEqualsAppends(run, single, 0, sizes);
 }
 
+// ------------------------------------------------------ relocate to new
+
+// Two managers with pages 0 [0 1 2], 1 [3 4 5 6 8] and 2 [7], 100 bytes
+// per object.
+class RelocateToNewPagesTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (StorageManager* s : {&bulk_, &reference_}) {
+      for (const auto& page : kPages) {
+        const PageId p = s->AllocatePage();
+        for (const obj::ObjectId id : page) {
+          ASSERT_TRUE(s->Place(id, 100, p).ok());
+        }
+      }
+    }
+  }
+
+  // The reference: AllocatePage for each new page, then Relocate of each
+  // object in sequence.
+  void RelocateOneByOne(const std::vector<obj::ObjectId>& objects,
+                        const std::vector<size_t>& page_start) {
+    std::vector<PageId> to;
+    for (size_t k = 0; k + 1 < page_start.size(); ++k) {
+      to.push_back(reference_.AllocatePage());
+    }
+    for (size_t k = 0; k + 1 < page_start.size(); ++k) {
+      for (size_t i = page_start[k]; i < page_start[k + 1]; ++i) {
+        ASSERT_TRUE(reference_.Relocate(objects[i], to[k]).ok());
+      }
+    }
+  }
+
+  const std::vector<std::vector<obj::ObjectId>> kPages = {
+      {0, 1, 2}, {3, 4, 5, 6, 8}, {7}};
+  StorageManager bulk_{1000};
+  StorageManager reference_{1000};
+};
+
+TEST_F(RelocateToNewPagesTest, VacatedPagesKeepNoSlotsAndKeptRecordsReplay) {
+  // Page 0 is vacated; page 1 keeps 3, 6 and 8, and the order of its two
+  // removals shows: removing 4 then 5 leaves [3 8 6], the other order
+  // [3 6 8].
+  const std::vector<obj::ObjectId> objects = {0, 4, 1, 2, 5};
+  const std::vector<size_t> page_start = {0, 3, 5};
+  const uint64_t used = bulk_.used_bytes();
+  EXPECT_EQ(bulk_.RelocateToNewPages(objects, page_start), 2u);
+  RelocateOneByOne(objects, page_start);
+
+  EXPECT_EQ(bulk_.page(0).object_count(), 0u);
+  EXPECT_EQ(bulk_.page(0).used_bytes(), 0u);
+  EXPECT_EQ(bulk_.page(0).slot_capacity(), 0u);
+  EXPECT_GT(reference_.page(0).slot_capacity(), 0u);  // what it used to keep
+
+  std::vector<obj::ObjectId> kept;
+  for (const Slot& slot : bulk_.page(1).slots()) kept.push_back(slot.object);
+  EXPECT_EQ(kept, (std::vector<obj::ObjectId>{3, 8, 6}));
+
+  EXPECT_EQ(bulk_.used_bytes(), used);
+  ASSERT_EQ(bulk_.page_count(), reference_.page_count());
+  for (PageId p = 0; p < bulk_.page_count(); ++p) {
+    ASSERT_EQ(bulk_.page(p).slots().size(), reference_.page(p).slots().size())
+        << "page " << p;
+    for (size_t i = 0; i < bulk_.page(p).slots().size(); ++i) {
+      EXPECT_EQ(bulk_.page(p).slots()[i].object,
+                reference_.page(p).slots()[i].object)
+          << "page " << p << " slot " << i;
+    }
+    EXPECT_EQ(bulk_.page(p).used_bytes(), reference_.page(p).used_bytes());
+  }
+  for (obj::ObjectId id = 0; id <= 8; ++id) {
+    EXPECT_EQ(bulk_.PageOf(id), reference_.PageOf(id)) << id;
+    EXPECT_EQ(bulk_.SizeOf(id), 100u) << id;
+  }
+  EXPECT_EQ(bulk_.PageOf(0), 3u);
+  EXPECT_EQ(bulk_.PageOf(5), 4u);
+  EXPECT_EQ(bulk_.PageOf(7), 2u);
+}
+
+TEST_F(RelocateToNewPagesTest, EveryPageVacated) {
+  const std::vector<obj::ObjectId> objects = {7, 8, 6, 5, 4, 3, 2, 1, 0};
+  const std::vector<size_t> page_start = {0, 5, 9};
+  const uint64_t used = bulk_.used_bytes();
+  EXPECT_EQ(bulk_.RelocateToNewPages(objects, page_start), 3u);
+  for (PageId p = 0; p < 3; ++p) {
+    EXPECT_EQ(bulk_.page(p).object_count(), 0u) << p;
+    EXPECT_EQ(bulk_.page(p).slot_capacity(), 0u) << p;
+  }
+  EXPECT_EQ(bulk_.page(3).object_count(), 5u);
+  EXPECT_EQ(bulk_.page(4).object_count(), 4u);
+  EXPECT_EQ(bulk_.used_bytes(), used);
+  for (size_t i = 0; i < objects.size(); ++i) {
+    EXPECT_EQ(bulk_.PageOf(objects[i]), i < 5 ? 3u : 4u);
+    EXPECT_EQ(bulk_.SizeOf(objects[i]), 100u);
+  }
+}
+
+TEST_F(StorageManagerTest, ReservedDirectoryNeverReallocates) {
+  store_.ReserveObjects(64);
+  EXPECT_EQ(store_.directory_capacity(), 64u);
+  for (obj::ObjectId id = 0; id < 64; ++id) {
+    ASSERT_TRUE(store_.PlaceAppend(id, 100).ok());
+  }
+  EXPECT_EQ(store_.directory_capacity(), 64u);
+  EXPECT_EQ(store_.PageOf(64), kInvalidPage);
+  ASSERT_TRUE(store_.PlaceAppend(64, 100).ok());  // past it, it grows
+  EXPECT_GT(store_.directory_capacity(), 64u);
+}
+
 }  // namespace
 }  // namespace oodb::store

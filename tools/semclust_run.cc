@@ -67,6 +67,20 @@ double Now() {
       .count();
 }
 
+// The process's peak resident set (VmHWM) in MB, or a negative value where
+// /proc does not report it. Host information for the closing stderr line;
+// it never enters the JSONL.
+double PeakRssMb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+  }
+  return -1;
+}
+
 void PrintUsage(std::FILE* to) {
   std::fprintf(to,
                "usage: semclust_run [--jobs N] [--json PATH] [--seed N] "
@@ -158,8 +172,13 @@ int RunScenario(const std::string& path, const EnvOverrides& env,
   const double start = Now();
   const auto outcomes = runner.Run(std::move(configs));
   const double wall = Now() - start;
-  std::fprintf(stderr, "[exec] %zu cells, jobs=%d, %.1f s wall\n",
+  std::fprintf(stderr, "[exec] %zu cells, jobs=%d, %.1f s wall, peak RSS ",
                cells.size(), runner.jobs(), wall);
+  if (const double peak_mb = PeakRssMb(); peak_mb >= 0) {
+    std::fprintf(stderr, "%.1f MB\n", peak_mb);
+  } else {
+    std::fprintf(stderr, "unknown\n");
+  }
 
   oodb::TablePrinter table({"cell", "mean resp", "physical IOs"});
   std::vector<std::map<std::string, oodb::JsonValue>> records;
