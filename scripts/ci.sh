@@ -169,6 +169,17 @@ probe fast_unknown '{"name": "p", "fast": {"measured": 5}}'
 probe expect_kind '{"name": "p", "expect": [{"claim": "c", "kind": "rank"}]}'
 probe expect_level '{"name": "p", "expect": [{"claim": "c", "kind": "best",
   "axis": "clustering", "levels": ["No_limit"]}]}'
+# Variant levels are named config overlays; each of these four errors must
+# also name the offending field (checked after the loop).
+probe variant_duplicate_label '{"name": "p", "sweep": {"variant":
+  [{"label": "a", "config": {}}, {"label": "a", "config": {}}]}}'
+probe variant_swept_key '{"name": "p", "sweep": {"clustering": "figure5_1",
+  "variant": [{"label": "a", "config": {"clustering": {"split": "NP_Split"}}}]}}'
+probe variant_unknown_key '{"name": "p", "sweep": {"variant":
+  [{"label": "a", "config": {"measured": 5}}]}}'
+probe monotone_fields_and_axis '{"name": "p", "sweep": {"clustering":
+  ["No_Clustering", "No_limit"]}, "expect": [{"claim": "c", "kind":
+  "monotone", "axis": "clustering", "fields": ["a", "b"]}]}'
 python3 -c 'print("[" * 200000)' > "${PROBES}/deep_nesting.json"
 for f in "${SCENARIOS}"/*.json "${ROOT}"/perfbench/scenarios/*.json \
     "${PROBES}"/*.json; do
@@ -177,6 +188,14 @@ for f in "${SCENARIOS}"/*.json "${ROOT}"/perfbench/scenarios/*.json \
   "${RUN}" --dry-run "${f}" > /dev/null 2>&1 || rc=$?
   [ "${rc}" -eq "${want}" ] \
     || fail "semclust_run --dry-run ${f} exited ${rc}, want ${want}"
+done
+for named in "variant_duplicate_label sweep.variant[1].label" \
+    "variant_swept_key sweep.clustering" \
+    "variant_unknown_key sweep.variant[0].config: unknown key \"measured\"" \
+    "monotone_fields_and_axis \"fields\" or \"axis\""; do
+  err="$("${RUN}" --dry-run "${PROBES}/${named%% *}.json" 2>&1 || true)"
+  grep -qF -- "${named#* }" <<< "${err}" \
+    || fail "semclust_run --dry-run ${named%% *} does not name ${named#* }"
 done
 # Flag and environment values parse whole, as the scenario's integers do:
 # a zero, trailing text, an overflow, a sign on the seed, a following

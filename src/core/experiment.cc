@@ -57,19 +57,6 @@ std::vector<cluster::ClusterConfig> ClusteringPolicyLevels(
   return levels;
 }
 
-std::vector<BufferingLevel> BufferingLevels() {
-  using R = buffer::ReplacementPolicy;
-  using P = buffer::PrefetchPolicy;
-  return {
-      {R::kContextSensitive, P::kWithinDb, "C_p_DB"},
-      {R::kContextSensitive, P::kWithinBuffer, "C_p_buff"},
-      {R::kRandom, P::kWithinDb, "R_p_DB"},
-      {R::kRandom, P::kWithinBuffer, "R_p_buff"},
-      {R::kLru, P::kWithinDb, "LRU_p_DB"},
-      {R::kLru, P::kNone, "LRU_no_p"},
-  };
-}
-
 ModelConfig WithWorkload(ModelConfig base,
                          const workload::WorkloadConfig& w) {
   base.workload = w;

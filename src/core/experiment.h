@@ -1,7 +1,6 @@
 #ifndef SEMCLUST_CORE_EXPERIMENT_H_
 #define SEMCLUST_CORE_EXPERIMENT_H_
 
-#include <string>
 #include <vector>
 
 #include "core/engineering_db.h"
@@ -9,8 +8,8 @@
 
 /// \file
 /// Experiment-grid helpers shared by the benchmark harness: the paper's
-/// standard operating levels for workloads (Figs 5.1-5.8 x-axes), the five
-/// clustering policies, and the six buffering configurations of Fig 5.11.
+/// standard operating levels for workloads (Figs 5.1-5.8 x-axes) and the
+/// five clustering policies.
 
 namespace oodb::core {
 
@@ -26,16 +25,6 @@ std::vector<workload::WorkloadConfig> StandardWorkloadGrid();
 /// `split` applies to every clustering policy (ignored by No_Clustering).
 std::vector<cluster::ClusterConfig> ClusteringPolicyLevels(
     cluster::SplitPolicy split = cluster::SplitPolicy::kNoSplit);
-
-/// One replacement x prefetch configuration of Figure 5.11.
-struct BufferingLevel {
-  buffer::ReplacementPolicy replacement;
-  buffer::PrefetchPolicy prefetch;
-  std::string label;  // paper's labels: C_p_DB, C_p_buff, R_p_DB, ...
-};
-
-/// The six buffering configurations reported in Figure 5.11.
-std::vector<BufferingLevel> BufferingLevels();
 
 /// Applies a workload to a config (sets F and G).
 ModelConfig WithWorkload(ModelConfig base,

@@ -214,14 +214,6 @@ Status ModelConfig::Validate() const {
   return Status::Ok();
 }
 
-ModelConfig PaperScaleConfig() {
-  ModelConfig cfg;
-  cfg.database_bytes = 500ull << 20;
-  cfg.buffer_pages = 1000;
-  cfg.database.target_bytes = cfg.database_bytes;
-  return cfg;
-}
-
 ModelConfig ScaledConfig() {
   ModelConfig cfg;
   cfg.database.target_bytes = cfg.database_bytes;

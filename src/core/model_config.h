@@ -21,8 +21,9 @@
 /// control. Defaults are the *scaled* configuration: the database and
 /// buffer pool shrink together (same buffer:DB ratio as the paper's
 /// 1000 x 4 KB buffers against 500 MB), which preserves every response-time
-/// ratio the evaluation reports while keeping runs laptop-fast. Pass
-/// `PaperScaleConfig()` for the full-size database.
+/// ratio the evaluation reports while keeping runs laptop-fast. A
+/// scenario's `"database_bytes": 524288000` selects the full-size 500 MB
+/// database (its buffer levels scale with it).
 
 namespace oodb::core {
 
@@ -208,10 +209,6 @@ struct ModelConfig {
 
   friend bool operator==(const ModelConfig&, const ModelConfig&) = default;
 };
-
-/// The paper's full-scale configuration (500 MB database, 1000 buffers).
-/// Slow: intended for spot validation, not the bench suite.
-ModelConfig PaperScaleConfig();
 
 /// The default scaled configuration used by the benchmarks.
 ModelConfig ScaledConfig();

@@ -29,6 +29,7 @@ using W = WorkloadEntry;
 using Ocb = ocb::OcbConfig;
 using Oct = workload::WorkloadConfig;
 using E = Expectation;
+using V = ScenarioVariant;
 
 const PolicyRegistry& Reg() { return PolicyRegistry::Global(); }
 
@@ -165,6 +166,7 @@ const Table<Cc>& RowsOf(const Cc&);
 const Table<Clu>& RowsOf(const Clu&);
 const Table<W>& RowsOf(const W&);
 const Table<E>& RowsOf(const E&);
+const Table<V>& RowsOf(const V&);
 
 /// The checked read (and below, the write) of each member type. Integers
 /// parse from the source text: a fraction, an exponent, a sign on an
@@ -615,29 +617,50 @@ Status EvalBest(const E& e, const ExpectEval& x, Tally& t) {
 }
 
 Status EvalMonotone(const E& e, const ExpectEval& x, Tally& t) {
-  if (e.axis.empty()) return Fail("needs \"axis\"");
+  if (!e.fields.empty() && (!e.axis.empty() || !e.levels.empty())) {
+    return Fail("give \"fields\" or \"axis\"/\"levels\", not both");
+  }
+  if (e.fields.empty() && e.axis.empty()) {
+    return Fail("needs \"axis\" or \"fields\"");
+  }
+  if (e.fields.size() == 1) return Fail("\"fields\" needs two or more paths");
   std::vector<size_t> pool;
   OODB_RETURN_IF_ERROR(x.Match(e.cell, "cell", pool));
-  OODB_RETURN_IF_ERROR(x.CheckLevels(e.axis, e.levels, "levels"));
-  const std::vector<std::string> order =
-      e.levels.empty() ? x.LevelNames(e.axis) : e.levels;
-  for (const auto& group : x.Groups(pool, e.axis)) {
-    std::vector<double> seq;
-    for (const std::string& level : order) {
-      const auto it = std::find_if(group.begin(), group.end(), [&](size_t c) {
-        return x.cell(c).levels.at(e.axis) == level;
-      });
-      if (it == group.end()) {
-        return Fail("the group of cell " + x.cell(group.front()).cell_label +
-                    " lacks " + e.axis + " level \"" + level + "\"");
+  // Each group is a sequence of (cell, field) values that must rise.
+  std::vector<std::vector<std::pair<size_t, std::string>>> groups;
+  if (!e.fields.empty()) {
+    for (const size_t c : pool) {
+      auto& seq = groups.emplace_back();
+      for (const std::string& f : e.fields) seq.emplace_back(c, f);
+    }
+  } else {
+    OODB_RETURN_IF_ERROR(x.CheckLevels(e.axis, e.levels, "levels"));
+    const std::vector<std::string> order =
+        e.levels.empty() ? x.LevelNames(e.axis) : e.levels;
+    for (const auto& group : x.Groups(pool, e.axis)) {
+      auto& seq = groups.emplace_back();
+      for (const std::string& level : order) {
+        const auto it = std::find_if(group.begin(), group.end(), [&](size_t c) {
+          return x.cell(c).levels.at(e.axis) == level;
+        });
+        if (it == group.end()) {
+          return Fail("the group of cell " + x.cell(group.front()).cell_label +
+                      " lacks " + e.axis + " level \"" + level + "\"");
+        }
+        seq.emplace_back(*it, e.field);
       }
+    }
+  }
+  for (const auto& group : groups) {
+    std::vector<double> seq;
+    for (const auto& [c, field] : group) {
       double v = 0;
-      OODB_RETURN_IF_ERROR(x.Value(*it, e.field, v));
+      OODB_RETURN_IF_ERROR(x.Value(c, field, v));
       if (!e.relative_to.empty()) {
         size_t d = 0;
         double base = 0;
-        OODB_RETURN_IF_ERROR(x.Partner(*it, e.relative_to, "relative_to", d));
-        OODB_RETURN_IF_ERROR(x.Value(d, e.field, base));
+        OODB_RETURN_IF_ERROR(x.Partner(c, e.relative_to, "relative_to", d));
+        OODB_RETURN_IF_ERROR(x.Value(d, field, base));
         v /= base;
       }
       seq.push_back(v);
@@ -827,6 +850,7 @@ const Table<E> kExpectRows = {
     Row<E, &E::among>("among", &kBest),
     Row<E, &E::factor>("factor", &kAxis),
     SelectorRow<&E::relative_to>("relative_to", &kMonotone),
+    Row<E, &E::fields>("fields", &kMonotone),
     Row<E, &E::at_least>("at_least", &kGroups),
     Row<E, &E::of>("of", &kAll),
 };
@@ -840,6 +864,87 @@ StatusOr<size_t> BufferLevel(const M& cfg, const JsonValue& v,
   if (level == "medium") return cfg.BufferMedium();
   if (level == "large") return cfg.BufferLarge();
   return Unknown(ctx, "buffer level", level, "small, medium, large");
+}
+
+/// Reads a "config" block, or an overlay ("fast", a variant's "config")
+/// on top of one, into `spec.base`. Its gates wait for the sweep: the
+/// shard group counts that axis.
+Status ReadConfig(const JsonValue& obj, const std::string& ctx, S& spec) {
+  OODB_RETURN_IF_ERROR(ReadBlock(obj, ctx, kConfigRows, spec, kBufferLevel,
+                                 /*gates=*/false));
+  spec.base.database.target_bytes = spec.base.database_bytes;
+  spec.base.database.density = spec.base.workload.density;
+  if (const JsonValue* level = obj.Find(kBufferLevel)) {
+    if (obj.Find("buffer_pages") != nullptr) {
+      return Err(ctx + ": set either \"buffer_pages\" or \"" +
+                 std::string(kBufferLevel) + "\", not both");
+    }
+    const auto pages =
+        BufferLevel(spec.base, *level, ctx + "." + kBufferLevel);
+    OODB_RETURN_IF_ERROR(pages.status());
+    spec.base.buffer_pages = *pages;
+  }
+  return Status::Ok();
+}
+
+/// An overlay written back as the keys it sets (a buffer level as its page
+/// count), read from `applied`, the spec with the overlay applied.
+std::string OverlayJson(const S& applied, const JsonValue& overlay) {
+  return WriteBlock(kConfigRows, applied, [&](std::string_view key) {
+    return overlay.Find(key) != nullptr ||
+           (key == "buffer_pages" && overlay.Find(kBufferLevel) != nullptr);
+  });
+}
+
+/// Applies an overlay that ReadConfig has already accepted.
+void ApplyOverlay(const JsonValue& overlay, M& m) {
+  S applied;
+  applied.base = std::move(m);
+  (void)ReadConfig(overlay, "", applied);
+  m = std::move(applied.base);
+}
+
+const Table<V> kVariantRows = {
+    Row<V, &V::label>("label"),
+    // Kept whole: the "config" rows apply it per cell (ApplyOverlay), and
+    // the sweep row writes it back over the base.
+    {"config", nullptr, nullptr,
+     [](const JsonValue& v, const std::string& ctx, V& out) -> Status {
+       if (!v.is_object()) return TypeErr(ctx, "an object");
+       out.config = v;
+       return Status::Ok();
+     },
+     [](const V&) { return std::string(); }},
+};
+
+const Table<V>& RowsOf(const V&) { return kVariantRows; }
+
+constexpr char kVariant[] = "variant";
+
+/// The variant axis: named overlays, outermost, joining the policy label.
+Knob<S> VariantAxis() {
+  return {kVariant, nullptr, nullptr,
+          [](const JsonValue& v, const std::string& ctx, S& s) {
+            return Read(v, ctx, s.variants);
+          },
+          [](const S& s) {
+            JsonArrayWriter out;
+            for (const V& v : s.variants) {
+              S applied = s;
+              ApplyOverlay(v.config, applied.base);
+              JsonObjectWriter level;
+              level.Add("label", v.label);
+              level.AddRaw("config", OverlayJson(applied, v.config));
+              out.AddRaw(level.str());
+            }
+            return out.str();
+          },
+          0, "", [](const S& s) { return s.variants.size(); },
+          [](const S& s, size_t i, M& cell) -> std::string {
+            if (s.variants.empty()) return "";
+            ApplyOverlay(s.variants[i].config, cell);
+            return s.variants[i].label;
+          }};
 }
 
 /// The sweep row of the spec's `Levels`, each setting the base's `Target`.
@@ -876,8 +981,10 @@ Knob<S> Axis(const char* key, int nest, const char* label = nullptr) {
       [](const S& s) { return (s.*Levels).size(); },
       [](const S& s, size_t i, M& cell) -> std::string {
         const auto& levels = s.*Levels;
+        // An empty axis is named after the base value and keeps the cell's,
+        // which a variant may have set.
         const T level = levels.empty() ? BaseLevel(s.base, Target) : levels[i];
-        SetLevel(cell, Target, level);
+        if (!levels.empty()) SetLevel(cell, Target, level);
         if constexpr (std::is_integral_v<T>) {
           return std::to_string(level);
         } else if constexpr (std::is_enum_v<T>) {
@@ -906,16 +1013,53 @@ Status StandardGrid(const std::string& name, const std::string& ctx, S& s) {
 
 // `nest` is the Expand order, outermost first.
 const Table<S> kSweepRows = {
-    Axis<&S::clustering, &M::clustering, Figure51>("clustering", 6, ""),
-    Axis<&S::workloads, nullptr, StandardGrid>("workload", 7),
-    Axis<&S::replacement, &M::replacement>("replacement", 3, ""),
-    Axis<&S::prefetch, &M::prefetch>("prefetch", 4, ""),
+    VariantAxis(),
+    Axis<&S::clustering, &M::clustering, Figure51>("clustering", 7, ""),
+    Axis<&S::workloads, nullptr, StandardGrid>("workload", 8),
+    Axis<&S::replacement, &M::replacement>("replacement", 4, ""),
+    Axis<&S::prefetch, &M::prefetch>("prefetch", 5, ""),
     Axis<&S::buffer_pages, &M::buffer_pages, nullptr, BufferLevel>(
-        "buffer_pages", 5, "buf"),
-    Axis<&S::shards, &M::shards>("shards", 1, "shard"),
-    Axis<&S::shard_placement, &M::shard_placement>("shard_placement", 2, ""),
-    Axis<&S::users, &M::num_users>("users", 0, "users"),
+        "buffer_pages", 6, "buf"),
+    Axis<&S::shards, &M::shards>("shards", 2, "shard"),
+    Axis<&S::shard_placement, &M::shard_placement>("shard_placement", 3, ""),
+    Axis<&S::users, &M::num_users>("users", 1, "users"),
 };
+
+/// Each variant has a unique non-empty label, and its overlay passes the
+/// "config" rows and gates over the base and sets no key another axis
+/// sweeps (the axis would silently override it).
+Status CheckVariants(const S& spec) {
+  for (size_t i = 0; i < spec.variants.size(); ++i) {
+    const V& v = spec.variants[i];
+    const std::string ctx = Indexed("sweep.variant", i);
+    if (v.label.empty()) {
+      return Err(ctx + ".label: must be a non-empty string");
+    }
+    for (size_t j = 0; j < i; ++j) {
+      if (spec.variants[j].label == v.label) {
+        return Err(ctx + ".label: \"" + v.label + "\" is also the label of " +
+                   Indexed("sweep.variant", j));
+      }
+    }
+    S applied = spec;
+    OODB_RETURN_IF_ERROR(ReadConfig(v.config, ctx + ".config", applied));
+    OODB_RETURN_IF_ERROR(
+        CheckGates(v.config, ctx + ".config", kConfigRows, applied));
+    for (const auto& [key, value] : v.config.members()) {
+      const std::string axis = key == "num_users"    ? "users"
+                               : key == kBufferLevel ? "buffer_pages"
+                                                     : key;
+      const auto row =
+          std::find_if(kSweepRows.begin(), kSweepRows.end(),
+                       [&](const Knob<S>& r) { return axis == r.key; });
+      if (row != kSweepRows.end() && row->size(spec) > 0) {
+        return Err(ctx + ".config: \"" + key + "\" is also swept by \"sweep." +
+                   axis + "\"; set it in one place");
+      }
+    }
+  }
+  return Status::Ok();
+}
 
 }  // namespace
 
@@ -947,6 +1091,7 @@ std::vector<ScenarioCell> ScenarioSpec::Expand() const {
       for (size_t i = 0; i < levels; ++i) {
         ScenarioCell& out = next.emplace_back(cell);
         const std::string text = axis->apply(*this, i, out.config);
+        if (text.empty()) continue;  // no variants
         out.levels.insert_or_assign(axis->key, text);
         if (axis->label == nullptr || levels == 1) continue;
         if (!out.policy.empty()) out.policy += "_";
@@ -1012,31 +1157,6 @@ StatusOr<std::vector<ShapeVerdict>> ScenarioSpec::Evaluate(
   return JudgeAll(expect, cells, &records);
 }
 
-namespace {
-
-/// Reads a "config" block, or the "fast" overlay on top of one, into
-/// `spec.base`. Its gates wait for the sweep: the shard group counts that
-/// axis.
-Status ReadConfig(const JsonValue& obj, const std::string& ctx, S& spec) {
-  OODB_RETURN_IF_ERROR(ReadBlock(obj, ctx, kConfigRows, spec, kBufferLevel,
-                                 /*gates=*/false));
-  spec.base.database.target_bytes = spec.base.database_bytes;
-  spec.base.database.density = spec.base.workload.density;
-  if (const JsonValue* level = obj.Find(kBufferLevel)) {
-    if (obj.Find("buffer_pages") != nullptr) {
-      return Err(ctx + ": set either \"buffer_pages\" or \"" +
-                 std::string(kBufferLevel) + "\", not both");
-    }
-    const auto pages =
-        BufferLevel(spec.base, *level, ctx + "." + kBufferLevel);
-    OODB_RETURN_IF_ERROR(pages.status());
-    spec.base.buffer_pages = *pages;
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
 StatusOr<ScenarioSpec> ParseScenario(std::string_view json_text, bool fast) {
   auto doc = JsonValue::Parse(json_text);
   if (!doc.ok()) return doc.status();
@@ -1055,11 +1175,7 @@ StatusOr<ScenarioSpec> ParseScenario(std::string_view json_text, bool fast) {
   ScenarioSpec fast_spec = spec;
   if (overlay != nullptr) {
     OODB_RETURN_IF_ERROR(ReadConfig(*overlay, "fast", fast_spec));
-    // Written back as the keys it sets; a buffer level as its page count.
-    spec.fast = WriteBlock(kConfigRows, fast_spec, [&](std::string_view key) {
-      return overlay->Find(key) != nullptr ||
-             (key == "buffer_pages" && overlay->Find(kBufferLevel) != nullptr);
-    });
+    spec.fast = OverlayJson(fast_spec, *overlay);
     if (fast) spec.base = fast_spec.base;
   }
   for (const auto& [key, v] : doc->members()) {
@@ -1087,6 +1203,7 @@ StatusOr<ScenarioSpec> ParseScenario(std::string_view json_text, bool fast) {
     OODB_RETURN_IF_ERROR(
         CheckGates(*overlay, "fast", kConfigRows, fast_spec));
   }
+  OODB_RETURN_IF_ERROR(CheckVariants(spec));
   if (spec.name.empty()) return Err("\"name\" is required");
   if (spec.bench.empty()) spec.bench = spec.name;
 

@@ -83,6 +83,11 @@
 ///     // SEMCLUST_BENCH_FAST is set: the smoke-sized run.
 ///     "fast": {"warmup_transactions": 100, "measured_transactions": 500},
 ///     "sweep": {                      // each axis: empty/absent = base value
+///       // named config overlays, each read by the "config" rows and
+///       // checks over the base; a key another axis sweeps is an error:
+///       "variant": [{"label": "C_p_DB",
+///                    "config": {"replacement": "Context-sensitive",
+///                               "prefetch": "Prefetch_within_DB"}}],
 ///       "clustering": "figure5_1",    // or an array of pool names/objects
 ///       "workload": "standard_grid",  // or [{"density": ..., "rw_ratio": ...}]
 ///       "replacement": ["LRU", "Context-sensitive"],
@@ -120,7 +125,9 @@
 ///             "levels" (default: the sweep order): each value is >
 ///             "factor" (default 1) times the one before. With
 ///             "relative_to", each value is first divided by its partner
-///             under that selector.
+///             under that selector. In place of "axis"/"levels", "fields"
+///             (two or more record paths, e.g. "response_epochs[3].mean_s")
+///             makes each cell of "cell" one group, its fields in order.
 ///   nonzero   the field summed over the cells of "cell" is not zero.
 ///   all       every entry of "of" (entries without claims) holds.
 /// A key of another kind, an unknown kind, an axis or level that names no
@@ -154,7 +161,8 @@ struct ScenarioCell {
   std::string policy;
   std::string workload;
   /// Sweep-axis key -> this cell's level name, for every axis (an axis
-  /// without levels holds the base value's name).
+  /// without levels holds the base value's name; an empty variant axis
+  /// has no entry).
   std::map<std::string, std::string> levels;
 };
 
@@ -171,6 +179,7 @@ struct Expectation {
   std::string axis;
   CellSelector cell, num, den, relative_to;
   std::vector<std::string> levels, among;
+  std::vector<std::string> fields;  ///< monotone: record paths in order
   std::optional<double> min, max;
   double factor = 1;  ///< best and monotone: "factor"
   std::optional<int> at_least;
@@ -195,6 +204,13 @@ struct WorkloadEntry {
   std::string Label() const;
 };
 
+/// One level of the variant sweep axis: a label and a "config" overlay,
+/// applied over the base when the cells expand.
+struct ScenarioVariant {
+  std::string label;
+  JsonValue config;
+};
+
 /// A parsed scenario: base config + sweep axes.
 struct ScenarioSpec {
   std::string name;
@@ -204,7 +220,9 @@ struct ScenarioSpec {
   /// over ScaledConfig()).
   ModelConfig base;
 
-  // Sweep axes. An empty axis means "the base config's value".
+  // Sweep axes. An empty axis leaves the value the base (or the cell's
+  // variant) set.
+  std::vector<ScenarioVariant> variants;
   std::vector<cluster::ClusterConfig> clustering;
   std::vector<WorkloadEntry> workloads;
   std::vector<buffer::ReplacementPolicy> replacement;
@@ -219,11 +237,11 @@ struct ScenarioSpec {
   std::string fast;
   std::vector<Expectation> expect;
 
-  /// Expands the axes into cells, outermost to innermost: users, shards,
-  /// shard_placement, replacement, prefetch, buffer_pages, clustering,
-  /// workload. Labels: policy = clustering label, workload = workload
-  /// label, cell = "policy/workload"; multi-level users, sharding and
-  /// buffering axes prefix the policy label (e.g.
+  /// Expands the axes into cells, outermost to innermost: variant, users,
+  /// shards, shard_placement, replacement, prefetch, buffer_pages,
+  /// clustering, workload. Labels: policy = clustering label, workload =
+  /// workload label, cell = "policy/workload"; multi-level variant, users,
+  /// sharding and buffering axes prefix the policy label (e.g.
   /// "2shard_Structure_Shard_...") so cell labels stay unique.
   std::vector<ScenarioCell> Expand() const;
 

@@ -210,6 +210,18 @@ TEST(ScenarioTest, Fig51ExpandsToTheBenchGridInBenchOrder) {
   EXPECT_EQ(cells.back().cell_label, "No_limit/hi10-100");
 }
 
+/// Expand() configs and labels of two specs are equal, cell by cell.
+void ExpectSameCells(const ScenarioSpec& a, const ScenarioSpec& b) {
+  const auto left = a.Expand();
+  const auto right = b.Expand();
+  ASSERT_EQ(left.size(), right.size());
+  for (size_t i = 0; i < left.size(); ++i) {
+    EXPECT_EQ(left[i].cell_label, right[i].cell_label);
+    EXPECT_EQ(left[i].policy, right[i].policy);
+    EXPECT_TRUE(left[i].config == right[i].config) << left[i].cell_label;
+  }
+}
+
 TEST(ScenarioTest, ParseSerializeRoundTripIsStable) {
   const auto first = ParseScenario(R"json({
     "name": "roundtrip",
@@ -229,6 +241,10 @@ TEST(ScenarioTest, ParseSerializeRoundTripIsStable) {
                      "hint_kind": "version-history", "hint_boost": 2.5}
     },
     "sweep": {
+      "variant": [{"label": "short", "config": {"measured_transactions": 30,
+                   "num_users": 12,
+                   "concurrency": {"enabled": true, "cc_max_retries": 2}}},
+                  {"label": "base", "config": {}}],
       "clustering": ["No_Clustering", {"pool": "No_limit"}],
       "workload": [{"density": "low3", "rw_ratio": 5}],
       "replacement": ["LRU", "Random"],
@@ -253,15 +269,32 @@ TEST(ScenarioTest, ParseSerializeRoundTripIsStable) {
   const auto second = ParseScenario(json);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(json, second->ToJson());
+  ExpectSameCells(*first, *second);
+  // A variant is written back as the keys it sets.
+  EXPECT_NE(json.find("{\"label\":\"base\",\"config\":{}}"),
+            std::string::npos)
+      << json;
 
-  // Expansion order: replacement (outer) x prefetch x buffers x clustering
-  // x workload (inner); multi-level axes prefix the policy label.
+  // Expansion order: variant (outer) x replacement x prefetch x buffers x
+  // clustering x workload (inner); multi-level axes prefix the policy
+  // label.
   const auto cells = first->Expand();
-  ASSERT_EQ(cells.size(), 2u * 1u * 2u * 2u * 1u);
-  EXPECT_EQ(cells.front().policy, "LRU_64buf_No_Clustering");
+  ASSERT_EQ(cells.size(), 2u * 2u * 1u * 2u * 2u * 1u);
+  EXPECT_EQ(cells.front().policy, "short_LRU_64buf_No_Clustering");
   EXPECT_EQ(cells.back().policy,
-            "Random_" + std::to_string(first->base.BufferMedium()) +
+            "base_Random_" + std::to_string(first->base.BufferMedium()) +
                 "buf_No_limit");
+  // The overlay applies under every inner axis, and an axis without
+  // levels (here users) keeps what it set; the other variant keeps the
+  // base.
+  EXPECT_EQ(cells.front().config.measured_transactions, 30);
+  EXPECT_EQ(cells.front().config.num_users, 12);
+  EXPECT_TRUE(cells.front().config.cc.enabled);
+  EXPECT_EQ(cells.front().config.cc.max_retries, 2);
+  EXPECT_EQ(cells.front().levels.at("variant"), "short");
+  EXPECT_EQ(cells.back().config.measured_transactions, 60);
+  EXPECT_EQ(cells.back().config.num_users, first->base.num_users);
+  EXPECT_FALSE(cells.back().config.cc.enabled);
 }
 
 TEST(ScenarioTest, ActionableErrors) {
@@ -343,22 +376,36 @@ TEST(ScenarioTest, ActionableErrors) {
                "buffer_pages is 1000000000000; at most 4194304");
   expect_error(R"({"name": "x", "config": {"num_users": 2000000000}})",
                "num_users is 2000000000; at most 100000");
+  // A variant's overlay takes the "config" rows and gates, needs a label,
+  // and may not set what another axis sweeps.
+  expect_error(
+      R"({"name": "x", "sweep": {"variant": [{"label": "v",
+          "config": {"measured": 5}}]}})",
+      "sweep.variant[0].config: unknown key \"measured\"");
+  expect_error(
+      R"({"name": "x", "sweep": {"variant": [{"label": "v",
+          "config": {"span_exemplars": 2}}]}})",
+      "\"span_exemplars\" is a span-profiler knob");
+  expect_error(
+      R"({"name": "x", "sweep": {"variant": [{"config": {}}]}})",
+      "sweep.variant[0].label: must be a non-empty string");
+  expect_error(
+      R"({"name": "x", "sweep": {"variant": [{"label": "v", "color": 1}]}})",
+      "sweep.variant[0]: unknown key \"color\"");
+  expect_error(
+      R"({"name": "x", "sweep": {"clustering": "figure5_1",
+          "variant": [{"label": "v", "config":
+                       {"clustering": {"split": "Linear_Split"}}}]}})",
+      "sweep.variant[0].config: \"clustering\" is also swept by "
+      "\"sweep.clustering\"");
+  expect_error(
+      R"({"name": "x", "sweep": {"users": [10, 20],
+          "variant": [{"label": "v", "config": {"num_users": 5}}]}})",
+      "\"num_users\" is also swept by \"sweep.users\"");
   // A value that parses but would abort the run names its cell and field.
   expect_error(R"({"name": "x", "config": {"workload": {"rw_ratio": 0}}})",
                "cell No_Clustering/med5-0: invalid ModelConfig: "
                "workload.rw_ratio");
-}
-
-/// Expand() configs and labels of two specs are equal, cell by cell.
-void ExpectSameCells(const ScenarioSpec& a, const ScenarioSpec& b) {
-  const auto left = a.Expand();
-  const auto right = b.Expand();
-  ASSERT_EQ(left.size(), right.size());
-  for (size_t i = 0; i < left.size(); ++i) {
-    EXPECT_EQ(left[i].cell_label, right[i].cell_label);
-    EXPECT_EQ(left[i].policy, right[i].policy);
-    EXPECT_TRUE(left[i].config == right[i].config) << left[i].cell_label;
-  }
 }
 
 TEST(ScenarioTest, ShardKnobsSurviveARoundTripWhenOnlyTheSweepShards) {
@@ -699,12 +746,16 @@ std::string ExpectScenario(const std::string& entries) {
 }
 
 // Synthetic records in cell order: response 2, 6 (No_Clustering) and 1, 2
-// (No_limit); "cc.n" is zero everywhere.
+// (No_limit), which is also the first epoch's; the second epoch's is 4, 6
+// and 1, 3; "cc.n" is zero everywhere.
 std::vector<std::map<std::string, JsonValue>> SyntheticRecords() {
   std::vector<std::map<std::string, JsonValue>> records;
-  for (const char* response : {"2", "6", "1", "2"}) {
-    const auto doc = JsonValue::Parse(std::string(R"({"mean_response_s":)") +
-                                      response + R"(,"cc":{"n":0}})");
+  for (const auto& [response, second] :
+       {std::pair{"2", "4"}, {"6", "6"}, {"1", "1"}, {"2", "3"}}) {
+    const auto doc = JsonValue::Parse(
+        std::string(R"({"mean_response_s":)") + response +
+        R"(,"cc":{"n":0},"response_epochs":[{"mean_s":)" + response +
+        R"(},{"mean_s":)" + second + "}]}");
     records.push_back(FlattenJson(*doc));
   }
   return records;
@@ -759,6 +810,17 @@ TEST(ScenarioTest, EachExpectKindHoldsAndDeviates) {
       {R"({"kind": "monotone", "axis": "workload",
            "cell": {"clustering": "No_Clustering"},
            "relative_to": {"clustering": "No_limit"}, "factor": 2})", false},
+      {R"({"kind": "monotone", "fields": ["response_epochs[0].mean_s",
+           "response_epochs[1].mean_s"],
+           "cell": {"clustering": "No_Clustering", "workload": "low3-5"},
+           "relative_to": {"clustering": "No_limit"}})", true},
+      {R"({"kind": "monotone", "fields": ["response_epochs[0].mean_s",
+           "response_epochs[1].mean_s"],
+           "cell": {"clustering": "No_Clustering"},
+           "relative_to": {"clustering": "No_limit"}})", false},
+      {R"({"kind": "monotone", "fields": ["response_epochs[0].mean_s",
+           "response_epochs[1].mean_s"],
+           "cell": {"clustering": "No_Clustering"}, "at_least": 1})", true},
       {R"({"kind": "nonzero"})", true},
       {R"({"kind": "nonzero", "field": "cc.n"})", false},
       {R"({"kind": "all", "of": [{"kind": "nonzero"},
@@ -792,7 +854,9 @@ TEST(ScenarioTest, ExpectAndFastSurviveTheRoundTrip) {
      "levels": ["low3-5", "hi10-5"], "relative_to": {"clustering": "No_limit"},
      "factor": 1.25},
     {"claim": "a", "kind": "all", "of": [{"kind": "nonzero",
-     "cell": {"clustering": "No_limit"}}]})";
+     "cell": {"clustering": "No_limit"}}]},
+    {"claim": "f", "kind": "monotone", "fields": ["cc.n", "mean_response_s"],
+     "cell": {"clustering": "No_limit"}})";
   for (const bool fast : {false, true}) {
     const auto first = ParseScenario(ExpectScenario(entries), fast);
     ASSERT_TRUE(first.ok()) << first.status().ToString();
@@ -803,7 +867,7 @@ TEST(ScenarioTest, ExpectAndFastSurviveTheRoundTrip) {
               "{\"buffer_pages\":" +
                   std::to_string(first->base.BufferSmall()) +
                   ",\"measured_transactions\":30}");
-    ASSERT_EQ(first->expect.size(), 4u);
+    ASSERT_EQ(first->expect.size(), 5u);
     const Expectation& r = first->expect[0];
     EXPECT_EQ(r.field, "cc.n");
     ASSERT_EQ(r.num.size(), 1u);
@@ -813,6 +877,8 @@ TEST(ScenarioTest, ExpectAndFastSurviveTheRoundTrip) {
     EXPECT_EQ(first->expect[1].factor, 1.1);
     EXPECT_EQ(first->expect[2].relative_to[0].first, "clustering");
     EXPECT_EQ(first->expect[3].of.size(), 1u);
+    EXPECT_EQ(first->expect[4].fields,
+              (std::vector<std::string>{"cc.n", "mean_response_s"}));
 
     const std::string json = first->ToJson();
     const auto second = ParseScenario(json, fast);
@@ -859,6 +925,14 @@ TEST(ScenarioTest, ExpectErrorsNameTheEntryAndNeverPassVacuously) {
       {R"({"claim": "c", "kind": "all", "of": []})", "non-empty \"of\""},
       {R"({"claim": "c", "kind": "all", "of": [{"kind": "best"}]})",
        "of[0]: needs \"axis\""},
+      {R"({"claim": "c", "kind": "monotone", "axis": "workload",
+           "fields": ["cc.n", "mean_response_s"]})",
+       "give \"fields\" or \"axis\"/\"levels\", not both"},
+      {R"({"claim": "c", "kind": "monotone", "fields": ["cc.n"]})",
+       "\"fields\" needs two or more paths"},
+      {R"({"claim": "c", "kind": "best", "axis": "workload",
+           "fields": ["cc.n", "mean_response_s"]})",
+       "\"fields\" is a \"monotone\" key"},
   };
   for (const auto& c : kCases) {
     SCOPED_TRACE(c.entry);
@@ -905,6 +979,17 @@ TEST(ScenarioTest, ExpectRejectsCellsWithTheSameLevels) {
   EXPECT_NE(message.find("cells 0 (No_limit/"), std::string::npos) << message;
   EXPECT_NE(message.find("and 1 (No_limit/"), std::string::npos) << message;
   EXPECT_NE(message.find("clustering No_limit"), std::string::npos) << message;
+
+  // Two variants with one label are rejected with or without claims.
+  const auto twins = ParseScenario(R"({"name": "dup",
+    "sweep": {"variant": [{"label": "a", "config": {"num_disks": 5}},
+                          {"label": "a", "config": {"num_disks": 8}}]}})");
+  ASSERT_FALSE(twins.ok());
+  EXPECT_NE(twins.status().message().find(
+                "sweep.variant[1].label: \"a\" is also the label of "
+                "sweep.variant[0]"),
+            std::string::npos)
+      << twins.status().ToString();
 }
 
 TEST(ScenarioTest, FastOverlayTakesTheConfigRowsAndChecks) {
